@@ -16,6 +16,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -92,10 +93,35 @@ def _meta_dict(seed: int | None = None) -> dict:
 def _enum_cap(file_cap: int | None = None) -> int:
     env = os.environ.get("NAS_ENUM_CAP")
     if env is not None:
-        return int(env)
+        try:
+            cap = int(env)
+        except ValueError:
+            cap = 0
+        if cap < 1:
+            raise ValueError(f"NAS_ENUM_CAP must be an integer >= 1, got {env!r}")
+        return cap
     if file_cap is not None:
         return file_cap
     return DEFAULT_ENUM_CAP
+
+
+def _float_arg(ok, rule: str):
+    """argparse type: a float for which ``ok`` holds, else a one-line error."""
+
+    def parse(text: str) -> float:
+        try:
+            value = float(text)
+        except ValueError:
+            value = math.nan
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text!r}")
+        return value
+
+    return parse
+
+
+_budget_ms = _float_arg(lambda x: math.isfinite(x) and x > 0, "a positive number of ms")
+_holdout_frac = _float_arg(lambda x: 0 <= x < 1, "in [0, 1)")
 
 
 def _add_space_args(parser: argparse.ArgumentParser) -> None:
@@ -492,7 +518,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_args(p)
     p.add_argument("--bench", required=True, help="benchmark CSV")
     p.add_argument("--ridge-lambda", type=float, default=1e-6)
-    p.add_argument("--holdout-frac", type=float, default=0.2)
+    p.add_argument("--holdout-frac", type=_holdout_frac, default=0.2)
     p.add_argument("--channel-bands", action="store_true",
                    help="bucket channels into power-of-two bands")
     p.add_argument("--seed", type=int, default=0)
@@ -510,7 +536,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_oracle_args(p)
     p.add_argument("--device", default="cpu_sim")
     p.add_argument("--model", help="fitted latency model (overrides --device)")
-    p.add_argument("--budget", type=float, help="latency budget in ms (default: median)")
+    p.add_argument("--budget", type=_budget_ms, help="latency budget in ms (default: median)")
     p.add_argument("--tau", type=float, default=-0.3)
     p.add_argument("--steps", type=int, default=5000)
     p.add_argument("--samples-per-step", type=int, default=1)
@@ -526,7 +552,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_oracle_args(p)
     p.add_argument("--device", default="cpu_sim")
     p.add_argument("--model", help="fitted latency model (overrides --device)")
-    p.add_argument("--budget", type=float)
+    p.add_argument("--budget", type=_budget_ms)
     p.add_argument("--tau", type=float, default=-0.3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--best", help="write the best architecture here")

@@ -1,17 +1,19 @@
 """Categorical policy, latency-penalized reward and REINFORCE with Adam.
 
-The policy keeps one logits vector per decision; sampling draws each decision
-independently from its softmax. The update ascends the score-function
-gradient of the advantage-weighted log-probability, with an exponential
-moving average of the reward as baseline and Adam on the logits.
+The policy holds the logits of every decision in one ``(decisions x
+max_choices)`` array: row ``d`` holds decision ``d``'s logits followed by
+``-inf`` padding, so padded slots get probability exactly 0 and sampling,
+the gradient, Adam and entropy are each a few numpy expressions over the
+whole array. Sampling draws each decision independently from its softmax.
+The update ascends the score-function gradient of the advantage-weighted
+log-probability, with an exponential moving average of the reward as
+baseline and Adam on the logits.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Sequence
 
 import numpy as np
@@ -24,33 +26,65 @@ from .space import DecisionVector, SpaceSpec
 SampleOutcome = tuple[DecisionVector, float, float]
 
 
-def softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
-    exp = np.exp(shifted)
-    return exp / exp.sum()
-
-
-def log_softmax(logits: np.ndarray) -> np.ndarray:
-    shifted = logits - np.max(logits)
-    return shifted - math.log(np.exp(shifted).sum())
-
-
 @dataclass(frozen=True)
 class CategoricalPolicy:
-    """Per-decision logits; probabilities are softmax per decision."""
+    """Padded logits, one row per decision; probabilities are softmax per row.
 
-    logits: tuple[np.ndarray, ...]
+    Each row holds at least one finite logit followed by ``-inf`` padding;
+    ``mask`` marks the finite (real) slots.
+    """
+
+    logits: np.ndarray
+    mask: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for i, vec in enumerate(self.logits):
-            if vec.ndim != 1 or vec.size < 1:
-                raise ValueError(f"decision {i}: logits must be a non-empty vector")
-            if not np.all(np.isfinite(vec)):
-                raise ValueError(f"decision {i}: logits must be finite")
+        logits = self.logits
+        if logits.ndim != 2 or logits.size < 1:
+            raise ValueError("logits must be a non-empty (decisions x choices) array")
+        mask = np.isfinite(logits)
+        bad = ~mask[:, 0] | (mask[:, 1:] > mask[:, :-1]).any(axis=1)
+        bad |= (~mask & (logits != -np.inf)).any(axis=1)
+        if bad.any():
+            raise ValueError(f"decision {int(np.flatnonzero(bad)[0])}: logits must be "
+                             "finite, followed only by -inf padding")
+        object.__setattr__(self, "mask", mask)
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Sequence[float]]) -> "CategoricalPolicy":
+        """Pad ragged per-decision logits with ``-inf`` into one array."""
+        logits = np.full((len(rows), max(len(row) for row in rows)), -np.inf)
+        for d, row in enumerate(rows):
+            logits[d, :len(row)] = row
+        return cls(logits)
 
     @classmethod
     def uniform(cls, space: SpaceSpec) -> "CategoricalPolicy":
-        return cls(tuple(np.zeros(len(d.choices)) for d in space.decisions))
+        return cls.from_rows([[0.0] * len(d.choices) for d in space.decisions])
+
+
+def _exp_shifted(policy: CategoricalPolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(logits - row max, its exp, each row's sum of exp over its real slots).
+
+    numpy sums a vector sequentially below 8 elements and pairwise from 8, so
+    a plain sum over a padded row would add in another order than a sum over
+    the decision's own choices. The masked sum adds each row's real slots as
+    a vector of that length would, keeping results independent of padding.
+    """
+    shifted = policy.logits - policy.logits.max(axis=1, keepdims=True)
+    exp = np.exp(shifted)
+    return shifted, exp, exp.sum(axis=1, keepdims=True, where=policy.mask)
+
+
+def softmax(policy: CategoricalPolicy) -> np.ndarray:
+    """Per-decision probabilities; padded slots hold 0."""
+    _, exp, total = _exp_shifted(policy)
+    return exp / total
+
+
+def log_softmax(policy: CategoricalPolicy) -> np.ndarray:
+    """Per-decision log-probabilities; padded slots hold ``-inf``."""
+    shifted, _, total = _exp_shifted(policy)
+    return shifted - np.log(total)
 
 
 @dataclass(frozen=True)
@@ -81,7 +115,8 @@ def reward(quality: float, latency_ms: float, cfg: RewardConfig) -> float:
 class AdamState:
     """Adam moments for the policy logits; update direction is ascent.
 
-    Defaults: lr 5e-3, betas (0, 0.999), epsilon 1e-8.
+    Defaults: lr 5e-3, betas (0, 0.999), epsilon 1e-8. The moments ``m`` and
+    ``v`` have the shape of the logits; :meth:`for_policy` allocates them.
     """
 
     lr: float = 5e-3
@@ -89,29 +124,25 @@ class AdamState:
     beta2: float = 0.999
     epsilon: float = 1e-8
     step: int = 0
-    m: list[np.ndarray] = field(default_factory=list)
-    v: list[np.ndarray] = field(default_factory=list)
+    m: np.ndarray | None = None
+    v: np.ndarray | None = None
 
     @classmethod
     def for_policy(cls, policy: CategoricalPolicy, **hyper) -> "AdamState":
-        state = cls(**hyper)
-        state.m = [np.zeros_like(vec) for vec in policy.logits]
-        state.v = [np.zeros_like(vec) for vec in policy.logits]
-        return state
+        zeros = np.zeros_like(policy.logits)
+        return cls(m=zeros, v=zeros, **hyper)
 
-    def apply(
-        self, logits: tuple[np.ndarray, ...], grads: Sequence[np.ndarray]
-    ) -> tuple[np.ndarray, ...]:
-        """One ascent step; returns new logits, mutates the moments."""
+    def apply(self, logits: np.ndarray, grads: np.ndarray) -> np.ndarray:
+        """One ascent step; returns new logits, replaces the moments.
+
+        Padded slots have zero gradient and moments, so they stay ``-inf``.
+        """
         self.step += 1
-        out = []
-        for i, (vec, grad) in enumerate(zip(logits, grads)):
-            self.m[i] = self.beta1 * self.m[i] + (1.0 - self.beta1) * grad
-            self.v[i] = self.beta2 * self.v[i] + (1.0 - self.beta2) * grad * grad
-            m_hat = self.m[i] / (1.0 - self.beta1 ** self.step)
-            v_hat = self.v[i] / (1.0 - self.beta2 ** self.step)
-            out.append(vec + self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon))
-        return tuple(out)
+        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grads
+        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grads * grads
+        m_hat = self.m / (1.0 - self.beta1 ** self.step)
+        v_hat = self.v / (1.0 - self.beta2 ** self.step)
+        return logits + self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
 
 
 @dataclass
@@ -129,22 +160,23 @@ class BaselineState:
 def sample(
     policy: CategoricalPolicy, rng: np.random.Generator
 ) -> tuple[DecisionVector, float]:
-    """Independent categorical draw per decision; returns (vector, logprob)."""
-    indices = []
-    logprob = 0.0
-    for logits in policy.logits:
-        logp = log_softmax(logits)
-        cdf = np.cumsum(np.exp(logp))
-        idx = min(int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right")),
-                  logits.size - 1)
-        indices.append(idx)
-        logprob += float(logp[idx])
-    return tuple(indices), logprob
+    """Independent categorical draw per decision; returns (vector, logprob).
+
+    One uniform per decision, drawn in decision order by ``rng.random(n)``:
+    the same stream as one ``rng.random()`` call per decision.
+    """
+    logp = log_softmax(policy)
+    cdf = np.cumsum(np.exp(logp), axis=1)
+    target = rng.random(len(cdf)) * cdf[:, -1]
+    # inverse CDF; the clamp keeps a draw that rounds up to the total on a real slot
+    idx = np.minimum((cdf <= target[:, None]).sum(axis=1), policy.mask.sum(axis=1) - 1)
+    return tuple(idx.tolist()), float(logp[np.arange(len(idx)), idx].sum())
 
 
 def logprob_of(policy: CategoricalPolicy, dv: DecisionVector) -> float:
     """Log-probability of a decision vector under the current logits."""
-    return sum(float(log_softmax(vec)[idx]) for vec, idx in zip(policy.logits, dv))
+    logp = log_softmax(policy)
+    return float(logp[np.arange(len(logp)), list(dv)].sum())
 
 
 def reinforce_objective(
@@ -159,19 +191,16 @@ def reinforce_objective(
 
 def reinforce_gradient(
     policy: CategoricalPolicy, batch: Sequence[SampleOutcome], baseline_value: float
-) -> list[np.ndarray]:
+) -> np.ndarray:
     """Analytic score-function gradient of :func:`reinforce_objective`.
 
-    Per decision, d logprob / d logits = onehot(chosen) - softmax(logits).
+    Per decision, d logprob / d logits = onehot(chosen) - softmax(logits);
+    padded slots get 0. Samples are summed in batch order.
     """
-    grads = [np.zeros_like(vec) for vec in policy.logits]
-    for dv, _, rew in batch:
-        advantage = rew - baseline_value
-        for d, idx in enumerate(dv):
-            g = -softmax(policy.logits[d])
-            g[idx] += 1.0
-            grads[d] += advantage * g
-    return [g / len(batch) for g in grads]
+    chosen = np.array([dv for dv, _, _ in batch])[:, :, None]
+    onehot = chosen == np.arange(policy.logits.shape[1])
+    advantages = np.array([rew - baseline_value for _, _, rew in batch])[:, None, None]
+    return ((onehot - softmax(policy)) * advantages).sum(axis=0) / len(batch)
 
 
 def reinforce_step(
@@ -202,66 +231,10 @@ def reinforce_step(
 
 def most_likely(policy: CategoricalPolicy) -> DecisionVector:
     """Argmax per decision; ties break to the lowest index."""
-    return tuple(int(np.argmax(vec)) for vec in policy.logits)
+    return tuple(np.argmax(policy.logits, axis=1).tolist())
 
 
 def entropy(policy: CategoricalPolicy) -> float:
-    """Sum of per-decision Shannon entropies, in nats."""
-    total = 0.0
-    for vec in policy.logits:
-        logp = log_softmax(vec)
-        total += float(-np.sum(np.exp(logp) * logp))
-    return total
-
-
-# ---------------------------------------------------------------------------
-# Checkpoints
-# ---------------------------------------------------------------------------
-
-def save_checkpoint(
-    path: str | Path,
-    policy: CategoricalPolicy,
-    adam: AdamState,
-    baseline: BaselineState,
-    step: int,
-    space_ref: str = "",
-    meta: dict | None = None,
-) -> None:
-    doc = {
-        "space_ref": space_ref,
-        "step": step,
-        "logits": [vec.tolist() for vec in policy.logits],
-        "adam": {
-            "lr": adam.lr,
-            "beta1": adam.beta1,
-            "beta2": adam.beta2,
-            "epsilon": adam.epsilon,
-            "step": adam.step,
-            "m": [vec.tolist() for vec in adam.m],
-            "v": [vec.tolist() for vec in adam.v],
-        },
-        "baseline": {"decay": baseline.decay, "value": baseline.value},
-    }
-    if meta:
-        doc["_meta"] = meta
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
-
-def load_checkpoint(
-    path: str | Path,
-) -> tuple[CategoricalPolicy, AdamState, BaselineState, int, str]:
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    policy = CategoricalPolicy(tuple(np.array(vec, dtype=np.float64) for vec in doc["logits"]))
-    adoc = doc["adam"]
-    adam = AdamState(
-        lr=adoc["lr"],
-        beta1=adoc["beta1"],
-        beta2=adoc["beta2"],
-        epsilon=adoc["epsilon"],
-        step=adoc["step"],
-        m=[np.array(vec, dtype=np.float64) for vec in adoc["m"]],
-        v=[np.array(vec, dtype=np.float64) for vec in adoc["v"]],
-    )
-    bdoc = doc["baseline"]
-    baseline = BaselineState(decay=bdoc["decay"], value=bdoc["value"])
-    return policy, adam, baseline, int(doc["step"]), doc.get("space_ref", "")
+    """Sum of per-decision Shannon entropies, in nats; padded slots add 0."""
+    logp = log_softmax(policy)
+    return float(-np.sum(np.exp(logp) * np.where(policy.mask, logp, 0.0)))

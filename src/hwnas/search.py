@@ -5,10 +5,13 @@ run against synthetic stand-ins at desk scale. Latency comes either from a
 device simulator or from a fitted linear model.
 
 Noise determinism: in the default ``hash`` mode, oracle and simulator noise
-streams are re-seeded per architecture from (run seed, architecture hash), so
-identical architectures receive identical noisy estimates within a run and
-whole searches replay bit-identically. An ``iid`` mode draws fresh noise per
-evaluation instead.
+streams are re-keyed per architecture from (run seed, digest of the decision
+vector), so identical architectures receive identical noisy estimates within
+a run and whole searches replay bit-identically. The decision vector stands
+for the architecture because a run searches one fixed space and ``decode`` is
+injective on it: its atoms are distinct and the chosen width multiplier is
+kept in the decoded blocks. An ``iid`` mode draws fresh noise per evaluation
+instead.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .arch import NetworkSpec, iter_layers, serialize, total_layers
+from .arch import NetworkSpec, iter_layers, total_layers
 from .analysis import net_feature_counts, network_cost, space_buckets
 from .controller import (
     AdamState,
@@ -49,10 +52,13 @@ from .space import (
 LatencySource = DeviceSimulator | LatencyModel
 
 
-def arch_hash(net: NetworkSpec) -> int:
-    """Stable 64-bit hash of the canonical document (process independent)."""
-    digest = hashlib.sha256(serialize(net).encode("utf-8")).digest()
-    return int.from_bytes(digest[:8], "big")
+def arch_hash(dv: DecisionVector) -> int:
+    """Stable 64-bit digest of a decision vector (process independent).
+
+    Within one space it identifies the architecture ``decode`` builds.
+    """
+    digest = hashlib.blake2b(",".join(map(str, dv)).encode("ascii"), digest_size=8)
+    return int.from_bytes(digest.digest(), "big")
 
 
 class QualityOracle(Protocol):
@@ -250,7 +256,22 @@ class _Evaluator:
         self.seed = seed
         self.noise_mode = noise_mode
         self._iid_rng = np.random.default_rng([seed, 2])
+        # Hash mode re-keys one PCG64 per architecture: its 128-bit state is
+        # (run key, arch_hash) under a per-run odd increment. Setting a state
+        # costs about a tenth of seeding a new generator on every cache miss.
+        run_key, inc = np.random.SeedSequence([seed, 3]).generate_state(2, np.uint64)
+        self._run_key, self._inc = int(run_key) << 64, int(inc) | 1
+        self._arch_rng = np.random.Generator(np.random.PCG64(0))
         self._cache: dict[DecisionVector, tuple[float, float]] = {}
+
+    def _keyed_rng(self, digest: int) -> np.random.Generator:
+        self._arch_rng.bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": self._run_key | digest, "inc": self._inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        return self._arch_rng
 
     def evaluate(self, dv: DecisionVector) -> tuple[float, float]:
         """(quality, latency) with the configured noise regime."""
@@ -258,11 +279,10 @@ class _Evaluator:
             hit = self._cache.get(dv)
             if hit is not None:
                 return hit
-        net = decode(self.space, dv)
-        if self.noise_mode == "hash":
-            rng = np.random.default_rng([self.seed, 3, arch_hash(net)])
+            rng = self._keyed_rng(arch_hash(dv))
         else:
             rng = self._iid_rng
+        net = decode(self.space, dv)
         quality = self.oracle.evaluate(net, rng)
         latency = latency_of(self.source, net, rng)
         if self.noise_mode == "hash":

@@ -150,8 +150,8 @@ def test_criterion_5_reinforce_gradient_check():
     """Analytic REINFORCE gradient vs central differences, <= 1e-4."""
     start = time.time()
     rng = np.random.default_rng(7)
-    policy = CategoricalPolicy(
-        (rng.standard_normal(4), rng.standard_normal(7), rng.standard_normal(3))
+    policy = CategoricalPolicy.from_rows(
+        [rng.standard_normal(4), rng.standard_normal(7), rng.standard_normal(3)]
     )
     batch = []
     for _ in range(8):
@@ -161,17 +161,14 @@ def test_criterion_5_reinforce_gradient_check():
     analytic = reinforce_gradient(policy, batch, baseline_value)
     h = 1e-5
     worst = 0.0
-    for d, vec in enumerate(policy.logits):
-        for i in range(vec.size):
-            def objective_at(delta):
-                logits = [row.copy() for row in policy.logits]
-                logits[d][i] += delta
-                return reinforce_objective(
-                    CategoricalPolicy(tuple(logits)), batch, baseline_value
-                )
+    for d, i in zip(*np.nonzero(policy.mask)):  # real slots only
+        def objective_at(delta):
+            logits = policy.logits.copy()
+            logits[d, i] += delta
+            return reinforce_objective(CategoricalPolicy(logits), batch, baseline_value)
 
-            fd = (objective_at(h) - objective_at(-h)) / (2 * h)
-            worst = max(worst, abs(fd - analytic[d][i]))
+        fd = (objective_at(h) - objective_at(-h)) / (2 * h)
+        worst = max(worst, abs(fd - analytic[d, i]))
     elapsed = time.time() - start
     assert worst <= 1e-4
     assert elapsed < 1.0

@@ -1,14 +1,21 @@
 """CLI subcommands: delegation, determinism, output stamping, error paths."""
 
+import contextlib
 import csv
+import io
 import json
+import math
+import os
+from unittest import mock
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hwnas.analysis import network_cost
 from hwnas.arch import load_file, save_file, toy2_layout
-from hwnas.cli import main
+from hwnas.cli import _enum_cap, build_parser, main
 from hwnas.cost import load_model
 from hwnas.space import build_space, decode
 from hwnas.tucker import save_kernel
@@ -75,6 +82,79 @@ def test_enumerate_cap_env(tmp_path, capsys, monkeypatch):
                         "-o", str(tmp_path / "x.csv")], capsys)
     assert code == 1
     assert err.startswith("error: EnumerationCapError:")
+
+
+def test_enumerate_cap_env_not_an_integer(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("NAS_ENUM_CAP", "abc")
+    code, _, err = run(["space", "enumerate", "--variant", "ibn", "--layout", "toy2",
+                        "-o", str(tmp_path / "x.csv")], capsys)
+    assert code == 1
+    assert err == "error: ValueError: NAS_ENUM_CAP must be an integer >= 1, got 'abc'\n"
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 10**12).map(str))
+def test_enum_cap_env_accepts_positive_integers(text):
+    with mock.patch.dict(os.environ, {"NAS_ENUM_CAP": text}):
+        assert _enum_cap(file_cap=7) == int(text)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(max_value=0).map(str)
+       | st.from_regex(r"\A[a-zA-Z_.,]*\Z")
+       | st.floats().filter(lambda x: not x.is_integer()).map(repr))
+def test_enum_cap_env_rejects_other_values(text):
+    with mock.patch.dict(os.environ, {"NAS_ENUM_CAP": text}):
+        with pytest.raises(ValueError, match="NAS_ENUM_CAP must be an integer >= 1"):
+            _enum_cap()
+
+
+def parse_error(argv) -> str:
+    """The last stderr line of an argument rejected at parse time (exit code 2)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), pytest.raises(SystemExit) as exc:
+        build_parser().parse_args(argv)
+    assert exc.value.code == 2
+    return err.getvalue().splitlines()[-1]
+
+
+def number_texts(rejected):
+    return (st.floats().filter(rejected).map(repr)
+            | st.sampled_from(["abc", "", "1,5", "0x1"]))
+
+
+BUDGET_COMMANDS = (["search", "run", "--log", "x.ndjson"], ["search", "exhaustive"])
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=number_texts(lambda x: not (math.isfinite(x) and x > 0)),
+       command=st.sampled_from(BUDGET_COMMANDS))
+def test_budget_not_positive_rejected_at_parse(text, command):
+    line = parse_error(command + [f"--budget={text}"])
+    assert line.endswith(f"argument --budget: must be a positive number of ms, got {text!r}")
+
+
+@settings(max_examples=80, deadline=None)
+@given(budget=st.floats(min_value=0, exclude_min=True, allow_infinity=False),
+       command=st.sampled_from(BUDGET_COMMANDS))
+def test_budget_positive_accepted(budget, command):
+    assert build_parser().parse_args(command + [f"--budget={budget!r}"]).budget == budget
+
+
+FIT_ARGS = ["cost", "fit", "--bench", "bench.csv", "-o", "model.json"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(number_texts(lambda x: not 0 <= x < 1))
+def test_holdout_frac_outside_unit_interval_rejected(text):
+    line = parse_error(FIT_ARGS + [f"--holdout-frac={text}"])
+    assert line.endswith(f"argument --holdout-frac: must be in [0, 1), got {text!r}")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(min_value=0, max_value=1, exclude_max=True))
+def test_holdout_frac_in_unit_interval_accepted(frac):
+    assert build_parser().parse_args(FIT_ARGS + [f"--holdout-frac={frac!r}"]).holdout_frac == frac
 
 
 def test_analyze_matches_network_cost(tmp_path, capsys):

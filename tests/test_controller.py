@@ -2,16 +2,18 @@
 
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
+import reference_controller as ref
 from hwnas.controller import (
     AdamState,
     BaselineState,
     CategoricalPolicy,
     RewardConfig,
     entropy,
-    load_checkpoint,
     log_softmax,
     logprob_of,
     most_likely,
@@ -20,13 +22,12 @@ from hwnas.controller import (
     reinforce_step,
     reward,
     sample,
-    save_checkpoint,
     softmax,
 )
 
 
 def policy_of(*logit_rows):
-    return CategoricalPolicy(tuple(np.array(row, dtype=np.float64) for row in logit_rows))
+    return CategoricalPolicy.from_rows(logit_rows)
 
 
 def test_sample_uniform_logprob():
@@ -46,7 +47,7 @@ def test_sample_saturated_logits():
 def test_sample_frequencies_match_softmax():
     logits = np.array([0.3, -0.5, 1.1, 0.0])
     policy = policy_of(logits)
-    p = softmax(logits)
+    p = softmax(policy)[0]
     rng = np.random.default_rng(123)
     n = 100_000
     counts = np.zeros(4)
@@ -97,7 +98,7 @@ def test_zero_update_when_reward_equals_baseline():
     adam = AdamState.for_policy(policy)
     baseline = BaselineState(value=0.5)
     updated = reinforce_step(policy, [((1,), -1.0, 0.5)], baseline, adam)
-    assert np.array_equal(updated.logits[0], policy.logits[0])
+    assert np.array_equal(updated.logits, policy.logits)
 
 
 def test_first_batch_initializes_baseline():
@@ -122,12 +123,12 @@ def test_reinforce_monotone_trend():
     adam = AdamState.for_policy(policy, lr=0.02)
     baseline = BaselineState()
     rng = np.random.default_rng(0)
-    probs = [softmax(policy.logits[0])[0]]
+    probs = [softmax(policy)[0, 0]]
     for _ in range(400):
         dv, logprob = sample(policy, rng)
         policy = reinforce_step(policy, [(dv, logprob, 1.0 if dv[0] == 0 else 0.0)],
                                 baseline, adam)
-        probs.append(softmax(policy.logits[0])[0])
+        probs.append(softmax(policy)[0, 0])
     assert all(b >= a - 1e-12 for a, b in zip(probs, probs[1:]))
     assert probs[-1] > 0.95
 
@@ -143,18 +144,16 @@ def test_gradient_matches_finite_differences():
     analytic = reinforce_gradient(policy, batch, baseline_value)
     h = 1e-5
     worst = 0.0
-    for d, vec in enumerate(policy.logits):
-        for i in range(vec.size):
-            def perturbed(delta):
-                logits = [row.copy() for row in policy.logits]
-                logits[d][i] += delta
-                return reinforce_objective(
-                    CategoricalPolicy(tuple(logits)), batch, baseline_value
-                )
+    for d, i in zip(*np.nonzero(policy.mask)):
+        def perturbed(delta):
+            logits = policy.logits.copy()
+            logits[d, i] += delta
+            return reinforce_objective(CategoricalPolicy(logits), batch, baseline_value)
 
-            fd = (perturbed(h) - perturbed(-h)) / (2 * h)
-            worst = max(worst, abs(fd - analytic[d][i]))
+        fd = (perturbed(h) - perturbed(-h)) / (2 * h)
+        worst = max(worst, abs(fd - analytic[d, i]))
     assert worst <= 1e-4
+    assert np.all(analytic[~policy.mask] == 0)
 
 
 def test_most_likely_and_ties():
@@ -175,7 +174,7 @@ def test_entropy_saturated():
 def test_softmax_shift_invariance():
     logits = np.array([0.5, -1.0, 2.0])
     shifted = logits + 123.4
-    assert np.allclose(softmax(logits), softmax(shifted))
+    assert np.allclose(softmax(policy_of(logits)), softmax(policy_of(shifted)))
     assert most_likely(policy_of(logits)) == most_likely(policy_of(shifted))
     a = sample(policy_of(logits), np.random.default_rng(9))
     b = sample(policy_of(shifted), np.random.default_rng(9))
@@ -197,48 +196,91 @@ def test_update_direction_invariant_to_advantage_scale():
                   for dv, lp, r in batch]
         updated = reinforce_step(policy, scaled, BaselineState(value=baseline_value),
                                  AdamState.for_policy(policy))
-        return [new - old for new, old in zip(updated.logits, policy.logits)]
+        return updated.logits[policy.mask] - policy.logits[policy.mask]
 
-    base = step_delta(1.0)
-    scaled = step_delta(7.5)
-    for d_base, d_scaled in zip(base, scaled):
-        assert np.array_equal(np.sign(d_base), np.sign(d_scaled))
-
-
-def test_checkpoint_round_trip(tmp_path):
-    rng = np.random.default_rng(1)
-    policy = policy_of(rng.standard_normal(3), rng.standard_normal(6))
-    adam = AdamState.for_policy(policy, lr=0.02)
-    baseline = BaselineState(value=0.25)
-    for _ in range(5):
-        dv, logprob = sample(policy, rng)
-        policy = reinforce_step(policy, [(dv, logprob, float(rng.uniform()))],
-                                baseline, adam)
-    path = tmp_path / "policy.json"
-    save_checkpoint(path, policy, adam, baseline, step=5, space_ref="toy")
-    policy2, adam2, baseline2, step, ref = load_checkpoint(path)
-    assert step == 5 and ref == "toy"
-    for a, b in zip(policy.logits, policy2.logits):
-        assert np.array_equal(a, b)
-    assert adam2.step == adam.step and adam2.lr == adam.lr
-    for a, b in zip(adam.v, adam2.v):
-        assert np.array_equal(a, b)
-    assert baseline2.value == baseline.value
-    # loaded state continues identically
-    dv, logprob = sample(policy, np.random.default_rng(77))
-    out1 = reinforce_step(policy, [(dv, logprob, 0.9)], baseline, adam)
-    out2 = reinforce_step(policy2, [(dv, logprob, 0.9)], baseline2, adam2)
-    for a, b in zip(out1.logits, out2.logits):
-        assert np.array_equal(a, b)
+    assert np.array_equal(np.sign(step_delta(1.0)), np.sign(step_delta(7.5)))
 
 
 def test_policy_rejects_bad_logits():
     with pytest.raises(ValueError, match="finite"):
         policy_of([0.0, float("inf")])
+    with pytest.raises(ValueError, match="finite"):
+        policy_of([0.0, float("nan")])
+    with pytest.raises(ValueError, match="decision 1"):
+        CategoricalPolicy(np.array([[0.0, 1.0], [-np.inf, 0.0]]))  # padding must trail
     with pytest.raises(ValueError):
-        CategoricalPolicy((np.zeros((2, 2)),))
+        CategoricalPolicy(np.zeros((2, 2, 2)))
+    with pytest.raises(ValueError):
+        CategoricalPolicy(np.zeros(3))
 
 
 def test_log_softmax_normalized():
-    logits = np.array([3.0, -1.0, 0.5])
-    assert np.exp(log_softmax(logits)).sum() == pytest.approx(1.0)
+    policy = policy_of([3.0, -1.0, 0.5], [0.2])
+    assert np.exp(log_softmax(policy)).sum(axis=1) == pytest.approx([1.0, 1.0])
+
+
+def test_padded_slots_never_sampled_or_updated():
+    policy = policy_of([0.0, 0.0], [0.0] * 5)
+    adam = AdamState.for_policy(policy, lr=0.5)
+    baseline = BaselineState()
+    rng = np.random.default_rng(4)
+    for _ in range(200):
+        dv, logprob = sample(policy, rng)
+        assert dv[0] in (0, 1)
+        policy = reinforce_step(policy, [(dv, logprob, float(dv[0]))], baseline, adam)
+    assert np.all(policy.logits[0, 2:] == -np.inf)
+    assert np.all(softmax(policy)[0, 2:] == 0.0)
+    assert most_likely(policy)[0] == 1
+
+
+# ---------------------------------------------------------------------------
+# Array policy against the per-decision loop reference (tests/reference_controller.py)
+# ---------------------------------------------------------------------------
+
+@st.composite
+def ragged_rows(draw):
+    """Logits rows of widths 1..17, so both of numpy's summation orders occur."""
+    widths = draw(st.lists(st.integers(1, 17), min_size=1, max_size=30))
+    return [np.array(draw(st.lists(st.floats(-50, 50), min_size=w, max_size=w)))
+            for w in widths]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    rows=ragged_rows(),
+    seed=st.integers(0, 2**32 - 1),
+    rewards=st.lists(st.floats(-10, 10), min_size=1, max_size=6),
+    baseline_value=st.floats(-10, 10),
+    lr=st.sampled_from([5e-3, 0.02, 0.5]),
+)
+def test_array_policy_matches_loop_reference(rows, seed, rewards, baseline_value, lr):
+    policy = CategoricalPolicy.from_rows(rows)
+    mask = policy.mask
+
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    batch = []
+    for rew in rewards:
+        dv, logprob = sample(policy, rng)
+        dv_ref, logprob_ref = ref.sample(rows, rng_ref)
+        assert dv == dv_ref
+        assert logprob == pytest.approx(logprob_ref, rel=1e-12, abs=1e-12)
+        batch.append((dv, logprob, rew))
+    assert rng.bit_generator.state == rng_ref.bit_generator.state
+
+    grads = reinforce_gradient(policy, batch, baseline_value)
+    grads_ref = ref.reinforce_gradient(rows, batch, baseline_value)
+    assert np.array_equal(grads[mask], np.concatenate(grads_ref))
+    assert np.all(grads[~mask] == 0)
+
+    adam = AdamState.for_policy(policy, lr=lr)
+    m_ref = [np.zeros_like(row) for row in rows]
+    v_ref = [np.zeros_like(row) for row in rows]
+    logits, logits_ref = policy.logits, rows
+    for step in (1, 2):
+        logits = adam.apply(logits, grads)
+        logits_ref = ref.adam_apply(logits_ref, grads_ref, m_ref, v_ref, step, lr=lr)
+        assert np.array_equal(logits[mask], np.concatenate(logits_ref))
+        assert np.all(logits[~mask] == -np.inf)
+
+    assert most_likely(policy) == ref.most_likely(rows)
+    assert abs(entropy(policy) - ref.entropy(rows)) <= 1e-12
