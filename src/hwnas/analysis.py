@@ -4,16 +4,25 @@ Counting conventions
 --------------------
 One multiply-accumulate counts as 1. Kernels only: biases, batch-norm
 parameters, elementwise adds (residuals) and activations count as zero.
-With ``h', w'`` the post-stride output size and ``sC1``/``eC2`` the rounded
-internal widths, the per-layer multiply-adds are::
 
-    ibn:    h*w*(C1*sC1)   + h'*w'*(K^2*sC1)     + h'*w'*(sC1*C2)
-    fused:  h'*w'*(K^2*C1*sC1)                   + h'*w'*(sC1*C2)
-    tucker: h*w*(C1*sC1)   + h'*w'*(K^2*sC1*eC2) + h'*w'*(eC2*C2)
+Each layer's cost is written once, in the formula table of
+:func:`_layer_table`: one row per constituent conv, holding its op class,
+its kernel weights and the spatial positions it runs at. With ``h, w`` the
+layer input size, ``h', w'`` the post-stride output size and ``sC1``/``eC2``
+the rounded internal widths, the rows are (weights @ positions)::
+
+    ibn:    C1*sC1 @ h*w  +  K^2*sC1     @ h'*w'  +  sC1*C2 @ h'*w'
+    fused:                   K^2*C1*sC1  @ h'*w'  +  sC1*C2 @ h'*w'
+    tucker: C1*sC1 @ h*w  +  K^2*sC1*eC2 @ h'*w'  +  eC2*C2 @ h'*w'
 
 A squeeze-excite block, when enabled, adds two fully connected layers over
 the layer output width C at squeeze ratio 0.25: ``2 * C * round8(0.25*C)``
-multiply-adds and the same number of parameters.
+weights that run once per image. The stem is one ``3x3`` conv from the
+image channels: ``9 * 3 * stem`` weights at the stem's output positions.
+
+A row's multiply-adds are its weights times its positions. Parameters are
+the weights column of the same table, which equals a layer's multiply-adds
+at a 1x1 input.
 """
 
 from __future__ import annotations
@@ -25,7 +34,6 @@ from functools import lru_cache
 from .arch import (
     IMAGE_CHANNELS,
     STEM_KERNEL,
-    InvalidArchitectureError,
     LayerSpec,
     NetworkSpec,
     derive_shapes,
@@ -41,83 +49,59 @@ OP_CLASSES = ("regular_conv", "depthwise_conv", "pointwise_conv", "se_block")
 
 STEM_BUCKET = "stem"
 
+# Where a constituent conv runs: over the layer input (before the stride),
+# over the layer output (after it), or once per image.
+_IN, _OUT, _ONCE = 0, 1, 2
 
-class UnknownAtomError(ValueError):
-    """A layer's kind atom does not belong to the given space."""
+_Table = list[tuple[str, int, int]]
 
 
-def _check_layer(layer: LayerSpec) -> None:
-    """Structural checks only. Ratio-range rules are a search-space concern;
-    the cost formulas stay consistent for any positive ratio (a tucker layer
-    with ratios 1.0 simply degenerates to a bottleneck-free stack)."""
+def _layer_table(layer: LayerSpec) -> _Table:
+    """(op class, kernel weights, positions) of each constituent conv, in order."""
     kind = layer.kind
-    problems = []
-    if kind.op not in ("ibn", "fused", "tucker"):
-        problems.append(f"unknown op {kind.op!r}")
+    k2 = kind.kernel * kind.kernel
+    c1, c2 = layer.c_in, layer.c_out
+    if kind.op == "ibn":
+        mid = round8(kind.expansion * c1)
+        rows = [("pointwise_conv", c1 * mid, _IN), ("depthwise_conv", k2 * mid, _OUT),
+                ("pointwise_conv", mid * c2, _OUT)]
+    elif kind.op == "fused":
+        mid = round8(kind.expansion * c1)
+        rows = [("regular_conv", k2 * c1 * mid, _OUT), ("pointwise_conv", mid * c2, _OUT)]
     else:
-        if kind.kernel < 1 or kind.kernel % 2 == 0:
-            problems.append(f"kernel must be odd and >= 1, got {kind.kernel}")
-        if kind.op in ("ibn", "fused"):
-            if kind.expansion is None or kind.expansion <= 0:
-                problems.append(f"expansion must be positive, got {kind.expansion}")
-        elif (
-            kind.input_compression is None or kind.input_compression <= 0
-            or kind.output_compression is None or kind.output_compression <= 0
-        ):
-            problems.append("compression ratios must be positive")
-    if layer.c_in < 1 or layer.c_out < 1:
-        problems.append(f"channel counts must be >= 1 ({layer.c_in} -> {layer.c_out})")
-    if layer.stride not in (1, 2):
-        problems.append(f"stride must be 1 or 2, got {layer.stride}")
-    if problems:
-        raise InvalidArchitectureError(problems)
+        sc1 = round8(kind.input_compression * c1)
+        ec2 = round8(kind.output_compression * c2)
+        rows = [("pointwise_conv", c1 * sc1, _IN), ("regular_conv", k2 * sc1 * ec2, _OUT),
+                ("pointwise_conv", ec2 * c2, _OUT)]
+    if layer.use_se:
+        rows.append(("se_block", 2 * c2 * round8(SE_RATIO * c2), _ONCE))
+    return rows
 
 
-def internal_widths(layer: LayerSpec) -> tuple[int, ...]:
-    """Rounded internal channel widths of the layer's middle stages."""
-    kind = layer.kind
-    if kind.op in ("ibn", "fused"):
-        return (round8(kind.expansion * layer.c_in),)
-    return (
-        round8(kind.input_compression * layer.c_in),
-        round8(kind.output_compression * layer.c_out),
-    )
+def _stem_table(stem_channels: int) -> _Table:
+    return [("regular_conv", STEM_KERNEL * STEM_KERNEL * IMAGE_CHANNELS * stem_channels, _OUT)]
 
 
-def se_width(c_out: int) -> int:
-    return round8(SE_RATIO * c_out)
+def _units(table: _Table, h: int, w: int, stride: int) -> tuple[tuple[str, int], ...]:
+    positions = (h * w, -(-h // stride) * -(-w // stride), 1)
+    return tuple([(op, weights * positions[where]) for op, weights, where in table])
+
+
+def _params(table: _Table) -> int:
+    total = 0  # a plain loop: per call, cheaper than sum() over a comprehension
+    for _, weights, _ in table:
+        total += weights
+    return total
 
 
 def layer_units(layer: LayerSpec, h: int, w: int) -> tuple[tuple[str, int], ...]:
     """Decompose a layer into (op class, multiply-adds) constituents.
 
-    ``h, w`` are the layer's input spatial dims; the stride applies at the
-    layer's KxK stage.
+    ``layer`` is a layer of a validated network (:func:`hwnas.arch.validate`;
+    nothing is checked here) and ``h, w`` are its input spatial dims; the
+    stride applies at the layer's KxK stage.
     """
-    _check_layer(layer)
-    if h < 1 or w < 1:
-        raise InvalidArchitectureError([f"spatial dims must be >= 1 ({h}x{w})"])
-    kind = layer.kind
-    k2 = kind.kernel * kind.kernel
-    ho, wo = -(-h // layer.stride), -(-w // layer.stride)
-    units: list[tuple[str, int]] = []
-    if kind.op == "ibn":
-        (sc1,) = internal_widths(layer)
-        units.append(("pointwise_conv", h * w * layer.c_in * sc1))
-        units.append(("depthwise_conv", ho * wo * k2 * sc1))
-        units.append(("pointwise_conv", ho * wo * sc1 * layer.c_out))
-    elif kind.op == "fused":
-        (sc1,) = internal_widths(layer)
-        units.append(("regular_conv", ho * wo * k2 * layer.c_in * sc1))
-        units.append(("pointwise_conv", ho * wo * sc1 * layer.c_out))
-    else:
-        sc1, ec2 = internal_widths(layer)
-        units.append(("pointwise_conv", h * w * layer.c_in * sc1))
-        units.append(("regular_conv", ho * wo * k2 * sc1 * ec2))
-        units.append(("pointwise_conv", ho * wo * ec2 * layer.c_out))
-    if layer.use_se:
-        units.append(("se_block", 2 * layer.c_out * se_width(layer.c_out)))
-    return tuple(units)
+    return _units(_layer_table(layer), h, w, layer.stride)
 
 
 def layer_madds(layer: LayerSpec, h: int, w: int) -> int:
@@ -127,30 +111,7 @@ def layer_madds(layer: LayerSpec, h: int, w: int) -> int:
 
 def layer_params(layer: LayerSpec) -> int:
     """Kernel parameter count of one layer (biases and norms excluded)."""
-    _check_layer(layer)
-    kind = layer.kind
-    k2 = kind.kernel * kind.kernel
-    if kind.op == "ibn":
-        (sc1,) = internal_widths(layer)
-        params = layer.c_in * sc1 + k2 * sc1 + sc1 * layer.c_out
-    elif kind.op == "fused":
-        (sc1,) = internal_widths(layer)
-        params = k2 * layer.c_in * sc1 + sc1 * layer.c_out
-    else:
-        sc1, ec2 = internal_widths(layer)
-        params = layer.c_in * sc1 + k2 * sc1 * ec2 + ec2 * layer.c_out
-    if layer.use_se:
-        params += 2 * layer.c_out * se_width(layer.c_out)
-    return params
-
-
-def _stem_group(h_out: int, w_out: int, stem_channels: int) -> tuple[tuple[str, int], ...]:
-    madds = h_out * w_out * STEM_KERNEL * STEM_KERNEL * IMAGE_CHANNELS * stem_channels
-    return (("regular_conv", madds),)
-
-
-def stem_params(net: NetworkSpec) -> int:
-    return STEM_KERNEL * STEM_KERNEL * IMAGE_CHANNELS * net.stem_channels
+    return _params(_layer_table(layer))
 
 
 @dataclass(frozen=True)
@@ -169,8 +130,8 @@ class CostBreakdown:
 def network_units(net: NetworkSpec) -> tuple[tuple[tuple[str, int], ...], ...]:
     """Constituent conv units grouped per layer, stem group first."""
     trace = derive_shapes(net)
-    groups = [_stem_group(trace.stem.height, trace.stem.width, net.stem_channels)]
     h, w = trace.stem.height, trace.stem.width
+    groups = [_units(_stem_table(net.stem_channels), h, w, 1)]
     for (_, _, layer), entry in zip(iter_layers(net), trace.layers):
         groups.append(layer_units(layer, h, w))
         h, w = entry.height, entry.width
@@ -184,7 +145,7 @@ def network_cost(net: NetworkSpec) -> CostBreakdown:
     per_madds = tuple(sum(m for _, m in g) for g in groups[1:])
     per_params = tuple(layer_params(layer) for _, _, layer in iter_layers(net))
     s_madds = sum(m for _, m in groups[0])
-    s_params = stem_params(net)
+    s_params = _params(_stem_table(net.stem_channels))
     return CostBreakdown(
         stem_madds=s_madds,
         stem_params=s_params,
@@ -219,24 +180,6 @@ def net_feature_counts(net: NetworkSpec, channel_bands: bool = False) -> dict[st
         key = bucket_id(layer.kind.atom_id, layer.c_in, layer.c_out, channel_bands)
         counts[key] = counts.get(key, 0) + 1
     return counts
-
-
-def extract_features(
-    net: NetworkSpec, space: SpaceSpec, channel_bands: bool = False
-) -> dict[str, int]:
-    """Sparse bucket -> count map; buckets cross layer atom with channel pair.
-
-    One increment per layer at (atom, c_in, c_out); the stem gets a bucket of
-    its own, so counts sum to the layer count plus one. Raises
-    :class:`UnknownAtomError` for layers whose atom is outside the space.
-    """
-    atoms = set(space.kind_atoms())
-    for bi, li, layer in iter_layers(net):
-        if layer.kind not in atoms:
-            raise UnknownAtomError(
-                f"block {bi} layer {li}: atom {layer.kind.atom_id} not in space"
-            )
-    return net_feature_counts(net, channel_bands)
 
 
 def space_buckets(space: SpaceSpec, channel_bands: bool = False) -> tuple[str, ...]:

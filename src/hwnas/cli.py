@@ -122,6 +122,8 @@ def _float_arg(ok, rule: str):
 
 _budget_ms = _float_arg(lambda x: math.isfinite(x) and x > 0, "a positive number of ms")
 _holdout_frac = _float_arg(lambda x: 0 <= x < 1, "in [0, 1)")
+_noise_sigma = _float_arg(lambda x: math.isfinite(x) and x >= 0, "a finite number >= 0")
+_finite = _float_arg(math.isfinite, "a finite number")
 
 
 def _add_space_args(parser: argparse.ArgumentParser) -> None:
@@ -184,12 +186,12 @@ def cmd_space_inspect(args) -> int:
     print(f"decisions: {len(space.decisions)}")
     print(f"size: {space_size(space)}")
     print(f"enumeration_cap: {cap}")
-    for d in space.decisions:
+    for i, d in enumerate(space.decisions):
         if d.layer is None:
             atoms = ", ".join(f"{m:g}" for m in d.choices)
         else:
             atoms = ", ".join(a.atom_id for a in d.choices)
-        print(f"  [{d.index}] {d.name} ({len(d.choices)}): {atoms}")
+        print(f"  [{i}] {d.name} ({len(d.choices)}): {atoms}")
     return 0
 
 
@@ -376,8 +378,8 @@ def _make_oracle(args, space, seed: int):
 
 def _add_oracle_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--oracle", choices=("capacity", "linear"), default="capacity")
-    parser.add_argument("--oracle-noise", type=float, default=0.0)
-    parser.add_argument("--early-bonus", type=float, default=0.0,
+    parser.add_argument("--oracle-noise", type=_noise_sigma, default=0.0)
+    parser.add_argument("--early-bonus", type=_finite, default=0.0,
                         help="capacity oracle bonus for early regular-conv layers")
 
 

@@ -57,7 +57,6 @@ class EnumerationCapError(RuntimeError):
 class Decision:
     """One categorical choice: its scope and its ordered atom list."""
 
-    index: int
     name: str
     block: int
     layer: int | None  # None = block-level (multiplier) decision
@@ -149,10 +148,10 @@ def build_space(
     for bi, block in enumerate(layout.blocks):
         for li in range(block.num_layers):
             decisions.append(
-                Decision(len(decisions), f"b{bi}.l{li}.kind", bi, li, atoms)
+                Decision(f"b{bi}.l{li}.kind", bi, li, atoms)
             )
         decisions.append(
-            Decision(len(decisions), f"b{bi}.multiplier", bi, None, mult_menu)
+            Decision(f"b{bi}.multiplier", bi, None, mult_menu)
         )
     return SpaceSpec(
         variant=variant,
@@ -178,10 +177,10 @@ def decode(space: SpaceSpec, dv: DecisionVector) -> NetworkSpec:
         raise IndexError(
             f"decision vector has {len(dv)} entries, space has {len(space.decisions)} decisions"
         )
-    for d, idx in zip(space.decisions, dv):
+    for i, (d, idx) in enumerate(zip(space.decisions, dv)):
         if not 0 <= idx < len(d.choices):
             raise IndexError(
-                f"decision {d.index} ({d.name}): index {idx} out of range "
+                f"decision {i} ({d.name}): index {idx} out of range "
                 f"(choices: {len(d.choices)})"
             )
     use_se = space.adaptation == "cpu"
@@ -265,33 +264,6 @@ def random_sample(space: SpaceSpec, rng: np.random.Generator) -> DecisionVector:
 # ---------------------------------------------------------------------------
 # Space definition files
 # ---------------------------------------------------------------------------
-
-def save_space_file(
-    space: SpaceSpec,
-    path: str | Path,
-    layout_ref: str,
-    enumeration_cap: int = DEFAULT_ENUM_CAP,
-    meta: dict | None = None,
-) -> None:
-    """Write a space definition; the layout is stored by reference.
-
-    ``layout_ref`` is either a built-in layout name or a path, resolved
-    relative to the space file on load.
-    """
-    doc = {
-        "variant": space.variant,
-        "adaptation": space.adaptation,
-        "layout_ref": layout_ref,
-        "multiplier_menu": list(space.multiplier_menu),
-        "kernel_menu": list(space.kernel_menu),
-        "expansion_menu": list(space.expansion_menu),
-        "compression_menu": list(space.compression_menu),
-        "enumeration_cap": enumeration_cap,
-    }
-    if meta:
-        doc["_meta"] = meta
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
-
 
 def resolve_layout(ref: str, relative_to: Path | None = None) -> NetworkSpec:
     """Resolve a layout reference: built-in name first, then file path."""

@@ -24,6 +24,7 @@ from hwnas.arch import (
     tucker,
     validate,
 )
+from bruteforce import brute_network
 from strategies import make_layout, nets
 
 
@@ -225,4 +226,5 @@ def test_valid_nets_analyze_cleanly(net):
     cost = network_cost(net)
     assert cost.total_madds == cost.stem_madds + sum(cost.per_layer_madds)
     assert cost.total_params == cost.stem_params + sum(cost.per_layer_params)
+    assert (cost.total_madds, cost.total_params) == brute_network(net)
     export_dot(net)

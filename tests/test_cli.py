@@ -65,6 +65,8 @@ def test_space_inspect(capsys):
     assert code == 0
     assert "variant: ibn_fused" in out
     assert "size: 112" in out  # 4 * 4 * 7 after dropping kernel 5
+    assert "  [0] b0.l0.kind (4): ibn_k3_s4, ibn_k3_s8, fused_k3_s4, fused_k3_s8\n" in out
+    assert "  [2] b0.multiplier (7): 0.5, 0.625, 0.75, 1, 1.25, 1.5, 2\n" in out
 
 
 def test_space_enumerate(tmp_path, capsys):
@@ -123,12 +125,12 @@ def number_texts(rejected):
             | st.sampled_from(["abc", "", "1,5", "0x1"]))
 
 
-BUDGET_COMMANDS = (["search", "run", "--log", "x.ndjson"], ["search", "exhaustive"])
+SEARCH_COMMANDS = (["search", "run", "--log", "x.ndjson"], ["search", "exhaustive"])
 
 
 @settings(max_examples=80, deadline=None)
 @given(text=number_texts(lambda x: not (math.isfinite(x) and x > 0)),
-       command=st.sampled_from(BUDGET_COMMANDS))
+       command=st.sampled_from(SEARCH_COMMANDS))
 def test_budget_not_positive_rejected_at_parse(text, command):
     line = parse_error(command + [f"--budget={text}"])
     assert line.endswith(f"argument --budget: must be a positive number of ms, got {text!r}")
@@ -136,9 +138,40 @@ def test_budget_not_positive_rejected_at_parse(text, command):
 
 @settings(max_examples=80, deadline=None)
 @given(budget=st.floats(min_value=0, exclude_min=True, allow_infinity=False),
-       command=st.sampled_from(BUDGET_COMMANDS))
+       command=st.sampled_from(SEARCH_COMMANDS))
 def test_budget_positive_accepted(budget, command):
     assert build_parser().parse_args(command + [f"--budget={budget!r}"]).budget == budget
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=number_texts(lambda x: not (math.isfinite(x) and x >= 0)),
+       command=st.sampled_from(SEARCH_COMMANDS))
+def test_oracle_noise_negative_or_not_finite_rejected_at_parse(text, command):
+    line = parse_error(command + [f"--oracle-noise={text}"])
+    assert line.endswith(f"argument --oracle-noise: must be a finite number >= 0, got {text!r}")
+
+
+@settings(max_examples=80, deadline=None)
+@given(sigma=st.floats(min_value=0, allow_infinity=False),
+       command=st.sampled_from(SEARCH_COMMANDS))
+def test_oracle_noise_finite_nonnegative_accepted(sigma, command):
+    args = build_parser().parse_args(command + [f"--oracle-noise={sigma!r}"])
+    assert args.oracle_noise == sigma
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=number_texts(lambda x: not math.isfinite(x)),
+       command=st.sampled_from(SEARCH_COMMANDS))
+def test_early_bonus_not_finite_rejected_at_parse(text, command):
+    line = parse_error(command + [f"--early-bonus={text}"])
+    assert line.endswith(f"argument --early-bonus: must be a finite number, got {text!r}")
+
+
+@settings(max_examples=80, deadline=None)
+@given(bonus=st.floats(allow_nan=False, allow_infinity=False),
+       command=st.sampled_from(SEARCH_COMMANDS))
+def test_early_bonus_finite_accepted(bonus, command):
+    assert build_parser().parse_args(command + [f"--early-bonus={bonus!r}"]).early_bonus == bonus
 
 
 FIT_ARGS = ["cost", "fit", "--bench", "bench.csv", "-o", "model.json"]

@@ -13,7 +13,6 @@ from hwnas.space import (
     kind_atoms_for,
     load_space_file,
     random_sample,
-    save_space_file,
     space_size,
 )
 from strategies import make_layout, spaces_with_dv
@@ -202,21 +201,39 @@ def test_subsumption_property(space_dv):
 def test_space_file_round_trip(tmp_path, toy1x2):
     from hwnas.arch import save_file
 
-    layout_path = tmp_path / "layout.json"
-    save_file(toy1x2, layout_path)
-    space = build_space("ibn_fused", "dsp", toy1x2)
+    save_file(toy1x2, tmp_path / "layout.json")
     space_path = tmp_path / "space.json"
-    save_space_file(space, space_path, layout_ref="layout.json", enumeration_cap=5000)
+    space_path.write_text("""{
+  "variant": "ibn_fused",
+  "adaptation": "dsp",
+  "layout_ref": "layout.json",
+  "multiplier_menu": [1.0, 0.5],
+  "kernel_menu": [3, 5],
+  "expansion_menu": [8.0, 4.0],
+  "compression_menu": [0.25],
+  "enumeration_cap": 5000
+}
+""")
     loaded, cap = load_space_file(space_path)
     assert cap == 5000
-    assert loaded == space
+    assert loaded == build_space("ibn_fused", "dsp", toy1x2, multipliers=(0.5, 1.0),
+                                 compressions=(0.25,))
 
 
 def test_space_file_builtin_layout_ref(tmp_path):
     from hwnas.arch import toy2_layout
 
-    space = build_space("ibn", "neutral", toy2_layout())
     path = tmp_path / "space.json"
-    save_space_file(space, path, layout_ref="toy2")
+    path.write_text("""{
+  "variant": "ibn",
+  "adaptation": "neutral",
+  "layout_ref": "toy2",
+  "multiplier_menu": [0.5, 0.625, 0.75, 1.0, 1.25, 1.5, 2.0],
+  "kernel_menu": [3, 5],
+  "expansion_menu": [4.0, 8.0],
+  "compression_menu": [0.25, 0.75],
+  "enumeration_cap": 1000000
+}
+""")
     loaded, _ = load_space_file(path)
-    assert loaded == space
+    assert loaded == build_space("ibn", "neutral", toy2_layout())
