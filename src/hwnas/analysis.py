@@ -126,7 +126,7 @@ class CostBreakdown:
     total_params: int
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=256)
 def network_units(net: NetworkSpec) -> tuple[tuple[tuple[str, int], ...], ...]:
     """Constituent conv units grouped per layer, stem group first."""
     trace = derive_shapes(net)
@@ -138,7 +138,7 @@ def network_units(net: NetworkSpec) -> tuple[tuple[tuple[str, int], ...], ...]:
     return tuple(groups)
 
 
-@lru_cache(maxsize=65536)
+@lru_cache(maxsize=256)
 def network_cost(net: NetworkSpec) -> CostBreakdown:
     """Whole-network cost including the stem conv."""
     groups = network_units(net)

@@ -163,12 +163,10 @@ class NetworkSpec:
 
 @dataclass(frozen=True)
 class ShapeEntry:
-    """Post-stride spatial size and channel widths of one layer."""
+    """Post-stride spatial size of one layer."""
 
     height: int
     width: int
-    c_in: int
-    c_out: int
 
 
 @dataclass(frozen=True)
@@ -206,7 +204,7 @@ def functional_signature(net: NetworkSpec) -> tuple:
     )
 
 
-def _kind_violations(kind: LayerKind, where: str) -> list[str]:
+def kind_violations(kind: LayerKind, where: str) -> list[str]:
     out = []
     if kind.op not in OPS:
         out.append(f"{where}: unknown op {kind.op!r}")
@@ -271,7 +269,7 @@ def validate(net: NetworkSpec) -> list[str]:
 
         for li, layer in enumerate(block.layers):
             lw = f"block {bi} layer {li}"
-            v.extend(_kind_violations(layer.kind, lw))
+            v.extend(kind_violations(layer.kind, lw))
             if layer.c_in < 1 or layer.c_out < 1:
                 v.append(f"{lw}: channel counts must be >= 1 ({layer.c_in} -> {layer.c_out})")
             if layer.stride not in (1, 2):
@@ -345,12 +343,12 @@ def derive_shapes(net: NetworkSpec) -> ShapeTrace:
         raise InvalidArchitectureError(violations)
     h = _ceil_div(net.input_resolution, STEM_STRIDE)
     w = _ceil_div(net.input_resolution, STEM_STRIDE)
-    stem = ShapeEntry(h, w, IMAGE_CHANNELS, net.stem_channels)
+    stem = ShapeEntry(h, w)
     entries = []
     for _, _, layer in iter_layers(net):
         h = _ceil_div(h, layer.stride)
         w = _ceil_div(w, layer.stride)
-        entries.append(ShapeEntry(h, w, layer.c_in, layer.c_out))
+        entries.append(ShapeEntry(h, w))
     return ShapeTrace(stem=stem, layers=tuple(entries))
 
 
@@ -577,27 +575,32 @@ def export_dot(net: NetworkSpec) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Built-in layouts
+# Block builder and built-in layouts
 # ---------------------------------------------------------------------------
 
-def _template_block(
-    base: int, n_layers: int, first_stride: int, c_in: int, multiplier: float = 1.0
+def build_block(
+    base: int,
+    multiplier: float,
+    first_stride: int,
+    c_in: int,
+    kinds: tuple[LayerKind, ...],
+    use_se: bool = False,
+    activation: str = "relu6",
 ) -> BlockSpec:
+    """Chain one layer per kind into a block fed ``c_in`` channels.
+
+    Every layer outputs ``round8(multiplier * base)`` channels and takes its
+    input width from the layer before it; only the first layer strides, and
+    a layer is residual exactly when it has stride 1 and keeps its width.
+    """
     c_out = round8(multiplier * base)
     layers = []
-    for li in range(n_layers):
+    for li, kind in enumerate(kinds):
         stride = first_stride if li == 0 else 1
-        layers.append(
-            LayerSpec(
-                kind=ibn(3, 4),
-                c_in=c_in,
-                c_out=c_out,
-                stride=stride,
-                residual=(stride == 1 and c_in == c_out),
-            )
-        )
+        residual = stride == 1 and c_in == c_out
+        layers.append(LayerSpec(kind, c_in, c_out, stride, use_se, activation, residual))
         c_in = c_out
-    return BlockSpec(base, multiplier, n_layers, first_stride, tuple(layers))
+    return BlockSpec(base, multiplier, len(kinds), first_stride, tuple(layers))
 
 
 def default_layout(input_resolution: int = 320) -> NetworkSpec:
@@ -615,7 +618,7 @@ def default_layout(input_resolution: int = 320) -> NetworkSpec:
     blocks = []
     c_in = 32
     for base, depth, stride in zip(bases, depths, strides):
-        block = _template_block(base, depth, stride, c_in)
+        block = build_block(base, 1.0, stride, c_in, (ibn(3, 4),) * depth)
         blocks.append(block)
         c_in = block.layers[-1].c_out
     return NetworkSpec(
@@ -637,7 +640,7 @@ def toy2_layout(input_resolution: int = 32) -> NetworkSpec:
     return NetworkSpec(
         input_resolution=input_resolution,
         stem_channels=40,
-        blocks=(_template_block(16, 2, 2, 40),),
+        blocks=(build_block(16, 1.0, 2, 40, (ibn(3, 4),) * 2),),
         endpoint_c4=-1,
         endpoint_c5=-1,
     )

@@ -124,6 +124,7 @@ _budget_ms = _float_arg(lambda x: math.isfinite(x) and x > 0, "a positive number
 _holdout_frac = _float_arg(lambda x: 0 <= x < 1, "in [0, 1)")
 _noise_sigma = _float_arg(lambda x: math.isfinite(x) and x >= 0, "a finite number >= 0")
 _finite = _float_arg(math.isfinite, "a finite number")
+_tau = _float_arg(lambda x: math.isfinite(x) and x <= 0, "a finite number <= 0")
 
 
 def _add_space_args(parser: argparse.ArgumentParser) -> None:
@@ -539,7 +540,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device", default="cpu_sim")
     p.add_argument("--model", help="fitted latency model (overrides --device)")
     p.add_argument("--budget", type=_budget_ms, help="latency budget in ms (default: median)")
-    p.add_argument("--tau", type=float, default=-0.3)
+    p.add_argument("--tau", type=_tau, default=-0.3)
     p.add_argument("--steps", type=int, default=5000)
     p.add_argument("--samples-per-step", type=int, default=1)
     p.add_argument("--noise-mode", choices=("hash", "iid"), default="hash")
@@ -555,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--device", default="cpu_sim")
     p.add_argument("--model", help="fitted latency model (overrides --device)")
     p.add_argument("--budget", type=_budget_ms)
-    p.add_argument("--tau", type=float, default=-0.3)
+    p.add_argument("--tau", type=_tau, default=-0.3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--best", help="write the best architecture here")
     p.set_defaults(func=cmd_search_exhaustive)
@@ -564,7 +565,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--adaptation", choices=ADAPTATIONS, default="neutral")
     p.add_argument("--variants", default="ibn,ibn_fused,ibn_fused_tucker")
     p.add_argument("--devices", default="cpu_sim,accel_sim")
-    p.add_argument("--tau", type=float, default=-0.3)
+    p.add_argument("--tau", type=_tau, default=-0.3)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", required=True, help="report CSV path")
     p.set_defaults(func=cmd_search_ablation)

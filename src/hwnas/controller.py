@@ -99,10 +99,10 @@ class RewardConfig:
     budget_ms: float
 
     def __post_init__(self):
-        if self.tau > 0:
-            raise ValueError(f"tau must be <= 0, got {self.tau}")
-        if self.budget_ms <= 0:
-            raise ValueError(f"budget_ms must be positive, got {self.budget_ms}")
+        if not (math.isfinite(self.tau) and self.tau <= 0):
+            raise ValueError(f"tau must be a finite number <= 0, got {self.tau}")
+        if not (math.isfinite(self.budget_ms) and self.budget_ms > 0):
+            raise ValueError(f"budget_ms must be a finite positive number, got {self.budget_ms}")
 
 
 def reward(quality: float, latency_ms: float, cfg: RewardConfig) -> float:

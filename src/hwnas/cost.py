@@ -55,11 +55,10 @@ class DeviceSimulator:
     noise_sigma: float = 0.0
 
     def __post_init__(self):
-        for cls in OP_CLASSES:
-            if getattr(self, cls) < 0:
-                raise ValueError(f"{self.name}: rate for {cls} must be >= 0")
-        if self.overhead_ms < 0 or self.noise_sigma < 0:
-            raise ValueError(f"{self.name}: overhead and noise_sigma must be >= 0")
+        for field_name in OP_CLASSES + ("overhead_ms", "noise_sigma"):
+            value = getattr(self, field_name)
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{self.name}: {field_name} must be >= 0 and finite, got {value}")
 
     def rate(self, op_class: str) -> float:
         if op_class not in OP_CLASSES:
@@ -113,8 +112,8 @@ class BenchmarkRecord:
     latency_ms: float
 
     def __post_init__(self):
-        if self.latency_ms <= 0:
-            raise ValueError(f"latency must be positive, got {self.latency_ms}")
+        if not (math.isfinite(self.latency_ms) and self.latency_ms > 0):
+            raise ValueError(f"latency must be a finite positive number, got {self.latency_ms}")
 
 
 def generate_benchmarks(
@@ -151,6 +150,8 @@ class LatencyModel:
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        if len(self.weights) != len(self.buckets):
+            raise ValueError(f"{len(self.weights)} weights for {len(self.buckets)} buckets")
         self._index = {b: i for i, b in enumerate(self.buckets)}
 
 

@@ -193,7 +193,6 @@ class SearchConfig:
     seed: int = 0
     lr: float = 5e-3
     noise_mode: str = "hash"
-    log_every: int = 0
 
     def __post_init__(self):
         if self.steps < 1:
@@ -289,10 +288,6 @@ class _Evaluator:
             self._cache[dv] = (quality, latency)
         return quality, latency
 
-    def evaluate_clean(self, dv: DecisionVector) -> tuple[float, float]:
-        net = decode(self.space, dv)
-        return self.oracle.evaluate(net, None), latency_of(self.source, net)
-
 
 def run_search(
     space: SpaceSpec,
@@ -344,7 +339,8 @@ def run_search(
         )
     final_dv = most_likely(policy)
     final_net = decode(space, final_dv)
-    final_quality, final_latency = evaluator.evaluate_clean(final_dv)
+    final_quality = oracle.evaluate(final_net, None)
+    final_latency = latency_of(latency_source, final_net)
     log = SearchLog(
         seed=cfg.seed,
         budget_ms=budget,

@@ -14,6 +14,7 @@ hswish everywhere, ``dsp`` drops 5x5 kernels.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -24,15 +25,15 @@ import numpy as np
 
 from .arch import (
     BUILTIN_LAYOUTS,
-    BlockSpec,
     LayerKind,
-    LayerSpec,
     NetworkSpec,
     InvalidArchitectureError,
     ParseError,
+    build_block,
     fused,
     ibn,
-    round8,
+    kind_violations,
+    load_file,
     tucker,
     validate,
 )
@@ -78,9 +79,6 @@ class SpaceSpec:
     layout: NetworkSpec
     decisions: tuple[Decision, ...]
     multiplier_menu: tuple[float, ...]
-    kernel_menu: tuple[int, ...]
-    expansion_menu: tuple[float, ...]
-    compression_menu: tuple[float, ...]
 
     def kind_atoms(self) -> tuple[LayerKind, ...]:
         """The per-layer atom list (shared by every layer decision)."""
@@ -135,12 +133,16 @@ def build_space(
     Per block, in layout order: one kind decision per layer, then the shared
     multiplier decision. Atom order within a decision is canonical (kinds
     ibn < fused < tucker, then kernel, then ratios ascending; multipliers
-    ascending) so indices are stable across runs.
+    ascending) so indices are stable across runs. Atoms that break the kind
+    rules of :func:`~hwnas.arch.validate` raise ``InvalidArchitectureError``.
     """
     violations = validate(layout)
     if violations:
         raise InvalidArchitectureError(violations)
     atoms = kind_atoms_for(variant, adaptation, kernels, expansions, compressions)
+    bad = [v for atom in atoms for v in kind_violations(atom, f"atom {atom.atom_id}")]
+    if bad:
+        raise InvalidArchitectureError(bad)
     mult_menu = tuple(sorted(float(m) for m in multipliers))
     if not mult_menu:
         raise ValueError("empty multiplier menu")
@@ -159,19 +161,16 @@ def build_space(
         layout=layout,
         decisions=tuple(decisions),
         multiplier_menu=mult_menu,
-        kernel_menu=tuple(sorted(kernels)),
-        expansion_menu=tuple(sorted(float(x) for x in expansions)),
-        compression_menu=tuple(sorted(float(x) for x in compressions)),
     )
 
 
 def decode(space: SpaceSpec, dv: DecisionVector) -> NetworkSpec:
     """Map a decision vector to a concrete network.
 
-    Deterministic: block widths are ``round8(multiplier * base)``, input
-    channels chain from the stem, residuals switch on automatically for
-    stride-1 width-preserving layers, and the ``cpu`` adaptation forces
-    squeeze-excite plus hswish on every layer.
+    Deterministic: each block is :func:`~hwnas.arch.build_block` of the
+    chosen kinds and multiplier, fed by the stem or the block before it,
+    and the ``cpu`` adaptation forces squeeze-excite plus hswish on every
+    layer.
     """
     if len(dv) != len(space.decisions):
         raise IndexError(
@@ -185,35 +184,16 @@ def decode(space: SpaceSpec, dv: DecisionVector) -> NetworkSpec:
             )
     use_se = space.adaptation == "cpu"
     activation = "hswish" if use_se else "relu6"
-    chosen: dict[tuple[int, int | None], object] = {
-        (d.block, d.layer): d.choices[idx] for d, idx in zip(space.decisions, dv)
-    }
+    chosen = {(d.block, d.layer): d.choices[idx] for d, idx in zip(space.decisions, dv)}
     layout = space.layout
     blocks = []
-    c_prev = layout.stem_channels
+    c_in = layout.stem_channels
     for bi, tblock in enumerate(layout.blocks):
-        multiplier = chosen[(bi, None)]
-        c_out = round8(multiplier * tblock.base_channels)
-        layers = []
-        for li in range(tblock.num_layers):
-            kind = chosen[(bi, li)]
-            stride = tblock.first_stride if li == 0 else 1
-            layers.append(
-                LayerSpec(
-                    kind=kind,
-                    c_in=c_prev,
-                    c_out=c_out,
-                    stride=stride,
-                    use_se=use_se,
-                    activation=activation,
-                    residual=(stride == 1 and c_prev == c_out),
-                )
-            )
-            c_prev = c_out
-        blocks.append(
-            BlockSpec(tblock.base_channels, multiplier, tblock.num_layers,
-                      tblock.first_stride, tuple(layers))
-        )
+        kinds = tuple(chosen[(bi, li)] for li in range(tblock.num_layers))
+        block = build_block(tblock.base_channels, chosen[(bi, None)], tblock.first_stride,
+                            c_in, kinds, use_se, activation)
+        blocks.append(block)
+        c_in = block.layers[-1].c_out
     return NetworkSpec(
         input_resolution=layout.input_resolution,
         stem_channels=layout.stem_channels,
@@ -239,21 +219,7 @@ def enumerate_space(space: SpaceSpec, cap: int = DEFAULT_ENUM_CAP) -> Iterator[D
         raise EnumerationCapError(
             f"space has {size} architectures, above the enumeration cap {cap}"
         )
-    radices = [len(d.choices) for d in space.decisions]
-
-    def gen() -> Iterator[DecisionVector]:
-        dv = [0] * len(radices)
-        while True:
-            yield tuple(dv)
-            for pos in range(len(radices) - 1, -1, -1):
-                dv[pos] += 1
-                if dv[pos] < radices[pos]:
-                    break
-                dv[pos] = 0
-            else:
-                return
-
-    return gen()
+    return itertools.product(*(range(len(d.choices)) for d in space.decisions))
 
 
 def random_sample(space: SpaceSpec, rng: np.random.Generator) -> DecisionVector:
@@ -272,8 +238,6 @@ def resolve_layout(ref: str, relative_to: Path | None = None) -> NetworkSpec:
     path = Path(ref)
     if relative_to is not None and not path.is_absolute():
         path = relative_to / path
-    from .arch import load_file
-
     return load_file(path)
 
 
@@ -293,6 +257,9 @@ def load_space_file(path: str | Path) -> tuple[SpaceSpec, int]:
     missing = [k for k in required if k not in doc]
     if missing:
         raise ParseError(f"space file: missing field(s) {', '.join(missing)}")
+    cap = doc["enumeration_cap"]
+    if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
+        raise ParseError(f"space file: enumeration_cap must be an integer >= 1, got {cap!r}")
     layout = resolve_layout(doc["layout_ref"], relative_to=path.parent)
     space = build_space(
         doc["variant"],
@@ -303,4 +270,4 @@ def load_space_file(path: str | Path) -> tuple[SpaceSpec, int]:
         expansions=doc["expansion_menu"],
         compressions=doc["compression_menu"],
     )
-    return space, int(doc["enumeration_cap"])
+    return space, cap

@@ -11,11 +11,13 @@ from hwnas.arch import (
     LayerSpec,
     NetworkSpec,
     ParseError,
+    build_block,
     default_layout,
     derive_shapes,
     deserialize,
     export_dot,
     functional_signature,
+    fused,
     ibn,
     iter_layers,
     round8,
@@ -228,3 +230,22 @@ def test_valid_nets_analyze_cleanly(net):
     assert cost.total_params == cost.stem_params + sum(cost.per_layer_params)
     assert (cost.total_madds, cost.total_params) == brute_network(net)
     export_dot(net)
+
+
+def test_build_block_chains_layers():
+    kinds = (ibn(3, 4), fused(5, 8), tucker(3, 0.25, 0.75))
+    block = build_block(16, 1.5, 2, 40, kinds, use_se=True, activation="hswish")
+    assert (block.base_channels, block.multiplier, block.num_layers, block.first_stride) == (
+        16, 1.5, 3, 2)
+    assert tuple(layer.kind for layer in block.layers) == kinds
+    assert [(layer.c_in, layer.c_out, layer.stride, layer.residual) for layer in block.layers] == [
+        (40, 24, 2, False), (24, 24, 1, True), (24, 24, 1, True)]
+    assert all(layer.use_se and layer.activation == "hswish" for layer in block.layers)
+    assert validate(NetworkSpec(32, 40, (block,))) == []
+
+
+@pytest.mark.parametrize("first_stride,c_in,residual", [(1, 16, True), (1, 24, False),
+                                                        (2, 16, False)])
+def test_build_block_residual_needs_stride_one_and_kept_width(first_stride, c_in, residual):
+    layer = build_block(16, 1.0, first_stride, c_in, (ibn(3, 4),)).layers[0]
+    assert (layer.use_se, layer.activation, layer.residual) == (False, "relu6", residual)

@@ -120,9 +120,14 @@ def parse_error(argv) -> str:
     return err.getvalue().splitlines()[-1]
 
 
-def number_texts(rejected):
-    return (st.floats().filter(rejected).map(repr)
-            | st.sampled_from(["abc", "", "1,5", "0x1"]))
+def number_texts(rejected=None):
+    """Texts a guard rejects: the non-finite floats, drawn as their only reprs
+    ('nan', 'inf', '-inf'), non-numbers, and the finite floats ``rejected``
+    holds for."""
+    texts = st.sampled_from(["nan", "inf", "-inf", "abc", "", "1,5", "0x1"])
+    if rejected is None:
+        return texts
+    return st.floats(allow_nan=False, allow_infinity=False).filter(rejected).map(repr) | texts
 
 
 SEARCH_COMMANDS = (["search", "run", "--log", "x.ndjson"], ["search", "exhaustive"])
@@ -160,8 +165,7 @@ def test_oracle_noise_finite_nonnegative_accepted(sigma, command):
 
 
 @settings(max_examples=80, deadline=None)
-@given(text=number_texts(lambda x: not math.isfinite(x)),
-       command=st.sampled_from(SEARCH_COMMANDS))
+@given(text=number_texts(), command=st.sampled_from(SEARCH_COMMANDS))
 def test_early_bonus_not_finite_rejected_at_parse(text, command):
     line = parse_error(command + [f"--early-bonus={text}"])
     assert line.endswith(f"argument --early-bonus: must be a finite number, got {text!r}")
@@ -172,6 +176,22 @@ def test_early_bonus_not_finite_rejected_at_parse(text, command):
        command=st.sampled_from(SEARCH_COMMANDS))
 def test_early_bonus_finite_accepted(bonus, command):
     assert build_parser().parse_args(command + [f"--early-bonus={bonus!r}"]).early_bonus == bonus
+
+
+TAU_COMMANDS = SEARCH_COMMANDS + (["search", "ablation", "-o", "x.csv"],)
+
+
+@settings(max_examples=80, deadline=None)
+@given(text=number_texts(lambda x: x > 0), command=st.sampled_from(TAU_COMMANDS))
+def test_tau_positive_or_not_finite_rejected_at_parse(text, command):
+    line = parse_error(command + [f"--tau={text}"])
+    assert line.endswith(f"argument --tau: must be a finite number <= 0, got {text!r}")
+
+
+@settings(max_examples=80, deadline=None)
+@given(tau=st.floats(max_value=0, allow_infinity=False), command=st.sampled_from(TAU_COMMANDS))
+def test_tau_finite_nonpositive_accepted(tau, command):
+    assert build_parser().parse_args(command + [f"--tau={tau!r}"]).tau == tau
 
 
 FIT_ARGS = ["cost", "fit", "--bench", "bench.csv", "-o", "model.json"]

@@ -5,7 +5,7 @@ import math
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import reference_controller as ref
 from hwnas.controller import (
@@ -86,6 +86,20 @@ def test_reward_config_validation():
         RewardConfig(tau=-1.0, budget_ms=0.0)
     with pytest.raises(ValueError, match="latency"):
         reward(0.5, 0.0, RewardConfig(tau=-1.0, budget_ms=1.0))
+
+
+@settings(max_examples=80, deadline=None)
+@given(tau=st.floats(), budget=st.floats())
+@example(tau=math.nan, budget=1.0)
+@example(tau=-math.inf, budget=1.0)
+@example(tau=-1.0, budget=math.nan)
+@example(tau=-1.0, budget=math.inf)
+def test_reward_config_needs_finite_nonpositive_tau_and_positive_budget(tau, budget):
+    if math.isfinite(tau) and tau <= 0 and math.isfinite(budget) and budget > 0:
+        assert RewardConfig(tau=tau, budget_ms=budget).tau == tau
+    else:
+        with pytest.raises(ValueError, match="tau|budget"):
+            RewardConfig(tau=tau, budget_ms=budget)
 
 
 def test_adam_defaults():

@@ -1,12 +1,15 @@
 """Device simulators and the linear latency model."""
 
 import dataclasses
+import json
+import math
 
 import numpy as np
 import pytest
 
-from hwnas.analysis import net_feature_counts, space_buckets
+from hwnas.analysis import OP_CLASSES, net_feature_counts, space_buckets
 from hwnas.arch import toy2_layout
+from hwnas.cli import main
 from hwnas.cost import (
     BUILTIN_DEVICES,
     BenchmarkRecord,
@@ -82,6 +85,33 @@ def test_benchmark_record_requires_positive_latency(toy_space):
     net = decode(toy_space, random_sample(toy_space, np.random.default_rng(0)))
     with pytest.raises(ValueError, match="positive"):
         BenchmarkRecord(net, 0.0)
+
+
+@pytest.mark.parametrize("field_name", OP_CLASSES + ("overhead_ms", "noise_sigma"))
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_device_values_must_be_finite(field_name, value):
+    values = dict(regular_conv=1.0, depthwise_conv=1.0, pointwise_conv=1.0, se_block=1.0)
+    with pytest.raises(ValueError, match=f"{field_name} must be >= 0 and finite"):
+        DeviceSimulator("bad", **{**values, field_name: value})
+
+
+def test_nan_device_profile_fails_bench_generate(tmp_path, capsys):
+    profile = tmp_path / "device.json"
+    profile.write_text('{"name": "nanny", "regular_conv": 1.0, "depthwise_conv": NaN, '
+                       '"pointwise_conv": 1.0, "se_block": 1.0}')
+    out = tmp_path / "bench.csv"
+    code = main(["bench", "generate", "--layout", "toy2", "--device", str(profile),
+                 "-n", "3", "-o", str(out)])
+    assert code == 1
+    assert "depthwise_conv must be >= 0 and finite, got nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("latency", [math.nan, math.inf])
+def test_benchmark_record_rejects_non_finite_latency(toy_space, latency):
+    net = decode(toy_space, random_sample(toy_space, np.random.default_rng(0)))
+    with pytest.raises(ValueError, match="finite positive"):
+        BenchmarkRecord(net, latency)
 
 
 def test_generate_benchmarks_reproducible(toy_space):
@@ -230,6 +260,19 @@ def test_model_file_round_trip(tmp_path, toy_space):
     assert loaded.intercept == model.intercept
     assert loaded.holdout_r2 == model.holdout_r2
     assert loaded.space_ref == "toy"
+
+
+def test_model_file_with_truncated_weights_rejected_at_load(tmp_path, toy_space):
+    records = generate_benchmarks(toy_space, BUILTIN_DEVICES["cpu_sim"], 50,
+                                  np.random.default_rng(0))
+    path = tmp_path / "model.json"
+    save_model(fit(records, toy_space), path)
+    doc = json.loads(path.read_text())
+    n = len(doc["buckets"])
+    doc["weights"] = doc["weights"][:-1]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=f"{n - 1} weights for {n} buckets"):
+        load_model(path)
 
 
 def test_device_file_round_trip(tmp_path):

@@ -1,10 +1,14 @@
 """Search-space construction, decoding, enumeration and sampling."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from hwnas.arch import NetworkSpec, iter_layers, validate
+from hwnas.arch import InvalidArchitectureError, NetworkSpec, ParseError, iter_layers, validate
+from hwnas.cli import main
 from hwnas.space import (
     EnumerationCapError,
     build_space,
@@ -237,3 +241,47 @@ def test_space_file_builtin_layout_ref(tmp_path):
 """)
     loaded, _ = load_space_file(path)
     assert loaded == build_space("ibn", "neutral", toy2_layout())
+
+
+def write_space_file(path, **changes):
+    doc = {"variant": "ibn", "adaptation": "neutral", "layout_ref": "toy2",
+           "multiplier_menu": [1.0], "kernel_menu": [3], "expansion_menu": [4.0],
+           "compression_menu": [0.25], "enumeration_cap": 100, **changes}
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("variant,menus,message", [
+    ("ibn", {"kernels": [4]}, "atom ibn_k4_s4: kernel must be odd and >= 1, got 4"),
+    ("ibn", {"expansions": [0.5]}, "atom ibn_k3_s0.5: expansion must be > 1, got 0.5"),
+    ("ibn_fused", {"expansions": [1.0]}, "atom fused_k3_s1: expansion must be > 1, got 1.0"),
+    ("ibn_fused_tucker", {"compressions": [1.5]},
+     "atom tucker_k3_s1.5_e1.5: input compression must be in (0, 1)"),
+])
+def test_build_space_rejects_invalid_atoms(toy1x2, variant, menus, message):
+    with pytest.raises(InvalidArchitectureError, match=re.escape(message)):
+        build_space(variant, "neutral", toy1x2, **{"kernels": [3], **menus})
+
+
+def test_space_file_with_invalid_atoms_fails_inspect(tmp_path, capsys):
+    path = write_space_file(tmp_path / "space.json", kernel_menu=[4], expansion_menu=[0.5])
+    assert main(["space", "inspect", "--space", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: InvalidArchitectureError: atom ibn_k4_s0.5: kernel must be odd")
+    assert "expansion must be > 1, got 0.5" in err
+
+
+@pytest.mark.parametrize("cap", [2.7, "abc", 0, -3, True, None])
+def test_space_file_enumeration_cap_must_be_positive_integer(tmp_path, cap):
+    path = write_space_file(tmp_path / "space.json", enumeration_cap=cap)
+    message = f"space file: enumeration_cap must be an integer >= 1, got {cap!r}"
+    with pytest.raises(ParseError, match=re.escape(message)):
+        load_space_file(path)
+
+
+def test_space_file_bad_enumeration_cap_fails_space_size(tmp_path, capsys):
+    path = write_space_file(tmp_path / "space.json", enumeration_cap="abc")
+    assert main(["space", "size", "--space", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: ParseError: space file: enumeration_cap must be an integer >= 1, got 'abc'\n"
+    )
