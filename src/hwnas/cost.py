@@ -214,8 +214,13 @@ def fit(
 
 def predict(model: LatencyModel, net: NetworkSpec) -> float:
     """Predicted latency in ms; unknown buckets raise, naming the bucket."""
+    return predict_counts(model, net_feature_counts(net, model.channel_bands))
+
+
+def predict_counts(model: LatencyModel, counts: dict[str, int]) -> float:
+    """Prediction from bucket counts, in the order given (stem first)."""
     total = model.intercept
-    for bucket, count in net_feature_counts(net, model.channel_bands).items():
+    for bucket, count in counts.items():
         col = model._index.get(bucket)
         if col is None:
             raise UnknownBucketError(bucket)

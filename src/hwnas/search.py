@@ -4,6 +4,12 @@ Quality evaluation is abstracted behind an oracle interface so the driver can
 run against synthetic stand-ins at desk scale. Latency comes either from a
 device simulator or from a fitted linear model.
 
+Pricing: every driver prices a sampled or enumerated decision vector from
+the space's unit table (:func:`~hwnas.analysis.space_table`), and oracles
+and latency sources read the resulting :class:`~hwnas.analysis.ArchCost`.
+``decode`` runs only for the networks a driver returns: the final network
+of a search, the exhaustive or random-search best and each ablation row.
+
 Noise determinism: in the default ``hash`` mode, oracle and simulator noise
 streams are re-keyed per architecture from (run seed, digest of the decision
 vector), so identical architectures receive identical noisy estimates within
@@ -25,8 +31,8 @@ from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .arch import NetworkSpec, iter_layers, total_layers
-from .analysis import net_feature_counts, network_cost, space_buckets
+from .arch import NetworkSpec, iter_layers
+from .analysis import ArchCost, network_cost, space_buckets, space_table
 from .controller import (
     AdamState,
     BaselineState,
@@ -38,7 +44,7 @@ from .controller import (
     reward,
     sample,
 )
-from .cost import DeviceSimulator, LatencyModel, predict, simulate_latency
+from .cost import DeviceSimulator, LatencyModel, predict_counts, simulate_groups, simulate_latency
 from .space import (
     DEFAULT_ENUM_CAP,
     DecisionVector,
@@ -62,11 +68,11 @@ def arch_hash(dv: DecisionVector) -> int:
 
 
 class QualityOracle(Protocol):
-    """Quality estimate in [0, 1]; deterministic given (net, rng seed)."""
+    """Quality estimate in [0, 1]; deterministic given (architecture, rng seed)."""
 
     descriptor: str
 
-    def evaluate(self, net: NetworkSpec, rng: np.random.Generator | None) -> float: ...
+    def evaluate(self, cost: ArchCost, rng: np.random.Generator | None) -> float: ...
 
 
 def _clamp01(x: float) -> float:
@@ -94,10 +100,10 @@ class LinearFeatureOracle:
         return cls(weights=weights, noise_sigma=noise_sigma,
                    descriptor=f"linear_feature(seed={seed})")
 
-    def evaluate(self, net: NetworkSpec, rng: np.random.Generator | None) -> float:
-        counts = net_feature_counts(net)
+    def evaluate(self, cost: ArchCost, rng: np.random.Generator | None) -> float:
+        counts = cost.feature_counts()
         score = sum(self.weights.get(b, 0.0) * c for b, c in counts.items())
-        score /= total_layers(net) + 1
+        score /= len(cost.layers)  # every layer and the stem
         if rng is not None and self.noise_sigma > 0:
             score += rng.normal(0.0, self.noise_sigma)
         return _clamp01(score)
@@ -118,11 +124,10 @@ class CapacityOracle:
     noise_sigma: float = 0.0
     descriptor: str = "capacity"
 
-    def evaluate(self, net: NetworkSpec, rng: np.random.Generator | None) -> float:
-        madds = network_cost(net).total_madds
-        score = 1.0 - math.exp(-madds / self.scale_madds)
+    def evaluate(self, cost: ArchCost, rng: np.random.Generator | None) -> float:
+        score = 1.0 - math.exp(-cost.total_madds / self.scale_madds)
         if self.early_regular_bonus:
-            _, early = regular_conv_fractions(net)
+            _, early = _regular_fractions(cost.ops)
             score += self.early_regular_bonus * early
         if rng is not None and self.noise_sigma > 0:
             score += rng.normal(0.0, self.noise_sigma)
@@ -135,22 +140,25 @@ def regular_conv_fractions(net: NetworkSpec) -> tuple[float, float]:
     Regular here means not depthwise based, i.e. fused or tucker kinds. The
     early half is the first ceil(n/2) layers.
     """
-    kinds = [layer.kind.op for _, _, layer in iter_layers(net)]
-    if not kinds:
+    return _regular_fractions([layer.kind.op for _, _, layer in iter_layers(net)])
+
+
+def _regular_fractions(ops: Sequence[str]) -> tuple[float, float]:
+    if not ops:
         return 0.0, 0.0
-    early_n = -(-len(kinds) // 2)
-    overall = sum(op != "ibn" for op in kinds) / len(kinds)
-    early = sum(op != "ibn" for op in kinds[:early_n]) / early_n
+    early_n = -(-len(ops) // 2)
+    overall = sum(op != "ibn" for op in ops) / len(ops)
+    early = sum(op != "ibn" for op in ops[:early_n]) / early_n
     return overall, early
 
 
 def latency_of(
-    source: LatencySource, net: NetworkSpec, rng: np.random.Generator | None = None
+    source: LatencySource, cost: ArchCost, rng: np.random.Generator | None = None
 ) -> float:
     """Latency in ms from either a simulator (noisy) or a fitted model."""
     if isinstance(source, DeviceSimulator):
-        return simulate_latency(source, net, rng)
-    return predict(source, net)
+        return simulate_groups(source, cost.groups, rng)
+    return predict_counts(source, cost.feature_counts(source.channel_bands))
 
 
 def resolve_budget(
@@ -158,8 +166,9 @@ def resolve_budget(
 ) -> float:
     """Median noiseless latency over uniform samples; the default budget."""
     rng = np.random.default_rng([seed, 0xB0])
+    table = space_table(space)
     lats = [
-        latency_of(source, decode(space, random_sample(space, rng)))
+        latency_of(source, table.price(random_sample(space, rng)))
         for _ in range(samples)
     ]
     return float(np.median(lats))
@@ -168,10 +177,8 @@ def resolve_budget(
 def median_madds(space: SpaceSpec, seed: int, samples: int = 256) -> float:
     """Median total multiply-adds over uniform samples (capacity oracle scale)."""
     rng = np.random.default_rng([seed, 0xB0])
-    totals = [
-        network_cost(decode(space, random_sample(space, rng))).total_madds
-        for _ in range(samples)
-    ]
+    table = space_table(space)
+    totals = [table.price(random_sample(space, rng)).total_madds for _ in range(samples)]
     return float(np.median(totals))
 
 
@@ -254,6 +261,7 @@ class _Evaluator:
         self.source = source
         self.seed = seed
         self.noise_mode = noise_mode
+        self.table = space_table(space)
         self._iid_rng = np.random.default_rng([seed, 2])
         # Hash mode re-keys one PCG64 per architecture: its 128-bit state is
         # (run key, arch_hash) under a per-run odd increment. Setting a state
@@ -281,9 +289,9 @@ class _Evaluator:
             rng = self._keyed_rng(arch_hash(dv))
         else:
             rng = self._iid_rng
-        net = decode(self.space, dv)
-        quality = self.oracle.evaluate(net, rng)
-        latency = latency_of(self.source, net, rng)
+        cost = self.table.price(dv)
+        quality = self.oracle.evaluate(cost, rng)
+        latency = latency_of(self.source, cost, rng)
         if self.noise_mode == "hash":
             self._cache[dv] = (quality, latency)
         return quality, latency
@@ -338,9 +346,9 @@ def run_search(
             )
         )
     final_dv = most_likely(policy)
-    final_net = decode(space, final_dv)
-    final_quality = oracle.evaluate(final_net, None)
-    final_latency = latency_of(latency_source, final_net)
+    final_cost = evaluator.table.price(final_dv)
+    final_quality = oracle.evaluate(final_cost, None)
+    final_latency = latency_of(latency_source, final_cost)
     log = SearchLog(
         seed=cfg.seed,
         budget_ms=budget,
@@ -353,7 +361,7 @@ def run_search(
         final_latency_ms=final_latency,
         final_reward=reward(final_quality, final_latency, reward_cfg),
     )
-    return final_net, log
+    return decode(space, final_dv), log
 
 
 def reward_iter(
@@ -362,19 +370,20 @@ def reward_iter(
     latency_source: LatencySource,
     reward_cfg: RewardConfig,
     cap: int = DEFAULT_ENUM_CAP,
-    archs: Sequence[tuple[DecisionVector, NetworkSpec]] | None = None,
-) -> Iterator[tuple[DecisionVector, NetworkSpec, float, float, float]]:
-    """Noiseless (dv, net, quality, latency, reward) over the whole space.
+    archs: Sequence[tuple[DecisionVector, ArchCost]] | None = None,
+) -> Iterator[tuple[DecisionVector, ArchCost, float, float, float]]:
+    """Noiseless (dv, cost, quality, latency, reward) over the whole space.
 
-    ``archs`` short-circuits decoding when the caller has already enumerated
-    the space (ablations reuse one enumeration across devices and seeds).
+    ``archs`` short-circuits pricing when the caller has already priced the
+    enumeration (ablations reuse one across devices).
     """
     if archs is None:
-        archs = ((dv, decode(space, dv)) for dv in enumerate_space(space, cap))
-    for dv, net in archs:
-        quality = oracle.evaluate(net, None)
-        latency = latency_of(latency_source, net)
-        yield dv, net, quality, latency, reward(quality, latency, reward_cfg)
+        table = space_table(space)
+        archs = ((dv, table.price(dv)) for dv in enumerate_space(space, cap))
+    for dv, cost in archs:
+        quality = oracle.evaluate(cost, None)
+        latency = latency_of(latency_source, cost)
+        yield dv, cost, quality, latency, reward(quality, latency, reward_cfg)
 
 
 def exhaustive_best(
@@ -383,7 +392,7 @@ def exhaustive_best(
     latency_source: LatencySource,
     reward_cfg: RewardConfig,
     cap: int = DEFAULT_ENUM_CAP,
-    archs: Sequence[tuple[DecisionVector, NetworkSpec]] | None = None,
+    archs: Sequence[tuple[DecisionVector, ArchCost]] | None = None,
 ) -> tuple[NetworkSpec, float]:
     """Noise-free argmax of the reward over the entire space.
 
@@ -391,12 +400,12 @@ def exhaustive_best(
     Raises :class:`~hwnas.space.EnumerationCapError` above the cap.
     """
     best = None
-    for dv, net, _, _, rew in reward_iter(space, oracle, latency_source, reward_cfg, cap, archs):
+    for dv, _, _, _, rew in reward_iter(space, oracle, latency_source, reward_cfg, cap, archs):
         if best is None or rew > best[1]:
-            best = (net, rew)
+            best = (dv, rew)
     if best is None:
         raise ValueError("space is empty")
-    return best
+    return decode(space, best[0]), best[1]
 
 
 def random_search_baseline(
@@ -410,15 +419,17 @@ def random_search_baseline(
     """Best of ``n`` uniform samples under the noiseless reward."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
+    table = space_table(space)
     best = None
     for _ in range(n):
-        net = decode(space, random_sample(space, rng))
+        dv = random_sample(space, rng)
+        cost = table.price(dv)
         rew = reward(
-            oracle.evaluate(net, None), latency_of(latency_source, net), reward_cfg
+            oracle.evaluate(cost, None), latency_of(latency_source, cost), reward_cfg
         )
         if best is None or rew > best[1]:
-            best = (net, rew)
-    return best
+            best = (dv, rew)
+    return decode(space, best[0]), best[1]
 
 
 # ---------------------------------------------------------------------------
@@ -464,10 +475,11 @@ def ablation_report(
         raise ValueError("ablation spaces must share one layout")
     biggest = max((s for _, s in spaces), key=space_size)
     oracle = CapacityOracle(scale_madds=median_madds(biggest, seed))
-    enumerations = {
-        name: [(dv, decode(sp, dv)) for dv in enumerate_space(sp, cap)]
-        for name, sp in spaces
-    }
+    # Price each enumeration once; the devices differ only in their rates.
+    enumerations = {}
+    for name, sp in spaces:
+        table = space_table(sp)
+        enumerations[name] = [(dv, table.price(dv)) for dv in enumerate_space(sp, cap)]
     rows = []
     for device in devices:
         budget = resolve_budget(biggest, device, seed)
@@ -483,7 +495,7 @@ def ablation_report(
                     space=name,
                     device=device.name,
                     reward=rew,
-                    latency_ms=latency_of(device, net),
+                    latency_ms=simulate_latency(device, net),
                     madds=cost.total_madds,
                     params=cost.total_params,
                     frac_regular_all=frac_all,

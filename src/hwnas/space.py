@@ -25,6 +25,7 @@ import numpy as np
 
 from .arch import (
     BUILTIN_LAYOUTS,
+    BlockSpec,
     LayerKind,
     NetworkSpec,
     InvalidArchitectureError,
@@ -87,6 +88,18 @@ class SpaceSpec:
                 return d.choices
         return ()
 
+    def block(self, bi: int, kinds: tuple[LayerKind, ...], multiplier: float,
+              c_in: int) -> BlockSpec:
+        """Block ``bi`` of a decoded network.
+
+        :func:`~hwnas.arch.build_block` of the layout's block, where the
+        ``cpu`` adaptation forces squeeze-excite plus hswish on every layer.
+        """
+        use_se = self.adaptation == "cpu"
+        t = self.layout.blocks[bi]
+        return build_block(t.base_channels, multiplier, t.first_stride, c_in, kinds,
+                           use_se, "hswish" if use_se else "relu6")
+
 
 def kind_atoms_for(
     variant: str,
@@ -134,7 +147,15 @@ def build_space(
     multiplier decision. Atom order within a decision is canonical (kinds
     ibn < fused < tucker, then kernel, then ratios ascending; multipliers
     ascending) so indices are stable across runs. Atoms that break the kind
-    rules of :func:`~hwnas.arch.validate` raise ``InvalidArchitectureError``.
+    rules of :func:`~hwnas.arch.validate` raise ``InvalidArchitectureError``;
+    a multiplier that is not a finite number > 0, or that makes a block
+    width overflow, raises ``ValueError``.
+
+    With the layout valid too, every decision vector of the space decodes
+    to a valid network: widths are ``round8`` of a positive finite number,
+    channels chain and strides and endpoints are the layout's. That is why
+    :meth:`hwnas.analysis.SpaceTable.price` can price decision vectors
+    without building or validating the network.
     """
     violations = validate(layout)
     if violations:
@@ -146,6 +167,10 @@ def build_space(
     mult_menu = tuple(sorted(float(m) for m in multipliers))
     if not mult_menu:
         raise ValueError("empty multiplier menu")
+    widest = max((block.base_channels for block in layout.blocks), default=1)
+    for m in mult_menu:
+        if not (m > 0 and math.isfinite(m * widest)):
+            raise ValueError(f"multiplier menu: {m!r} must be > 0 and keep block widths finite")
     decisions: list[Decision] = []
     for bi, block in enumerate(layout.blocks):
         for li in range(block.num_layers):
@@ -167,11 +192,30 @@ def build_space(
 def decode(space: SpaceSpec, dv: DecisionVector) -> NetworkSpec:
     """Map a decision vector to a concrete network.
 
-    Deterministic: each block is :func:`~hwnas.arch.build_block` of the
-    chosen kinds and multiplier, fed by the stem or the block before it,
-    and the ``cpu`` adaptation forces squeeze-excite plus hswish on every
-    layer.
+    Deterministic: each block is :meth:`SpaceSpec.block` of the chosen
+    kinds and multiplier, fed by the stem or the block before it.
     """
+    check_vector(space, dv)
+    chosen = {(d.block, d.layer): d.choices[idx] for d, idx in zip(space.decisions, dv)}
+    layout = space.layout
+    blocks = []
+    c_in = layout.stem_channels
+    for bi, tblock in enumerate(layout.blocks):
+        kinds = tuple(chosen[(bi, li)] for li in range(tblock.num_layers))
+        block = space.block(bi, kinds, chosen[(bi, None)], c_in)
+        blocks.append(block)
+        c_in = block.layers[-1].c_out
+    return NetworkSpec(
+        input_resolution=layout.input_resolution,
+        stem_channels=layout.stem_channels,
+        blocks=tuple(blocks),
+        endpoint_c4=layout.endpoint_c4,
+        endpoint_c5=layout.endpoint_c5,
+    )
+
+
+def check_vector(space: SpaceSpec, dv: DecisionVector) -> None:
+    """Raise ``IndexError`` unless ``dv`` holds one in-range index per decision."""
     if len(dv) != len(space.decisions):
         raise IndexError(
             f"decision vector has {len(dv)} entries, space has {len(space.decisions)} decisions"
@@ -182,25 +226,6 @@ def decode(space: SpaceSpec, dv: DecisionVector) -> NetworkSpec:
                 f"decision {i} ({d.name}): index {idx} out of range "
                 f"(choices: {len(d.choices)})"
             )
-    use_se = space.adaptation == "cpu"
-    activation = "hswish" if use_se else "relu6"
-    chosen = {(d.block, d.layer): d.choices[idx] for d, idx in zip(space.decisions, dv)}
-    layout = space.layout
-    blocks = []
-    c_in = layout.stem_channels
-    for bi, tblock in enumerate(layout.blocks):
-        kinds = tuple(chosen[(bi, li)] for li in range(tblock.num_layers))
-        block = build_block(tblock.base_channels, chosen[(bi, None)], tblock.first_stride,
-                            c_in, kinds, use_se, activation)
-        blocks.append(block)
-        c_in = block.layers[-1].c_out
-    return NetworkSpec(
-        input_resolution=layout.input_resolution,
-        stem_channels=layout.stem_channels,
-        blocks=tuple(blocks),
-        endpoint_c4=layout.endpoint_c4,
-        endpoint_c5=layout.endpoint_c5,
-    )
 
 
 def space_size(space: SpaceSpec) -> int:

@@ -1,0 +1,35 @@
+"""The synthetic oracles' scores computed from a decoded network.
+
+The oracles in ``hwnas.search`` score a table-priced architecture; these
+per-network formulas read ``network_cost``, ``net_feature_counts`` and the
+network's layers instead, and are the reference the table path is tested
+against.
+"""
+
+from __future__ import annotations
+
+import math
+
+from hwnas.analysis import net_feature_counts, network_cost
+from hwnas.arch import NetworkSpec, total_layers
+from hwnas.search import CapacityOracle, LinearFeatureOracle, regular_conv_fractions
+
+
+def _noisy01(score: float, sigma: float, rng) -> float:
+    if rng is not None and sigma > 0:
+        score += rng.normal(0.0, sigma)
+    return min(1.0, max(0.0, score))
+
+
+def capacity_score(oracle: CapacityOracle, net: NetworkSpec, rng=None) -> float:
+    score = 1.0 - math.exp(-network_cost(net).total_madds / oracle.scale_madds)
+    if oracle.early_regular_bonus:
+        score += oracle.early_regular_bonus * regular_conv_fractions(net)[1]
+    return _noisy01(score, oracle.noise_sigma, rng)
+
+
+def linear_score(oracle: LinearFeatureOracle, net: NetworkSpec, rng=None) -> float:
+    counts = net_feature_counts(net)
+    score = sum(oracle.weights.get(b, 0.0) * c for b, c in counts.items())
+    score /= total_layers(net) + 1
+    return _noisy01(score, oracle.noise_sigma, rng)

@@ -1,11 +1,13 @@
 """Search drivers: reproducibility, exhaustive baselines, ablations."""
 
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+from hwnas.analysis import space_table
 from hwnas.arch import BUILTIN_LAYOUTS, functional_signature, toy2_layout
 from hwnas.controller import RewardConfig, reward
 from hwnas.cost import BUILTIN_DEVICES, simulate_latency
@@ -27,6 +29,7 @@ from hwnas.search import (
     write_log,
 )
 from hwnas.space import EnumerationCapError, build_space, decode, enumerate_space
+from reference_oracles import linear_score
 from strategies import make_layout
 
 CPU = BUILTIN_DEVICES["cpu_sim"]
@@ -85,6 +88,21 @@ def test_pinned_trajectory_default_iid():
     assert log.final_dv == (5, 0, 5, 6, 15, 10, 6, 15, 5, 10, 1, 7, 6,
                             3, 4, 5, 6, 6, 14, 10, 1, 6, 14, 2, 13, 0)
     assert log.final_reward == 0.7203041559157259
+
+
+def test_pinned_trajectory_default_hash():
+    """The search_default benchmark setting, seed 0: hash-mode noise on both sides."""
+    space = build_space("ibn_fused_tucker", "neutral", BUILTIN_LAYOUTS["default"]())
+    device = dataclasses.replace(ACCEL, noise_sigma=0.01)
+    oracle = CapacityOracle(median_madds(space, 0), noise_sigma=0.01)
+    budget = resolve_budget(space, device, 0)
+    cfg = SearchConfig(steps=300, tau=-0.3, budget_ms=budget, seed=0, lr=5e-3)
+    _, log = run_search(space, oracle, device, cfg)
+    assert log.final_dv == (5, 4, 5, 2, 0, 7, 4, 10, 15, 7, 6, 9, 7,
+                            3, 5, 7, 7, 4, 11, 4, 6, 6, 7, 6, 5, 2)
+    assert log.final_reward == -0.06426783665271796
+    digest = hashlib.sha256(repr(log.steps).encode()).hexdigest()
+    assert digest == "bd129a63697b19018f07a62059ab992449d83c481e9f16c844081f00d7d07246"
 
 
 def test_hash_mode_repeats_noise_per_architecture(toy_space):
@@ -212,9 +230,10 @@ def test_reward_table_spot_checks(toy_space):
     rcfg = RewardConfig(tau=-0.3, budget_ms=budget)
     rows = list(reward_iter(toy_space, oracle, CPU, rcfg))
     assert len(rows) == 112
-    for dv, net, quality, latency, rew in rows[:: len(rows) // 5][:5]:
-        assert net == decode(toy_space, dv)
-        assert quality == oracle.evaluate(net, None)
+    for dv, cost, quality, latency, rew in rows[:: len(rows) // 5][:5]:
+        net = decode(toy_space, dv)
+        assert cost == space_table(toy_space).price(dv)
+        assert quality == oracle.evaluate(cost, None) == linear_score(oracle, net)
         assert latency == simulate_latency(CPU, net)
         assert rew == pytest.approx(quality - 0.3 * abs(latency / budget - 1.0))
 
@@ -342,8 +361,8 @@ def test_capacity_oracle_properties(toy_space):
     oracle = CapacityOracle(scale_madds=median_madds(toy_space, 0),
                             early_regular_bonus=0.1)
     rng = np.random.default_rng(0)
-    small = decode(toy_space, (0, 0, 0))
-    large = decode(toy_space, (3, 3, 6))
+    small = space_table(toy_space).price((0, 0, 0))
+    large = space_table(toy_space).price((3, 3, 6))
     assert 0.0 <= oracle.evaluate(small, rng) <= 1.0
     assert oracle.evaluate(large, None) > oracle.evaluate(small, None)
 
@@ -352,5 +371,5 @@ def test_linear_oracle_in_range(toy_space):
     oracle = LinearFeatureOracle.random_for_space(toy_space, 7, noise_sigma=0.3)
     rng = np.random.default_rng(1)
     for dv in list(enumerate_space(toy_space))[:30]:
-        q = oracle.evaluate(decode(toy_space, dv), rng)
+        q = oracle.evaluate(space_table(toy_space).price(dv), rng)
         assert 0.0 <= q <= 1.0

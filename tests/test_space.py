@@ -1,12 +1,15 @@
 """Search-space construction, decoding, enumeration and sampling."""
 
 import json
+import math
 import re
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from hwnas.analysis import network_units, space_table
 from hwnas.arch import InvalidArchitectureError, NetworkSpec, ParseError, iter_layers, validate
 from hwnas.cli import main
 from hwnas.space import (
@@ -269,6 +272,43 @@ def test_space_file_with_invalid_atoms_fails_inspect(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: InvalidArchitectureError: atom ibn_k4_s0.5: kernel must be odd")
     assert "expansion must be > 1, got 0.5" in err
+
+
+BAD_MULTIPLIERS = st.one_of(
+    st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308]),
+    st.floats(max_value=0.0, allow_nan=False),
+)
+
+
+@given(bad=BAD_MULTIPLIERS, good=st.floats(0.1, 4.0))
+@settings(max_examples=60, deadline=None)
+def test_build_space_rejects_non_finite_or_non_positive_multipliers(bad, good):
+    # 1e308 is finite but overflows the width of a 48-channel block
+    layout = make_layout(32, 16, [(16, 1, 2), (48, 2, 1)])
+    message = f"multiplier menu: {bad!r} must be > 0 and keep block widths finite"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        build_space("ibn", "neutral", layout, multipliers=[good, bad])
+
+
+@given(menu=st.lists(st.floats(1e-3, 1e3), min_size=1, max_size=4, unique=True),
+       picks=st.lists(st.integers(0, 10**6), min_size=5, max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_every_vector_of_a_built_space_decodes_to_a_valid_network(menu, picks):
+    """The invariant that lets a unit table price a vector without validating it."""
+    layout = make_layout(31, 12, [(16, 1, 2), (48, 2, 1)])
+    space = build_space("ibn_fused_tucker", "cpu", layout, multipliers=menu)
+    dv = tuple(pick % len(d.choices) for pick, d in zip(picks, space.decisions))
+    net = decode(space, dv)
+    assert validate(net) == []
+    assert space_table(space).price(dv).groups == network_units(net)
+
+
+def test_space_file_with_bad_multiplier_fails_inspect(tmp_path, capsys):
+    path = write_space_file(tmp_path / "space.json", multiplier_menu=[-1.0, 1.0])
+    assert main(["space", "inspect", "--space", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: ValueError: multiplier menu: -1.0 must be > 0 and keep block widths finite\n"
+    )
 
 
 @pytest.mark.parametrize("cap", [2.7, "abc", 0, -3, True, None])

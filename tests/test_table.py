@@ -1,0 +1,112 @@
+"""Per-space unit tables against the per-network path they replace in searches."""
+
+import dataclasses
+import itertools
+import re
+from functools import cache
+
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from hwnas.analysis import (
+    net_feature_counts,
+    network_cost,
+    network_units,
+    space_buckets,
+    space_table,
+)
+from hwnas.arch import default_layout, toy2_layout
+from hwnas.cost import BUILTIN_DEVICES, LatencyModel, predict, simulate_latency
+from hwnas.search import CapacityOracle, LinearFeatureOracle, latency_of
+from hwnas.space import ADAPTATIONS, VARIANTS, build_space, decode
+from reference_oracles import capacity_score, linear_score
+from strategies import spaces_with_dv
+
+LAYOUTS = {"default320": default_layout(320), "default224": default_layout(224),
+           "toy2": toy2_layout()}
+NOISY_ACCEL = dataclasses.replace(BUILTIN_DEVICES["accel_sim"], noise_sigma=0.05)
+
+
+@cache
+def _space(variant, adaptation, layout):
+    return build_space(variant, adaptation, LAYOUTS[layout])
+
+
+@cache
+def _scorers(variant, adaptation, layout):
+    """Both oracles, noisy, and latency models with random weights over every
+    bucket, plain and banded."""
+    space = _space(variant, adaptation, layout)
+    oracles = ((CapacityOracle(3e8, early_regular_bonus=0.2, noise_sigma=0.05), capacity_score),
+               (LinearFeatureOracle.random_for_space(space, 3, noise_sigma=0.05), linear_score))
+    rng = np.random.default_rng(5)
+    models = []
+    for bands in (False, True):
+        buckets = space_buckets(space, bands)
+        models.append(LatencyModel(buckets, rng.uniform(size=len(buckets)), 0.5, 0.0, 0.0,
+                                   channel_bands=bands))
+    return oracles, models
+
+
+@pytest.mark.parametrize("variant,adaptation,layout",
+                         list(itertools.product(VARIANTS, ADAPTATIONS, LAYOUTS)))
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_table_prices_like_the_decoded_network(variant, adaptation, layout, data):
+    space = _space(variant, adaptation, layout)
+    dv = tuple(data.draw(st.integers(0, len(d.choices) - 1)) for d in space.decisions)
+    net = decode(space, dv)
+    cost = space_table(space).price(dv)
+    assert cost.groups == network_units(net)
+    assert cost.total_madds == network_cost(net).total_madds
+    for bands in (False, True):
+        # same buckets, counts and order: the linear sums below add in this order
+        assert list(cost.feature_counts(bands).items()) == list(
+            net_feature_counts(net, bands).items())
+
+    oracles, models = _scorers(variant, adaptation, layout)
+    for oracle, score in oracles:
+        assert oracle.evaluate(cost, None) == score(oracle, net)
+        seed = data.draw(st.integers(0, 2**32 - 1))
+        noisy = oracle.evaluate(cost, np.random.default_rng(seed))
+        assert noisy == score(oracle, net, np.random.default_rng(seed))
+
+    assert latency_of(NOISY_ACCEL, cost) == simulate_latency(NOISY_ACCEL, net)
+    assert latency_of(NOISY_ACCEL, cost, np.random.default_rng(1)) == simulate_latency(
+        NOISY_ACCEL, net, np.random.default_rng(1))
+    for model in models:
+        assert latency_of(model, cost) == predict(model, net)
+
+
+@given(space_dv=spaces_with_dv())
+@settings(max_examples=60, deadline=None)
+def test_table_prices_random_layouts(space_dv):
+    """Odd resolutions, stride patterns and stems that are not multiples of 8."""
+    space, dv = space_dv
+    net = decode(space, dv)
+    cost = space_table(space).price(dv)
+    assert cost.groups == network_units(net)
+    assert list(cost.feature_counts().items()) == list(net_feature_counts(net).items())
+
+
+def test_table_is_built_once_per_space():
+    space = _space("ibn", "neutral", "toy2")
+    assert space_table(space) is space_table(build_space("ibn", "neutral", toy2_layout()))
+
+
+@pytest.mark.parametrize("bad", [
+    (0, 0),  # too short
+    (0, 0, 0, 0),  # too long
+    (4, 0, 0),  # kind index past the last atom
+    (0, 0, 7),  # multiplier index past the menu
+    (-1, 0, 0),  # negative: a list index would wrap to the last atom
+    (0, 0, -7),  # negative: would wrap to the first multiplier
+])
+def test_lookup_rejects_bad_vectors_like_decode(bad):
+    space = _space("ibn", "neutral", "toy2")  # 4 atoms x 2 layers, 7 multipliers
+    with pytest.raises(IndexError) as decoded:
+        decode(space, bad)
+    with pytest.raises(IndexError, match=re.escape(str(decoded.value))):
+        space_table(space).price(bad)
