@@ -7,7 +7,9 @@ the gradient, Adam and entropy are each a few numpy expressions over the
 whole array. Sampling draws each decision independently from its softmax.
 The update ascends the score-function gradient of the advantage-weighted
 log-probability, with an exponential moving average of the reward as
-baseline and Adam on the logits.
+baseline and Adam on the logits. Each policy makes one softmax pass, shared
+by sampling, the gradient and entropy. Logits are validated when constructed;
+an update keeps the padding and its softmax pass checks the rows stay finite.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ class CategoricalPolicy:
 
     logits: np.ndarray
     mask: np.ndarray = field(init=False, repr=False, compare=False)
+    stats: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         logits = self.logits
@@ -47,7 +50,7 @@ class CategoricalPolicy:
         if bad.any():
             raise ValueError(f"decision {int(np.flatnonzero(bad)[0])}: logits must be "
                              "finite, followed only by -inf padding")
-        object.__setattr__(self, "mask", mask)
+        self.__dict__.update(mask=mask, stats=_softmax_pass(logits, mask))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "CategoricalPolicy":
@@ -61,30 +64,43 @@ class CategoricalPolicy:
     def uniform(cls, space: SpaceSpec) -> "CategoricalPolicy":
         return cls.from_rows([[0.0] * len(d.choices) for d in space.decisions])
 
+    @classmethod
+    def _trusted(cls, logits: np.ndarray, mask: np.ndarray) -> "CategoricalPolicy":
+        """Wrap logits padded as ``mask`` says, checking only that rows are finite."""
+        policy = object.__new__(cls)
+        policy.__dict__.update(logits=logits, mask=mask, stats=_softmax_pass(logits, mask))
+        return policy
 
-def _exp_shifted(policy: CategoricalPolicy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(logits - row max, its exp, each row's sum of exp over its real slots).
 
-    numpy sums a vector sequentially below 8 elements and pairwise from 8, so
-    a plain sum over a padded row would add in another order than a sum over
-    the decision's own choices. The masked sum adds each row's real slots as
-    a vector of that length would, keeping results independent of padding.
+def _softmax_pass(logits: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(exp / row sum, log-softmax, its exp): the policy's one softmax pass.
+
+    The gradient reads the first, sampling's CDF and entropy the last; the two
+    differ in the last bit. A row whose max is not finite raises. numpy sums a
+    vector sequentially below 8 elements and pairwise from 8, so a plain sum
+    over a padded row would add in another order than a sum over the
+    decision's own choices. The masked sum adds each row's real slots as a
+    vector of that length would, keeping results independent of padding.
     """
-    shifted = policy.logits - policy.logits.max(axis=1, keepdims=True)
+    rowmax = logits.max(axis=1, keepdims=True)
+    finite = np.isfinite(rowmax[:, 0])
+    if not finite.all():
+        raise ValueError(f"decision {int(np.flatnonzero(~finite)[0])}: logits must be finite")
+    shifted = logits - rowmax
     exp = np.exp(shifted)
-    return shifted, exp, exp.sum(axis=1, keepdims=True, where=policy.mask)
+    total = exp.sum(axis=1, keepdims=True, where=mask)
+    logp = shifted - np.log(total)
+    return exp / total, logp, np.exp(logp)
 
 
 def softmax(policy: CategoricalPolicy) -> np.ndarray:
     """Per-decision probabilities; padded slots hold 0."""
-    _, exp, total = _exp_shifted(policy)
-    return exp / total
+    return policy.stats[0]
 
 
 def log_softmax(policy: CategoricalPolicy) -> np.ndarray:
     """Per-decision log-probabilities; padded slots hold ``-inf``."""
-    shifted, _, total = _exp_shifted(policy)
-    return shifted - np.log(total)
+    return policy.stats[1]
 
 
 @dataclass(frozen=True)
@@ -127,6 +143,10 @@ class AdamState:
     m: np.ndarray | None = None
     v: np.ndarray | None = None
 
+    def __post_init__(self):
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a finite positive number, got {self.lr}")
+
     @classmethod
     def for_policy(cls, policy: CategoricalPolicy, **hyper) -> "AdamState":
         zeros = np.zeros_like(policy.logits)
@@ -165,8 +185,8 @@ def sample(
     One uniform per decision, drawn in decision order by ``rng.random(n)``:
     the same stream as one ``rng.random()`` call per decision.
     """
-    logp = log_softmax(policy)
-    cdf = np.cumsum(np.exp(logp), axis=1)
+    _, logp, exp_logp = policy.stats
+    cdf = np.cumsum(exp_logp, axis=1)
     target = rng.random(len(cdf)) * cdf[:, -1]
     # inverse CDF; the clamp keeps a draw that rounds up to the total on a real slot
     idx = np.minimum((cdf <= target[:, None]).sum(axis=1), policy.mask.sum(axis=1) - 1)
@@ -213,7 +233,8 @@ def reinforce_step(
 
     The advantage uses the pre-update baseline (initialized to the first
     batch's mean reward); the baseline EMA advances after the gradient.
-    Mutates ``adam`` and ``baseline``; returns the updated policy.
+    Mutates ``adam`` and ``baseline``; returns the updated policy, or raises
+    ``ValueError`` if a row of its logits is not finite.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
@@ -224,9 +245,9 @@ def reinforce_step(
     if baseline.value is None:
         baseline.value = mean_reward
     grads = reinforce_gradient(policy, batch, baseline.value)
-    new_logits = adam.apply(policy.logits, grads)
+    updated = CategoricalPolicy._trusted(adam.apply(policy.logits, grads), policy.mask)
     baseline.value = baseline.decay * baseline.value + (1.0 - baseline.decay) * mean_reward
-    return CategoricalPolicy(new_logits)
+    return updated
 
 
 def most_likely(policy: CategoricalPolicy) -> DecisionVector:
@@ -236,5 +257,5 @@ def most_likely(policy: CategoricalPolicy) -> DecisionVector:
 
 def entropy(policy: CategoricalPolicy) -> float:
     """Sum of per-decision Shannon entropies, in nats; padded slots add 0."""
-    logp = log_softmax(policy)
-    return float(-np.sum(np.exp(logp) * np.where(policy.mask, logp, 0.0)))
+    _, logp, exp_logp = policy.stats
+    return float(-(exp_logp * np.where(policy.mask, logp, 0.0)).sum())

@@ -2,7 +2,8 @@
 
 The simulators stand in for on-device benchmarking at desk scale: each one
 prices multiply-adds per operation class (ms per mega-MAdd) plus a per-layer
-dispatch overhead, optionally perturbed by multiplicative Gaussian noise.
+dispatch overhead, optionally perturbed by multiplicative Gaussian noise
+(a factor that is not positive is redrawn, so latencies stay positive).
 
 The latency model is a ridge regression over sparse layer-bucket counts,
 matching the simulators' structure exactly, so a noiseless fit is exact on
@@ -86,14 +87,23 @@ def simulate_groups(
     """Price conv units grouped per layer; overhead is charged per group.
 
     With ``rng`` given and ``noise_sigma > 0`` the total is scaled by
-    ``1 + eps``, ``eps ~ Normal(0, noise_sigma)``; ``rng=None`` is exact.
+    ``1 + eps``, ``eps ~ Normal(0, noise_sigma)``, redrawn while ``1 + eps <= 0``
+    so latencies stay positive (a positive first draw is kept as it is);
+    ``rng=None`` is exact.
     """
+    rates = {op_class: device.rate(op_class) for op_class in OP_CLASSES}
     total = device.overhead_ms * len(groups)
-    for group in groups:
-        for op_class, madds in group:
-            total += device.rate(op_class) * madds / 1e6
+    try:
+        for group in groups:
+            for op_class, madds in group:
+                total += rates[op_class] * madds / 1e6
+    except KeyError as exc:
+        raise ValueError(f"unknown op class {exc.args[0]!r}") from None
     if rng is not None and device.noise_sigma > 0:
-        total *= 1.0 + rng.normal(0.0, device.noise_sigma)
+        factor = 0.0
+        while factor <= 0.0:
+            factor = 1.0 + rng.normal(0.0, device.noise_sigma)
+        total *= factor
     return total
 
 

@@ -206,8 +206,8 @@ class SearchConfig:
             raise ValueError(f"steps must be >= 1, got {self.steps}")
         if self.samples_per_step < 1:
             raise ValueError(f"samples_per_step must be >= 1, got {self.samples_per_step}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be positive, got {self.lr}")
+        if not (math.isfinite(self.lr) and self.lr > 0):
+            raise ValueError(f"lr must be a finite positive number, got {self.lr}")
         if self.noise_mode not in ("hash", "iid"):
             raise ValueError(f"noise_mode must be 'hash' or 'iid', got {self.noise_mode!r}")
 
@@ -332,7 +332,9 @@ def run_search(
                 batch.append((dv, logprob, reward(quality, latency, reward_cfg)))
             policy = reinforce_step(policy, batch, baseline, adam)
         except Exception as exc:
-            raise RuntimeError(f"search aborted at step {step}: {exc}") from exc
+            # a batch short of samples_per_step failed while scoring the latest sample
+            where = f" (decision vector {dv})" if len(batch) < cfg.samples_per_step else ""
+            raise RuntimeError(f"search aborted at step {step}: {exc}{where}") from exc
         first_dv, _, first_reward = batch[0]
         records.append(
             StepRecord(

@@ -298,3 +298,80 @@ def test_array_policy_matches_loop_reference(rows, seed, rewards, baseline_value
 
     assert most_likely(policy) == ref.most_likely(rows)
     assert abs(entropy(policy) - ref.entropy(rows)) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    rows=ragged_rows(),
+    seed=st.integers(0, 2**32 - 1),
+    steps=st.integers(2, 6),
+    samples_per_step=st.integers(1, 4),
+    lr=st.sampled_from([5e-3, 0.02, 0.5]),
+)
+def test_array_trajectory_matches_loop_reference(rows, seed, steps, samples_per_step, lr):
+    """Several sample-update steps: the updated policy's shared softmax pass
+    serves its entropy and the next step's draws and gradient.
+
+    Draws and logits are bit-identical to the loop reference; log-probabilities
+    and entropy are summed in another order there (and use ``math.log``), so
+    they agree to 1e-12.
+    """
+    policy = CategoricalPolicy.from_rows(rows)
+    mask = policy.mask
+    adam, baseline = AdamState.for_policy(policy, lr=lr), BaselineState()
+    m_ref = [np.zeros_like(row) for row in rows]
+    v_ref = [np.zeros_like(row) for row in rows]
+    rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    rewards = np.random.default_rng([seed, 1]).uniform(-1, 1, (steps, samples_per_step))
+    for step in range(1, steps + 1):
+        batch, step_rewards = [], rewards[step - 1].tolist()
+        for rew in step_rewards:
+            dv, logprob = sample(policy, rng)
+            dv_ref, logprob_ref = ref.sample(rows, rng_ref)
+            assert dv == dv_ref
+            assert logprob == pytest.approx(logprob_ref, rel=1e-12, abs=1e-12)
+            batch.append((dv, logprob, rew))
+        assert rng.bit_generator.state == rng_ref.bit_generator.state
+        used = baseline.value
+        if used is None:  # the first batch's mean, as reinforce_step computes it
+            used = sum(step_rewards) / len(step_rewards)
+        policy = reinforce_step(policy, batch, baseline, adam)
+        rows = ref.adam_apply(rows, ref.reinforce_gradient(rows, batch, used),
+                              m_ref, v_ref, step, lr=lr)
+        assert np.array_equal(policy.logits[mask], np.concatenate(rows))
+        assert np.all(policy.logits[~mask] == -np.inf)
+        assert np.array_equal(policy.mask, mask)
+        assert abs(entropy(policy) - ref.entropy(rows)) <= 1e-12
+        assert most_likely(policy) == ref.most_likely(rows)
+
+
+@settings(max_examples=40, deadline=None)
+@given(lr=st.floats())
+@example(lr=math.nan)
+@example(lr=math.inf)
+@example(lr=-math.inf)
+@example(lr=0.0)
+def test_adam_needs_finite_positive_lr(lr):
+    if math.isfinite(lr) and lr > 0:
+        assert AdamState(lr=lr).lr == lr
+    else:
+        with pytest.raises(ValueError, match="lr"):
+            AdamState(lr=lr)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    rows=ragged_rows(),
+    seed=st.integers(0, 2**32 - 1),
+    lr=st.sampled_from([math.inf, -math.inf, math.nan]),
+)
+def test_update_to_non_finite_logits_raises(rows, seed, lr):
+    """An Adam step with a non-finite lr (set past the constructor's check)
+    leaves a row without a finite max; the update's softmax pass rejects it."""
+    policy = CategoricalPolicy.from_rows(rows)
+    adam, baseline = AdamState.for_policy(policy), BaselineState(value=0.0)
+    adam.lr = lr
+    dv, logprob = sample(policy, np.random.default_rng(seed))
+    with np.errstate(all="ignore"), pytest.raises(ValueError, match="logits must be finite"):
+        reinforce_step(policy, [(dv, logprob, 1.0)], baseline, adam)
+    assert baseline.value == 0.0  # the failed update did not move the baseline

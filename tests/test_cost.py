@@ -4,8 +4,10 @@ import dataclasses
 import json
 import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from hwnas.analysis import OP_CLASSES, net_feature_counts, space_buckets
 from hwnas.arch import toy2_layout
@@ -63,6 +65,36 @@ def test_dsp_profile_shares_accel_rates():
     accel, dsp = BUILTIN_DEVICES["accel_sim"], BUILTIN_DEVICES["dsp_sim"]
     for cls in ("regular_conv", "depthwise_conv", "pointwise_conv", "se_block"):
         assert dsp.rate(cls) == accel.rate(cls)
+
+
+def test_simulate_unknown_op_class_is_named():
+    with pytest.raises(ValueError, match="unknown op class 'winograd_conv'"):
+        simulate_groups(BUILTIN_DEVICES["cpu_sim"],
+                        ((("pointwise_conv", 10), ("winograd_conv", 10)),))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), sigma=st.sampled_from([0.05, 0.5, 2.0]))
+def test_simulate_noise_keeps_positive_factors_and_redraws_the_rest(seed, sigma):
+    """A first factor 1 + eps > 0 scales the exact total as drawn, so every
+    latency that was positive stays bit-identical; any other factor is redrawn."""
+    dev = dataclasses.replace(BUILTIN_DEVICES["accel_sim"], noise_sigma=sigma)
+    groups = ((("regular_conv", 3 * 10**6),),
+              (("depthwise_conv", 10**5), ("pointwise_conv", 2 * 10**6)))
+    exact = simulate_groups(dev, groups)
+    factor = 1.0 + np.random.default_rng(seed).normal(0.0, sigma)
+    noisy = simulate_groups(dev, groups, np.random.default_rng(seed))
+    if factor > 0:
+        assert noisy == exact * factor
+    else:
+        assert noisy > 0
+
+
+def test_generate_benchmarks_positive_under_heavy_noise(toy_space):
+    dev = dataclasses.replace(BUILTIN_DEVICES["cpu_sim"], noise_sigma=0.5)
+    records = generate_benchmarks(toy_space, dev, 200, np.random.default_rng(0))
+    assert len(records) == 200
+    assert all(rec.latency_ms > 0 for rec in records)
 
 
 def test_simulate_noise_deterministic_per_seed(toy_space):

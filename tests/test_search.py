@@ -3,9 +3,13 @@
 import dataclasses
 import hashlib
 import json
+import math
+import re
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
 
 from hwnas.analysis import space_table
 from hwnas.arch import BUILTIN_LAYOUTS, functional_signature, toy2_layout
@@ -50,6 +54,20 @@ def test_search_config_validation():
         SearchConfig(steps=1, noise_mode="nope")
 
 
+@settings(max_examples=40, deadline=None)
+@given(lr=st.floats())
+@example(lr=math.nan)
+@example(lr=math.inf)
+@example(lr=-math.inf)
+@example(lr=0.0)
+def test_search_config_needs_finite_positive_lr(lr):
+    if math.isfinite(lr) and lr > 0:
+        assert SearchConfig(steps=1, lr=lr).lr == lr
+    else:
+        with pytest.raises(ValueError, match="lr"):
+            SearchConfig(steps=1, lr=lr)
+
+
 def test_single_step_search(toy_space):
     oracle = CapacityOracle(scale_madds=median_madds(toy_space, 0))
     net, log = run_search(toy_space, oracle, CPU, SearchConfig(steps=1, seed=0))
@@ -70,13 +88,16 @@ def test_search_reproducible(toy_space):
 
 
 def test_pinned_trajectory_toy2(toy_space):
-    """Criterion-4 landscape, seed 0: the final architecture and reward are pinned."""
+    """Criterion-4 landscape, seed 0: the final architecture and reward and
+    every step (entropy included) are pinned."""
     oracle = LinearFeatureOracle.random_for_space(toy_space, seed=1)
     budget = resolve_budget(toy_space, CPU, seed=1)
     cfg = SearchConfig(steps=5000, tau=-2.0, budget_ms=budget, seed=0, lr=0.02)
     _, log = run_search(toy_space, oracle, CPU, cfg)
     assert log.final_dv == (1, 2, 1)
     assert log.final_reward == 0.8259119835933514
+    digest = hashlib.sha256(repr(log.steps).encode()).hexdigest()
+    assert digest == "e5c7439081e134104d244225281331a081e190c56b168301ed9e71c1141bad5d"
 
 
 def test_pinned_trajectory_default_iid():
@@ -103,6 +124,20 @@ def test_pinned_trajectory_default_hash():
     assert log.final_reward == -0.06426783665271796
     digest = hashlib.sha256(repr(log.steps).encode()).hexdigest()
     assert digest == "bd129a63697b19018f07a62059ab992449d83c481e9f16c844081f00d7d07246"
+
+
+def test_pinned_trajectory_default_heavy_simulator_noise():
+    """As above at simulator noise 0.3: noise factors down to 0.08 occur and are
+    used as drawn, so keeping latencies positive moves no positive result."""
+    space = build_space("ibn_fused_tucker", "neutral", BUILTIN_LAYOUTS["default"]())
+    device = dataclasses.replace(ACCEL, noise_sigma=0.3)
+    oracle = CapacityOracle(median_madds(space, 0), noise_sigma=0.01)
+    budget = resolve_budget(space, device, 0)
+    cfg = SearchConfig(steps=300, tau=-0.3, budget_ms=budget, seed=1, lr=5e-3)
+    _, log = run_search(space, oracle, device, cfg)
+    assert log.final_reward == 0.4768512004048508
+    digest = hashlib.sha256(repr(log.steps).encode()).hexdigest()
+    assert digest == "172c1a9c77ca62cf17fdb9a76a15ad77101912055048d4fbf7cbfbed74615228"
 
 
 def test_hash_mode_repeats_noise_per_architecture(toy_space):
@@ -166,21 +201,31 @@ def test_search_with_fitted_model_latency_source(toy_space):
 
 
 def test_search_aborts_with_step_index(toy_space):
+    """The message names the step and the decision vector being scored."""
+
     class FailingOracle:
         descriptor = "failing"
 
         def __init__(self):
             self.calls = 0
+            self.failed_on = None
 
-        def evaluate(self, net, rng):
+        def evaluate(self, cost, rng):
             self.calls += 1
             if self.calls > 5:
+                self.failed_on = cost
                 raise RuntimeError("oracle backend down")
             return 0.5
 
-    cfg = SearchConfig(steps=50, seed=0, budget_ms=1.0)
-    with pytest.raises(RuntimeError, match=r"aborted at step \d+: oracle backend down"):
-        run_search(toy_space, FailingOracle(), CPU, cfg)
+    for samples_per_step in (1, 3):
+        cfg = SearchConfig(steps=50, samples_per_step=samples_per_step, seed=0, budget_ms=1.0)
+        oracle = FailingOracle()
+        with pytest.raises(RuntimeError,
+                           match=r"aborted at step \d+: oracle backend down") as err:
+            run_search(toy_space, oracle, CPU, cfg)
+        named = re.search(r" \(decision vector \(([\d, ]+)\)\)$", str(err.value))
+        dv = tuple(int(i) for i in named.group(1).split(","))
+        assert space_table(toy_space).price(dv) == oracle.failed_on
 
 
 def test_arch_hash_stable(toy_space):
