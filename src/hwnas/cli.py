@@ -289,10 +289,16 @@ def cmd_cost_fit(args) -> int:
         model.holdout_r2 = r2(model, holdout)
     save_model(model, args.out, meta=_meta_dict(args.seed))
     holdout_txt = "n/a" if model.holdout_r2 is None else f"{model.holdout_r2:.6f}"
+    train_txt = f"{model.train_r2:.6f}"
     print(
-        f"fitted {len(model.buckets)} buckets on {len(train)} records; "
-        f"train r2 {model.train_r2:.6f}, holdout r2 {holdout_txt}"
+        f"fitted {len(model.buckets)} buckets on {len(train)} records "
+        f"({len(train) / len(model.buckets):.3g} records per weight); "
+        f"train r2 {train_txt}, holdout r2 {holdout_txt}"
     )
+    if len(train) < len(model.buckets) and train_txt == "1.000000":
+        print(f"warning: train r2 {train_txt} from fewer records than buckets: the model "
+              "interpolates its training data, so only the holdout r2 measures it",
+              file=sys.stderr)
     return 0
 
 

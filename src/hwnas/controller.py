@@ -33,11 +33,13 @@ class CategoricalPolicy:
     """Padded logits, one row per decision; probabilities are softmax per row.
 
     Each row holds at least one finite logit followed by ``-inf`` padding;
-    ``mask`` marks the finite (real) slots.
+    ``mask`` marks the finite (real) slots and ``last`` holds each row's last
+    real slot.
     """
 
     logits: np.ndarray
     mask: np.ndarray = field(init=False, repr=False, compare=False)
+    last: np.ndarray = field(init=False, repr=False, compare=False)
     stats: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -50,7 +52,8 @@ class CategoricalPolicy:
         if bad.any():
             raise ValueError(f"decision {int(np.flatnonzero(bad)[0])}: logits must be "
                              "finite, followed only by -inf padding")
-        self.__dict__.update(mask=mask, stats=_softmax_pass(logits, mask))
+        self.__dict__.update(mask=mask, last=mask.sum(axis=1) - 1,
+                             stats=_softmax_pass(logits, mask))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "CategoricalPolicy":
@@ -65,10 +68,11 @@ class CategoricalPolicy:
         return cls.from_rows([[0.0] * len(d.choices) for d in space.decisions])
 
     @classmethod
-    def _trusted(cls, logits: np.ndarray, mask: np.ndarray) -> "CategoricalPolicy":
-        """Wrap logits padded as ``mask`` says, checking only that rows are finite."""
+    def _trusted(cls, logits: np.ndarray, like: "CategoricalPolicy") -> "CategoricalPolicy":
+        """Wrap logits padded as ``like``'s, checking only that rows are finite."""
         policy = object.__new__(cls)
-        policy.__dict__.update(logits=logits, mask=mask, stats=_softmax_pass(logits, mask))
+        policy.__dict__.update(logits=logits, mask=like.mask, last=like.last,
+                               stats=_softmax_pass(logits, like.mask))
         return policy
 
 
@@ -189,7 +193,7 @@ def sample(
     cdf = np.cumsum(exp_logp, axis=1)
     target = rng.random(len(cdf)) * cdf[:, -1]
     # inverse CDF; the clamp keeps a draw that rounds up to the total on a real slot
-    idx = np.minimum((cdf <= target[:, None]).sum(axis=1), policy.mask.sum(axis=1) - 1)
+    idx = np.minimum((cdf <= target[:, None]).sum(axis=1), policy.last)
     return tuple(idx.tolist()), float(logp[np.arange(len(idx)), idx].sum())
 
 
@@ -245,7 +249,7 @@ def reinforce_step(
     if baseline.value is None:
         baseline.value = mean_reward
     grads = reinforce_gradient(policy, batch, baseline.value)
-    updated = CategoricalPolicy._trusted(adam.apply(policy.logits, grads), policy.mask)
+    updated = CategoricalPolicy._trusted(adam.apply(policy.logits, grads), policy)
     baseline.value = baseline.decay * baseline.value + (1.0 - baseline.decay) * mean_reward
     return updated
 
@@ -256,6 +260,15 @@ def most_likely(policy: CategoricalPolicy) -> DecisionVector:
 
 
 def entropy(policy: CategoricalPolicy) -> float:
-    """Sum of per-decision Shannon entropies, in nats; padded slots add 0."""
+    """Sum of per-decision Shannon entropies, in nats; padded slots add 0.
+
+    Raises ``ValueError`` when the sum is not finite: a row's logits then
+    differ by more than the largest float, so a real slot's log-probability
+    is ``-inf``, as after a step at a huge learning rate.
+    """
     _, logp, exp_logp = policy.stats
-    return float(-(exp_logp * np.where(policy.mask, logp, 0.0)).sum())
+    value = float(-(exp_logp * np.where(policy.mask, logp, 0.0)).sum())
+    if not math.isfinite(value):
+        raise ValueError(f"entropy is {value}: a decision's logits differ by more than "
+                         "the largest float (is lr too large?)")
+    return value

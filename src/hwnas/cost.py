@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .arch import NetworkSpec, load_file, save_file
-from .analysis import OP_CLASSES, net_feature_counts, network_units, space_buckets
+from .analysis import OP_CLASSES, net_feature_counts, network_units, space_buckets, space_table
 from .space import SpaceSpec, random_sample, decode
 
 
@@ -129,13 +129,19 @@ class BenchmarkRecord:
 def generate_benchmarks(
     space: SpaceSpec, device: DeviceSimulator, n: int, rng: np.random.Generator
 ) -> list[BenchmarkRecord]:
-    """Benchmark ``n`` uniformly sampled architectures on a simulated device."""
+    """Benchmark ``n`` uniformly sampled architectures on a simulated device.
+
+    Each latency is priced from the space's unit table; the vector is decoded
+    once, for the record's network.
+    """
     if n < 1:
         raise ValueError(f"need at least one benchmark, got n={n}")
+    table = space_table(space)
     records = []
     for _ in range(n):
-        net = decode(space, random_sample(space, rng))
-        records.append(BenchmarkRecord(net, simulate_latency(device, net, rng)))
+        dv = random_sample(space, rng)
+        latency = simulate_groups(device, table.price(dv).groups, rng)
+        records.append(BenchmarkRecord(decode(space, dv), latency))
     return records
 
 
@@ -188,31 +194,46 @@ def fit(
     channel_bands: bool = False,
     space_ref: str = "",
 ) -> LatencyModel:
-    """Ridge least squares by normal equations; deterministic.
+    """Ridge least squares through the smaller Gram matrix; deterministic.
 
     Minimizes ``sum (prediction - measured)^2 + lambda * |weights|^2`` with
-    an unpenalized intercept. Raises :class:`FitError` on a singular system,
-    advising ``ridge_lambda > 0`` when it was zero.
+    an unpenalized intercept. Centering the features and targets removes the
+    intercept from the system: ``intercept = mean(y) - mean(x) . weights``.
+    With fewer records ``n`` than buckets ``d`` the weights come from the
+    dual (records x records) system ``xc.T @ solve(xc @ xc.T + lambda I, yc)``,
+    otherwise from the primal (buckets x buckets) one, so beside the
+    ``n x d`` feature matrix the fit holds ``min(n, d)^2`` floats.
+
+    Raises :class:`FitError` when the system is singular, advising
+    ``ridge_lambda > 0`` when it was zero. With ``n <= d`` it always is (the
+    centered rows sum to zero, so their rank is below ``n``), and that case
+    is rejected before solving.
     """
-    if len(records) < 2:
-        raise FitError(f"need at least 2 benchmark records, got {len(records)}")
+    n = len(records)
+    if n < 2:
+        raise FitError(f"need at least 2 benchmark records, got {n}")
     if ridge_lambda < 0:
         raise FitError(f"ridge_lambda must be >= 0, got {ridge_lambda}")
     buckets = space_buckets(space, channel_bands)
-    x, y = _feature_matrix(records, buckets, channel_bands)
     d = len(buckets)
-    xa = np.hstack([x, np.ones((len(records), 1))])
-    normal = xa.T @ xa
-    normal[:d, :d] += ridge_lambda * np.eye(d)
+    if ridge_lambda == 0 and n <= d:
+        raise FitError(f"{n} records for {d} buckets make the system singular; "
+                       "use ridge_lambda > 0")
+    x, y = _feature_matrix(records, buckets, channel_bands)
+    x_mean, y_mean = x.mean(axis=0), y.mean()
+    x -= x_mean
+    y -= y_mean
+    gram = x @ x.T if n < d else x.T @ x
+    gram[np.diag_indices_from(gram)] += ridge_lambda
     try:
-        beta = np.linalg.solve(normal, xa.T @ y)
+        weights = x.T @ np.linalg.solve(gram, y) if n < d else np.linalg.solve(gram, x.T @ y)
     except np.linalg.LinAlgError as exc:
         hint = "; use ridge_lambda > 0" if ridge_lambda == 0 else ""
         raise FitError(f"normal equations are singular{hint}") from exc
     model = LatencyModel(
         buckets=buckets,
-        weights=beta[:d],
-        intercept=float(beta[d]),
+        weights=weights,
+        intercept=float(y_mean - x_mean @ weights),
         ridge_lambda=ridge_lambda,
         train_r2=0.0,
         channel_bands=channel_bands,

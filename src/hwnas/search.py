@@ -331,6 +331,7 @@ def run_search(
                     first_eval = (quality, latency)
                 batch.append((dv, logprob, reward(quality, latency, reward_cfg)))
             policy = reinforce_step(policy, batch, baseline, adam)
+            policy_entropy = entropy(policy)
         except Exception as exc:
             # a batch short of samples_per_step failed while scoring the latest sample
             where = f" (decision vector {dv})" if len(batch) < cfg.samples_per_step else ""
@@ -344,7 +345,7 @@ def run_search(
                 latency_ms=first_eval[1],
                 reward=first_reward,
                 baseline=baseline.value,
-                entropy=entropy(policy),
+                entropy=policy_entropy,
             )
         )
     final_dv = most_likely(policy)

@@ -246,12 +246,13 @@ def test_bench_fit_eval_pipeline(tmp_path, capsys):
     assert code == 0 and "600 benchmark records" in out
 
     model_path = tmp_path / "model.json"
-    code, out, _ = run(
+    code, out, err = run(
         ["cost", "fit", "--variant", "ibn_fused_tucker", "--layout", "toy2",
          "--bench", str(bench), "--seed", "1", "-o", str(model_path)],
         capsys,
     )
-    assert code == 0
+    assert code == 0 and not err
+    assert "on 480 records (3.72 records per weight)" in out
     model = load_model(model_path)
     assert model.train_r2 > 0.999999
     assert model.holdout_r2 is not None and model.holdout_r2 > 0.99
@@ -304,6 +305,20 @@ def test_search_run_outputs(tmp_path, capsys):
     assert dot.read_text().startswith("// hwnas")
     assert svg.read_text().startswith("<!-- hwnas")
     assert "<svg" in svg.read_text()
+
+
+def test_cost_fit_warns_when_it_interpolates(tmp_path, capsys):
+    """Fewer training records than buckets fit the training data exactly, so
+    a train r2 of 1.000000 says nothing; only the holdout r2 measures the model."""
+    bench = tmp_path / "bench.csv"
+    space_args = ["--variant", "ibn_fused_tucker", "--layout", "toy2"]
+    run(["bench", "generate", *space_args, "--device", "accel_sim", "-n", "100",
+         "--seed", "3", "-o", str(bench)], capsys)
+    code, out, err = run(["cost", "fit", *space_args, "--bench", str(bench),
+                          "-o", str(tmp_path / "model.json")], capsys)
+    assert code == 0
+    assert "fitted 129 buckets on 80 records (0.62 records per weight); train r2 1.000000" in out
+    assert err.startswith("warning: train r2 1.000000 from fewer records than buckets")
 
 
 def test_search_run_with_fitted_model(tmp_path, capsys):

@@ -375,3 +375,31 @@ def test_update_to_non_finite_logits_raises(rows, seed, lr):
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="logits must be finite"):
         reinforce_step(policy, [(dv, logprob, 1.0)], baseline, adam)
     assert baseline.value == 0.0  # the failed update did not move the baseline
+
+
+def test_sample_clamps_to_the_carried_last_slot():
+    """A draw that rounds up to the row total lands on each row's last real
+    slot, which the policy carries with its mask and an update passes on."""
+
+    class RoundsUp:  # u = 1.0: the extreme a rounded-up u * total reaches
+        def random(self, n):
+            return np.ones(n)
+
+    policy = policy_of([0.0, 1.0, 2.0], [0.5], [1.0, 0.0, 0.0, 0.0, 0.0])
+    assert policy.last.tolist() == [2, 0, 4]
+    assert sample(policy, RoundsUp())[0] == (2, 0, 4)
+    updated = reinforce_step(policy, [((0, 0, 1), 0.0, 1.0)], BaselineState(value=0.0),
+                             AdamState.for_policy(policy))
+    assert updated.last is policy.last
+    assert sample(updated, RoundsUp())[0] == (2, 0, 4)
+
+
+def test_huge_lr_overflow_is_named_by_entropy():
+    """lr 1e308 is finite, but one step moves the logits to about +-1e308, so
+    their spread overflows and a real slot's log-probability becomes -inf."""
+    policy = policy_of([0.0, 0.0], [0.0, 0.0, 0.0])
+    adam, baseline = AdamState.for_policy(policy, lr=1e308), BaselineState(value=0.0)
+    with np.errstate(all="ignore"):
+        updated = reinforce_step(policy, [((0, 1), 0.0, 1.0)], baseline, adam)
+        with pytest.raises(ValueError, match=r"entropy is nan: .*\(is lr too large\?\)"):
+            entropy(updated)

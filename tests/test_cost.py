@@ -3,14 +3,16 @@
 import dataclasses
 import json
 import math
+import tracemalloc
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+import reference_ridge as ref
 from hwnas.analysis import OP_CLASSES, net_feature_counts, space_buckets
-from hwnas.arch import toy2_layout
+from hwnas.arch import BUILTIN_LAYOUTS, toy2_layout
 from hwnas.cli import main
 from hwnas.cost import (
     BUILTIN_DEVICES,
@@ -146,6 +148,20 @@ def test_benchmark_record_rejects_non_finite_latency(toy_space, latency):
         BenchmarkRecord(net, latency)
 
 
+@pytest.mark.parametrize("layout", ["toy2", "default"])
+def test_generate_benchmarks_matches_decoded_simulation(layout):
+    """Latencies priced from the unit table are bit-identical to simulating the
+    decoded network, with the same draws from the generator in the same order."""
+    space = build_space("ibn_fused_tucker", "neutral", BUILTIN_LAYOUTS[layout]())
+    dev = dataclasses.replace(BUILTIN_DEVICES["accel_sim"], noise_sigma=0.01)
+    records = generate_benchmarks(space, dev, 30, np.random.default_rng(4))
+    rng = np.random.default_rng(4)
+    for record in records:
+        net = decode(space, random_sample(space, rng))
+        assert record.net == net
+        assert record.latency_ms == simulate_latency(dev, net, rng)
+
+
 def test_generate_benchmarks_reproducible(toy_space):
     dev = BUILTIN_DEVICES["cpu_sim"]
     a = generate_benchmarks(toy_space, dev, 50, np.random.default_rng(4))
@@ -219,6 +235,67 @@ def test_fit_singular_without_ridge(toy_space):
     records = generate_benchmarks(toy_space, dev, 50, np.random.default_rng(0))
     with pytest.raises(FitError, match="ridge_lambda > 0"):
         fit(records, toy_space, ridge_lambda=0.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(variant=st.sampled_from(["ibn", "ibn_fused_tucker"]), data=st.data())
+def test_fit_without_ridge_rejects_records_up_to_buckets(variant, data):
+    """Centered rows sum to zero, so n <= d records leave the unpenalized
+    system singular whatever the data; it is rejected before solving."""
+    space = build_space(variant, "neutral", toy2_layout())
+    n = data.draw(st.integers(2, len(space_buckets(space))), label="records")
+    seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
+    records = generate_benchmarks(space, BUILTIN_DEVICES["accel_sim"], n,
+                                  np.random.default_rng(seed))
+    with pytest.raises(FitError, match="ridge_lambda > 0"):
+        fit(records, space, ridge_lambda=0.0)
+
+
+@pytest.mark.parametrize("variant, n, branch", [
+    ("ibn", 200, "primal"),  # 33 buckets: more records than buckets
+    ("ibn_fused_tucker", 80, "dual"),  # 129 buckets: fewer records than buckets
+])
+def test_fit_matches_augmented_normal_equations(variant, n, branch):
+    """Both branches of the smaller-Gram solve give the reference's model.
+
+    At lambda 1e-6 the reference's augmented normal matrix has a condition
+    number near 1e10, so the two solutions may differ by ~1e-7 of the largest
+    weight. Predictions on the training networks depend only on
+    well-determined combinations of the weights and agree to 1e-9; on fresh
+    networks, where the dual-branch model extrapolates (some predictions there
+    are near zero or negative), they agree to 1e-6 ms.
+    """
+    space = build_space(variant, "neutral", toy2_layout())
+    dev = dataclasses.replace(BUILTIN_DEVICES["accel_sim"], noise_sigma=0.01)
+    records = generate_benchmarks(space, dev, n, np.random.default_rng(5))
+    model = fit(records, space)
+    assert (n < len(model.buckets)) == (branch == "dual")
+    weights, intercept = ref.fit(records, model.buckets, 1e-6)
+    assert np.max(np.abs(model.weights - weights)) <= 1e-6 * np.max(np.abs(weights))
+    assert model.intercept == pytest.approx(intercept, rel=1e-6)
+    fresh = generate_benchmarks(space, dev, 100, np.random.default_rng(6))
+    for sample, tolerance in ((records, dict(rel=1e-9)), (fresh, dict(abs=1e-6))):
+        x, _ = ref.feature_matrix(sample, model.buckets)
+        predicted = np.array([predict(model, r.net) for r in sample])
+        assert predicted == pytest.approx(x @ weights + intercept, **tolerance)
+
+
+def test_fit_memory_stays_below_a_dense_normal_matrix():
+    """400 records of default's 3,537 buckets: the dual system is 400 x 400.
+
+    The feature matrix takes about 11 MiB; one dense buckets x buckets matrix alone
+    would take 95 MiB. numpy reports its buffers to tracemalloc.
+    """
+    space = build_space("ibn_fused_tucker", "neutral", BUILTIN_LAYOUTS["default"]())
+    dev = dataclasses.replace(BUILTIN_DEVICES["accel_sim"], noise_sigma=0.01)
+    records = generate_benchmarks(space, dev, 400, np.random.default_rng(0))
+    tracemalloc.start()
+    try:
+        fit(records, space)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_fit_needs_two_records(toy_space):

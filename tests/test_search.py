@@ -228,6 +228,14 @@ def test_search_aborts_with_step_index(toy_space):
         assert space_table(toy_space).price(dv) == oracle.failed_on
 
 
+def test_search_with_huge_lr_aborts_naming_the_cause(toy_space):
+    oracle = CapacityOracle(scale_madds=median_madds(toy_space, 0))
+    cfg = SearchConfig(steps=5, seed=0, lr=1e308, budget_ms=1.0)
+    with np.errstate(all="ignore"), pytest.raises(
+            RuntimeError, match=r"aborted at step \d+: entropy is nan: .*lr too large"):
+        run_search(toy_space, oracle, CPU, cfg)
+
+
 def test_arch_hash_stable(toy_space):
     assert arch_hash((0, 0, 0)) == arch_hash((0, 0, 0))
     assert arch_hash((0, 0, 0)) == arch_hash(tuple(np.zeros(3, dtype=np.int64)))
