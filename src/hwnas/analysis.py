@@ -24,27 +24,35 @@ A row's multiply-adds are its weights times its positions. Parameters are
 the weights column of the same table, which equals a layer's multiply-adds
 at a 1x1 input.
 
+One cost record
+---------------
+:func:`layer_cost` turns a layer's table into a :class:`LayerCost`: its
+``(op class, multiply-adds)`` units, their sum, its parameters, its op and
+its feature-bucket key ``(atom id, c_in, c_out)``. An :class:`ArchCost`
+holds one per layer, stem first, and everything downstream reads it: the
+simulators its units, the oracles its multiply-adds and ops, the latency
+model its bucket keys, ``analyze`` and the ablation its per-layer counts.
+:func:`network_cost` builds it for a network, such as one read from a file.
+
 Per-space unit tables
 ---------------------
 Searches price architectures by decision vector, not by network. Within a
-space a layer's units depend only on its atom, its block's multiplier, the
+space a layer's cost depends only on its atom, its block's multiplier, the
 previous block's multiplier (first layer of a block only: it sets ``C1``)
 and its input size and stride, which the layout fixes per position. So
-:func:`space_table` evaluates :func:`_layer_table` once per layer position
+:func:`space_table` prices each layer position as :func:`layer_cost` does,
 for every (atom, c_in choice, c_out choice), on layers built by the same
 :meth:`~hwnas.space.SpaceSpec.block` that ``decode`` uses, at the input
 sizes ``derive_shapes`` gives the layout. :meth:`SpaceTable.price` then looks
 each position up by its decision indices and returns exactly
-``network_units(decode(space, dv))``, with no decode, validation or hashing
+``network_cost(decode(space, dv))``, with no decode, validation or hashing
 of a network. That needs no validation because every decision vector of a
 built space decodes to a valid network (see
-:func:`~hwnas.space.build_space`). :func:`network_units` and
-:func:`network_cost` stay the entry for networks read from files.
+:func:`~hwnas.space.build_space`).
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -97,122 +105,120 @@ def _layer_table(kind: LayerKind, c1: int, c2: int, use_se: bool) -> _Table:
     return rows
 
 
-def _stem_table(stem_channels: int) -> _Table:
-    return [("regular_conv", STEM_KERNEL * STEM_KERNEL * IMAGE_CHANNELS * stem_channels, _OUT)]
+class LayerCost(NamedTuple):
+    """The cost of one layer, or of one layer position of a space; the stem is one too."""
+
+    units: Units  # (op class, multiply-adds) of each constituent conv
+    madds: int  # their sum
+    params: int  # kernel weights: the layer's multiply-adds at a 1x1 input
+    op: str  # the layer kind's op, or "stem"
+    key: tuple[str, int, int]  # (atom id, c_in, c_out): the layer's feature bucket
 
 
-def _units(table: _Table, h: int, w: int, stride: int) -> Units:
+def _cost(table: _Table, h: int, w: int, stride: int, op: str, key: tuple[str, int, int],
+          share=None) -> LayerCost:
+    """Price formula rows at input size ``h x w``; ``share`` interns each unit."""
     positions = (h * w, -(-h // stride) * -(-w // stride), 1)
-    return tuple([(op, weights * positions[where]) for op, weights, where in table])
+    units = []
+    madds = params = 0  # plain loops: per call, cheaper than sum() over comprehensions
+    for op_class, weights, where in table:
+        unit = (op_class, weights * positions[where])
+        units.append(share(unit, unit) if share else unit)
+        madds += unit[1]
+        params += weights
+    return LayerCost(tuple(units), madds, params, op, key)
 
 
-def _params(table: _Table) -> int:
-    total = 0  # a plain loop: per call, cheaper than sum() over a comprehension
-    for _, weights, _ in table:
-        total += weights
-    return total
-
-
-def layer_units(layer: LayerSpec, h: int, w: int) -> Units:
-    """Decompose a layer into (op class, multiply-adds) constituents.
+def layer_cost(layer: LayerSpec, h: int, w: int) -> LayerCost:
+    """Cost of one layer at input size ``h x w``.
 
     ``layer`` is a layer of a validated network (:func:`hwnas.arch.validate`;
-    nothing is checked here) and ``h, w`` are its input spatial dims; the
-    stride applies at the layer's KxK stage.
+    nothing is checked here); the stride applies at the layer's KxK stage.
     """
-    return _units(_layer_table(layer.kind, layer.c_in, layer.c_out, layer.use_se), h, w,
-                  layer.stride)
+    kind = layer.kind
+    return _cost(_layer_table(kind, layer.c_in, layer.c_out, layer.use_se), h, w, layer.stride,
+                 kind.op, (kind.atom_id, layer.c_in, layer.c_out))
 
 
-def layer_madds(layer: LayerSpec, h: int, w: int) -> int:
-    """Total multiply-adds of one layer at input size h x w."""
-    return sum(m for _, m in layer_units(layer, h, w))
-
-
-def layer_params(layer: LayerSpec) -> int:
-    """Kernel parameter count of one layer (biases and norms excluded)."""
-    return _params(_layer_table(layer.kind, layer.c_in, layer.c_out, layer.use_se))
+def _stem_cost(stem_channels: int, h: int, w: int) -> LayerCost:
+    """Cost of the stem conv; ``h, w`` is the stem's output size."""
+    weights = STEM_KERNEL * STEM_KERNEL * IMAGE_CHANNELS * stem_channels
+    return _cost([("regular_conv", weights, _OUT)], h, w, 1, STEM_BUCKET,
+                 (STEM_BUCKET, IMAGE_CHANNELS, stem_channels))
 
 
 @dataclass(frozen=True)
-class CostBreakdown:
-    """Per-layer multiply-adds and parameters, plus stem and totals."""
+class ArchCost:
+    """The layer costs of one architecture, stem first."""
 
-    stem_madds: int
-    stem_params: int
-    per_layer_madds: tuple[int, ...]
-    per_layer_params: tuple[int, ...]
-    total_madds: int
-    total_params: int
+    layers: tuple[LayerCost, ...]
+
+    @property
+    def groups(self) -> tuple[Units, ...]:
+        """Units grouped per layer, stem first."""
+        return tuple([layer.units for layer in self.layers])
+
+    @property
+    def total_madds(self) -> int:
+        return sum([layer.madds for layer in self.layers])
+
+    @property
+    def total_params(self) -> int:
+        return sum([layer.params for layer in self.layers])
+
+    @property
+    def ops(self) -> tuple[str, ...]:
+        """The op of each layer after the stem, in order."""
+        return tuple([layer.op for layer in self.layers[1:]])
+
+    def feature_counts(self) -> dict[str, int]:
+        """Bucket counts, as :func:`net_feature_counts` gives them for the network."""
+        return _bucket_counts([layer.key for layer in self.layers])
 
 
-def _stem_units(stem_channels: int, h: int, w: int) -> Units:
-    """Units of the stem conv; ``h, w`` is the stem's output size."""
-    return _units(_stem_table(stem_channels), h, w, 1)
+@lru_cache(maxsize=256)
+def network_cost(net: NetworkSpec) -> ArchCost:
+    """Cost of every layer of a network, stem first."""
+    trace = derive_shapes(net)
+    h, w = trace.stem.height, trace.stem.width
+    layers = [_stem_cost(net.stem_channels, h, w)]
+    for (_, _, layer), entry in zip(iter_layers(net), trace.layers):
+        layers.append(layer_cost(layer, h, w))
+        h, w = entry.height, entry.width
+    return ArchCost(tuple(layers))
 
 
 @lru_cache(maxsize=256)
 def network_units(net: NetworkSpec) -> tuple[Units, ...]:
     """Constituent conv units grouped per layer, stem group first."""
-    trace = derive_shapes(net)
-    h, w = trace.stem.height, trace.stem.width
-    groups = [_stem_units(net.stem_channels, h, w)]
-    for (_, _, layer), entry in zip(iter_layers(net), trace.layers):
-        groups.append(layer_units(layer, h, w))
-        h, w = entry.height, entry.width
-    return tuple(groups)
-
-
-@lru_cache(maxsize=256)
-def network_cost(net: NetworkSpec) -> CostBreakdown:
-    """Whole-network cost including the stem conv."""
-    groups = network_units(net)
-    per_madds = tuple(sum(m for _, m in g) for g in groups[1:])
-    per_params = tuple(layer_params(layer) for _, _, layer in iter_layers(net))
-    s_madds = sum(m for _, m in groups[0])
-    s_params = _params(_stem_table(net.stem_channels))
-    return CostBreakdown(
-        stem_madds=s_madds,
-        stem_params=s_params,
-        per_layer_madds=per_madds,
-        per_layer_params=per_params,
-        total_madds=s_madds + sum(per_madds),
-        total_params=s_params + sum(per_params),
-    )
+    return network_cost(net).groups
 
 
 # ---------------------------------------------------------------------------
 # Cost-model features
 # ---------------------------------------------------------------------------
 
-def channel_band(c: int) -> int:
-    """Power-of-two band holding a channel count (optional coarse bucketing)."""
-    return 1 << max(0, math.ceil(math.log2(c)))
-
-
-def bucket_id(atom_id: str, c_in: int, c_out: int, channel_bands: bool = False) -> str:
-    if channel_bands:
-        c_in, c_out = channel_band(c_in), channel_band(c_out)
+def bucket_id(atom_id: str, c_in: int, c_out: int) -> str:
     return f"{atom_id}|{c_in}|{c_out}"
 
 
-def _bucket_counts(keys, channel_bands: bool) -> dict[str, int]:
+def _bucket_counts(keys) -> dict[str, int]:
     """Count (atom id, c_in, c_out) keys by bucket, in order of first occurrence."""
     counts: dict[str, int] = {}
     for atom_id, c_in, c_out in keys:
-        key = bucket_id(atom_id, c_in, c_out, channel_bands)
+        key = bucket_id(atom_id, c_in, c_out)
         counts[key] = counts.get(key, 0) + 1
     return counts
 
 
-def net_feature_counts(net: NetworkSpec, channel_bands: bool = False) -> dict[str, int]:
+def net_feature_counts(net: NetworkSpec) -> dict[str, int]:
     """Bucket counts of a network, no space membership check (stem included)."""
     keys = [(STEM_BUCKET, IMAGE_CHANNELS, net.stem_channels)]
     keys += [(layer.kind.atom_id, layer.c_in, layer.c_out) for _, _, layer in iter_layers(net)]
-    return _bucket_counts(keys, channel_bands)
+    return _bucket_counts(keys)
 
 
-def space_buckets(space: SpaceSpec, channel_bands: bool = False) -> tuple[str, ...]:
+def space_buckets(space: SpaceSpec) -> tuple[str, ...]:
     """Every bucket any decodable architecture of the space can touch, sorted.
 
     Derived structurally: per layer position, the atoms cross the reachable
@@ -222,7 +228,7 @@ def space_buckets(space: SpaceSpec, channel_bands: bool = False) -> tuple[str, .
     """
     layout = space.layout
     atoms = space.kind_atoms()
-    buckets = {bucket_id(STEM_BUCKET, IMAGE_CHANNELS, layout.stem_channels, channel_bands)}
+    buckets = {bucket_id(STEM_BUCKET, IMAGE_CHANNELS, layout.stem_channels)}
     prev_outs = (layout.stem_channels,)
     for block in layout.blocks:
         outs = tuple(sorted({round8(m * block.base_channels) for m in space.multiplier_menu}))
@@ -232,10 +238,10 @@ def space_buckets(space: SpaceSpec, channel_bands: bool = False) -> tuple[str, .
                 for c_in in c_ins:
                     if li == 0:
                         for c_out in outs:
-                            buckets.add(bucket_id(atom.atom_id, c_in, c_out, channel_bands))
+                            buckets.add(bucket_id(atom.atom_id, c_in, c_out))
                     else:
                         # later layers keep the block width: c_in == c_out
-                        buckets.add(bucket_id(atom.atom_id, c_in, c_in, channel_bands))
+                        buckets.add(bucket_id(atom.atom_id, c_in, c_in))
         prev_outs = outs
     return tuple(sorted(buckets))
 
@@ -243,44 +249,6 @@ def space_buckets(space: SpaceSpec, channel_bands: bool = False) -> tuple[str, .
 # ---------------------------------------------------------------------------
 # Per-space unit tables
 # ---------------------------------------------------------------------------
-
-class LayerCost(NamedTuple):
-    """One priced layer position; the stem is a position too."""
-
-    units: Units  # (op class, multiply-adds) of each constituent conv
-    madds: int  # their sum
-    op: str  # the layer kind's op, or "stem"
-    key: tuple[str, int, int]  # (atom id, c_in, c_out): the feature bucket before banding
-
-
-def _cost(units: Units, op: str, key: tuple[str, int, int]) -> LayerCost:
-    return LayerCost(units, sum([m for _, m in units]), op, key)
-
-
-@dataclass(frozen=True)
-class ArchCost:
-    """The layer costs of one architecture, stem first: a table lookup."""
-
-    layers: tuple[LayerCost, ...]
-
-    @property
-    def groups(self) -> tuple[Units, ...]:
-        """Units grouped per layer, stem first, as :func:`network_units` gives them."""
-        return tuple([layer.units for layer in self.layers])
-
-    @property
-    def total_madds(self) -> int:
-        return sum([layer.madds for layer in self.layers])
-
-    @property
-    def ops(self) -> tuple[str, ...]:
-        """The op of each layer after the stem, in order."""
-        return tuple([layer.op for layer in self.layers[1:]])
-
-    def feature_counts(self, channel_bands: bool = False) -> dict[str, int]:
-        """Bucket counts, as :func:`net_feature_counts` gives them for the network."""
-        return _bucket_counts([layer.key for layer in self.layers], channel_bands)
-
 
 class SpaceTable:
     """Layer costs per position of a space, looked up by decision vector.
@@ -299,8 +267,7 @@ class SpaceTable:
         # input size of every layer: the stem's output, then each layer's
         inputs = [(e.height, e.width) for e in (trace.stem, *trace.layers)]
         stem = layout.stem_channels
-        self._stem = _cost(_stem_units(stem, *inputs[0]), STEM_BUCKET,
-                           (STEM_BUCKET, IMAGE_CHANNELS, stem))
+        self._stem = _stem_cost(stem, *inputs[0])
         self._positions: list[tuple[itemgetter, dict]] = []
         self._size = len(space.decisions)
         # Units repeat across entries (an expand conv ignores c_out): keep
@@ -323,11 +290,12 @@ class SpaceTable:
                     for li, layer in enumerate(block.layers):
                         h, w = inputs[p + li]
                         for ai, (atom, atom_id) in enumerate(atoms):
+                            # layer_cost of the layer with this atom as its kind; a
+                            # LayerSpec per entry would double the build time
                             rows = _layer_table(atom, layer.c_in, layer.c_out, layer.use_se)
-                            units = tuple([share(u, u) for u in _units(rows, h, w, layer.stride)])
                             key = (ai, ci, mi) if li == 0 and cin_at else (ai, mi)
-                            cells[li][key] = _cost(units, atom.op,
-                                                   (atom_id, layer.c_in, layer.c_out))
+                            cells[li][key] = _cost(rows, h, w, layer.stride, atom.op,
+                                                   (atom_id, layer.c_in, layer.c_out), share)
                 outs.append(block.layers[0].c_out)
             for li, table in enumerate(cells):
                 getter = itemgetter(at[(bi, li)], *(cin_at if li == 0 else ()), mult_at)

@@ -80,14 +80,6 @@ class LayerKind:
             )
         return f"{self.op}_k{self.kernel}_s{self.expansion:g}"
 
-    @property
-    def sort_key(self) -> tuple:
-        """Canonical atom order: ibn < fused < tucker, then kernel, then ratios."""
-        rank = OPS.index(self.op)
-        if self.op == "tucker":
-            return (rank, self.kernel, self.input_compression, self.output_compression)
-        return (rank, self.kernel, self.expansion, 0.0)
-
     def label(self) -> str:
         """Human-readable label used by the DOT export."""
         if self.op == "ibn":
@@ -182,10 +174,6 @@ def iter_layers(net: NetworkSpec) -> Iterator[tuple[int, int, LayerSpec]]:
     for bi, block in enumerate(net.blocks):
         for li, layer in enumerate(block.layers):
             yield bi, li, layer
-
-
-def total_layers(net: NetworkSpec) -> int:
-    return sum(len(block.layers) for block in net.blocks)
 
 
 def functional_signature(net: NetworkSpec) -> tuple:

@@ -122,7 +122,7 @@ def _float_arg(ok, rule: str):
 
 _budget_ms = _float_arg(lambda x: math.isfinite(x) and x > 0, "a positive number of ms")
 _holdout_frac = _float_arg(lambda x: 0 <= x < 1, "in [0, 1)")
-_noise_sigma = _float_arg(lambda x: math.isfinite(x) and x >= 0, "a finite number >= 0")
+_nonnegative = _float_arg(lambda x: math.isfinite(x) and x >= 0, "a finite number >= 0")
 _finite = _float_arg(math.isfinite, "a finite number")
 _tau = _float_arg(lambda x: math.isfinite(x) and x <= 0, "a finite number <= 0")
 
@@ -219,13 +219,12 @@ def cmd_analyze(args) -> int:
     header = ["block", "layer", "kind", "kernel", "config", "c_in", "c_out",
               "stride", "h_out", "w_out", "madds", "params"]
     trace = derive_shapes(net)
+    stem = cost.layers[0]
     rows = [
         ["stem", "", "conv", 3, "", 3, net.stem_channels, 2,
-         trace.stem.height, trace.stem.width, cost.stem_madds, cost.stem_params]
+         trace.stem.height, trace.stem.width, stem.madds, stem.params]
     ]
-    for (bi, li, layer), entry, madds, params in zip(
-        iter_layers(net), trace.layers, cost.per_layer_madds, cost.per_layer_params
-    ):
+    for (bi, li, layer), entry, priced in zip(iter_layers(net), trace.layers, cost.layers[1:]):
         kind = layer.kind
         config = (
             f"{kind.input_compression:g}-{kind.output_compression:g}"
@@ -234,7 +233,7 @@ def cmd_analyze(args) -> int:
         )
         rows.append(
             [bi, li, kind.op, kind.kernel, config, layer.c_in, layer.c_out,
-             layer.stride, entry.height, entry.width, madds, params]
+             layer.stride, entry.height, entry.width, priced.madds, priced.params]
         )
     rows.append(["total", "", "", "", "", "", "", "", "", "", cost.total_madds,
                  cost.total_params])
@@ -282,7 +281,6 @@ def cmd_cost_fit(args) -> int:
         train,
         space,
         ridge_lambda=args.ridge_lambda,
-        channel_bands=args.channel_bands,
         space_ref=args.space or f"{args.variant}/{args.adaptation}/{args.layout}",
     )
     if holdout:
@@ -385,7 +383,7 @@ def _make_oracle(args, space, seed: int):
 
 def _add_oracle_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--oracle", choices=("capacity", "linear"), default="capacity")
-    parser.add_argument("--oracle-noise", type=_noise_sigma, default=0.0)
+    parser.add_argument("--oracle-noise", type=_nonnegative, default=0.0)
     parser.add_argument("--early-bonus", type=_finite, default=0.0,
                         help="capacity oracle bonus for early regular-conv layers")
 
@@ -526,10 +524,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = cost_sub.add_parser("fit")
     _add_space_args(p)
     p.add_argument("--bench", required=True, help="benchmark CSV")
-    p.add_argument("--ridge-lambda", type=float, default=1e-6)
+    p.add_argument("--ridge-lambda", type=_nonnegative, default=1e-6)
     p.add_argument("--holdout-frac", type=_holdout_frac, default=0.2)
-    p.add_argument("--channel-bands", action="store_true",
-                   help="bucket channels into power-of-two bands")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("-o", "--out", required=True, help="model file path")
     p.set_defaults(func=cmd_cost_fit)

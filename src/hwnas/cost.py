@@ -8,12 +8,6 @@ dispatch overhead, optionally perturbed by multiplicative Gaussian noise
 The latency model is a ridge regression over sparse layer-bucket counts,
 matching the simulators' structure exactly, so a noiseless fit is exact on
 collision-free layouts and a 1%-noise fit stays above r^2 = 0.99.
-
-Caveat for large layouts: a bucket key (atom, c_in, c_out) can recur at
-positions with different spatial resolutions (the deep default layout repeats
-block widths), which caps the fidelity of a count-based linear model there;
-``channel_bands=True`` trades per-bucket precision for sample efficiency when
-records are scarce relative to the bucket count.
 """
 
 from __future__ import annotations
@@ -29,6 +23,10 @@ import numpy as np
 from .arch import NetworkSpec, load_file, save_file
 from .analysis import OP_CLASSES, net_feature_counts, network_units, space_buckets, space_table
 from .space import SpaceSpec, random_sample, decode
+
+
+# The model file layout :func:`save_model` writes and :func:`load_model` reads.
+MODEL_VERSION = 2
 
 
 class FitError(RuntimeError):
@@ -161,7 +159,6 @@ class LatencyModel:
     ridge_lambda: float
     train_r2: float
     holdout_r2: float | None = None
-    channel_bands: bool = False
     space_ref: str = ""
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
@@ -172,13 +169,13 @@ class LatencyModel:
 
 
 def _feature_matrix(
-    records: list[BenchmarkRecord], buckets: tuple[str, ...], channel_bands: bool
+    records: list[BenchmarkRecord], buckets: tuple[str, ...]
 ) -> tuple[np.ndarray, np.ndarray]:
     index = {b: i for i, b in enumerate(buckets)}
     x = np.zeros((len(records), len(buckets)), dtype=np.float64)
     y = np.empty(len(records), dtype=np.float64)
     for row, record in enumerate(records):
-        for bucket, count in net_feature_counts(record.net, channel_bands).items():
+        for bucket, count in net_feature_counts(record.net).items():
             col = index.get(bucket)
             if col is None:
                 raise UnknownBucketError(bucket)
@@ -191,7 +188,6 @@ def fit(
     records: list[BenchmarkRecord],
     space: SpaceSpec,
     ridge_lambda: float = 1e-6,
-    channel_bands: bool = False,
     space_ref: str = "",
 ) -> LatencyModel:
     """Ridge least squares through the smaller Gram matrix; deterministic.
@@ -204,7 +200,10 @@ def fit(
     otherwise from the primal (buckets x buckets) one, so beside the
     ``n x d`` feature matrix the fit holds ``min(n, d)^2`` floats.
 
-    Raises :class:`FitError` when the system is singular, advising
+    Train r^2 is read off the centered residuals of the fitted records.
+
+    Raises :class:`FitError` for a ``ridge_lambda`` that is negative or not
+    finite, and when the system is singular, advising
     ``ridge_lambda > 0`` when it was zero. With ``n <= d`` it always is (the
     centered rows sum to zero, so their rank is below ``n``), and that case
     is rejected before solving.
@@ -212,14 +211,14 @@ def fit(
     n = len(records)
     if n < 2:
         raise FitError(f"need at least 2 benchmark records, got {n}")
-    if ridge_lambda < 0:
-        raise FitError(f"ridge_lambda must be >= 0, got {ridge_lambda}")
-    buckets = space_buckets(space, channel_bands)
+    if not (math.isfinite(ridge_lambda) and ridge_lambda >= 0):
+        raise FitError(f"ridge_lambda must be a finite number >= 0, got {ridge_lambda}")
+    buckets = space_buckets(space)
     d = len(buckets)
     if ridge_lambda == 0 and n <= d:
         raise FitError(f"{n} records for {d} buckets make the system singular; "
                        "use ridge_lambda > 0")
-    x, y = _feature_matrix(records, buckets, channel_bands)
+    x, y = _feature_matrix(records, buckets)
     x_mean, y_mean = x.mean(axis=0), y.mean()
     x -= x_mean
     y -= y_mean
@@ -230,22 +229,19 @@ def fit(
     except np.linalg.LinAlgError as exc:
         hint = "; use ridge_lambda > 0" if ridge_lambda == 0 else ""
         raise FitError(f"normal equations are singular{hint}") from exc
-    model = LatencyModel(
+    return LatencyModel(
         buckets=buckets,
         weights=weights,
         intercept=float(y_mean - x_mean @ weights),
         ridge_lambda=ridge_lambda,
-        train_r2=0.0,
-        channel_bands=channel_bands,
+        train_r2=_r2(y, x @ weights),  # both centered: the residuals are y - x @ weights
         space_ref=space_ref,
     )
-    model.train_r2 = r2(model, records)
-    return model
 
 
 def predict(model: LatencyModel, net: NetworkSpec) -> float:
     """Predicted latency in ms; unknown buckets raise, naming the bucket."""
-    return predict_counts(model, net_feature_counts(net, model.channel_bands))
+    return predict_counts(model, net_feature_counts(net))
 
 
 def predict_counts(model: LatencyModel, counts: dict[str, int]) -> float:
@@ -267,6 +263,10 @@ def r2(model: LatencyModel, records: list[BenchmarkRecord]) -> float:
     """
     y = np.array([r.latency_ms for r in records], dtype=np.float64)
     preds = np.array([predict(model, r.net) for r in records], dtype=np.float64)
+    return _r2(y, preds)
+
+
+def _r2(y: np.ndarray, preds: np.ndarray) -> float:
     ss_res = float(np.sum((y - preds) ** 2))
     ss_tot = float(np.sum((y - y.mean()) ** 2))
     if ss_tot == 0.0:
@@ -280,8 +280,8 @@ def r2(model: LatencyModel, records: list[BenchmarkRecord]) -> float:
 
 def save_model(model: LatencyModel, path: str | Path, meta: dict | None = None) -> None:
     doc = {
+        "version": MODEL_VERSION,
         "space_ref": model.space_ref,
-        "channel_bands": model.channel_bands,
         "buckets": list(model.buckets),
         "weights": [float(w) for w in model.weights],
         "intercept": model.intercept,
@@ -296,6 +296,9 @@ def save_model(model: LatencyModel, path: str | Path, meta: dict | None = None) 
 
 def load_model(path: str | Path) -> LatencyModel:
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    if doc.get("version") != MODEL_VERSION:
+        raise ValueError(f"{path}: model file version {doc.get('version')!r}, expected "
+                         f"{MODEL_VERSION}; refit it with 'hwnas cost fit'")
     return LatencyModel(
         buckets=tuple(doc["buckets"]),
         weights=np.array(doc["weights"], dtype=np.float64),
@@ -303,7 +306,6 @@ def load_model(path: str | Path) -> LatencyModel:
         ridge_lambda=float(doc["lambda"]),
         train_r2=float(doc["train_r2"]),
         holdout_r2=None if doc.get("holdout_r2") is None else float(doc["holdout_r2"]),
-        channel_bands=bool(doc["channel_bands"]),
         space_ref=doc.get("space_ref", ""),
     )
 

@@ -158,7 +158,7 @@ def latency_of(
     """Latency in ms from either a simulator (noisy) or a fitted model."""
     if isinstance(source, DeviceSimulator):
         return simulate_groups(source, cost.groups, rng)
-    return predict_counts(source, cost.feature_counts(source.channel_bands))
+    return predict_counts(source, cost.feature_counts())
 
 
 def resolve_budget(

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 from hwnas.analysis import net_feature_counts, network_cost
-from hwnas.arch import NetworkSpec, total_layers
+from hwnas.arch import NetworkSpec
 from hwnas.search import CapacityOracle, LinearFeatureOracle, regular_conv_fractions
 
 
@@ -31,5 +31,5 @@ def capacity_score(oracle: CapacityOracle, net: NetworkSpec, rng=None) -> float:
 def linear_score(oracle: LinearFeatureOracle, net: NetworkSpec, rng=None) -> float:
     counts = net_feature_counts(net)
     score = sum(oracle.weights.get(b, 0.0) * c for b, c in counts.items())
-    score /= total_layers(net) + 1
+    score /= sum(len(block.layers) for block in net.blocks) + 1  # every layer and the stem
     return _noisy01(score, oracle.noise_sigma, rng)

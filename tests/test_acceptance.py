@@ -87,11 +87,10 @@ def test_criterion_2_analyzer_oracle_equivalence():
                 # per-layer agreement, not just totals
                 trace = derive_shapes(net)
                 h, w = trace.stem.height, trace.stem.width
-                for (_, _, layer), entry, madds, params in zip(
-                    iter_layers(net), trace.layers,
-                    cost.per_layer_madds, cost.per_layer_params,
+                for (_, _, layer), entry, priced in zip(
+                    iter_layers(net), trace.layers, cost.layers[1:]
                 ):
-                    assert (madds, params) == brute_layer(layer, h, w)
+                    assert (priced.madds, priced.params) == brute_layer(layer, h, w)
                     h, w = entry.height, entry.width
                 checked += 1
     elapsed = time.time() - start

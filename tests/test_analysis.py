@@ -5,14 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from hwnas.analysis import (
-    layer_madds,
-    layer_params,
-    layer_units,
-    net_feature_counts,
-    network_cost,
-    space_buckets,
-)
+from hwnas.analysis import layer_cost, net_feature_counts, network_cost, space_buckets
 from hwnas.arch import (
     InvalidArchitectureError,
     LayerSpec,
@@ -36,7 +29,7 @@ TUCKER_LAYER = LayerSpec(tucker(3, 0.25, 0.75), 32, 32, 1)
     [(IBN_LAYER, 514_304), (FUSED_LAYER, 2_007_040), (TUCKER_LAYER, 539_392)],
 )
 def test_layer_madds_frozen_values(layer, expected):
-    assert layer_madds(layer, 14, 14) == expected
+    assert layer_cost(layer, 14, 14).madds == expected
     assert brute_layer(layer, 14, 14)[0] == expected
 
 
@@ -45,7 +38,7 @@ def test_layer_madds_frozen_values(layer, expected):
     [(IBN_LAYER, 2_624), (FUSED_LAYER, 10_240), (TUCKER_LAYER, 2_752)],
 )
 def test_layer_params_frozen_values(layer, expected):
-    assert layer_params(layer) == expected
+    assert layer_cost(layer, 14, 14).params == expected
     assert brute_layer(layer, 14, 14)[1] == expected
 
 
@@ -53,21 +46,22 @@ def test_stride_two_applies_after_first_pointwise():
     layer = dataclasses.replace(IBN_LAYER, stride=2, residual=False)
     # expand at 14x14, depthwise and project at 7x7
     expected = 14 * 14 * 16 * 64 + 7 * 7 * 9 * 64 + 7 * 7 * 64 * 16
-    assert layer_madds(layer, 14, 14) == expected
+    assert layer_cost(layer, 14, 14).madds == expected
     assert brute_layer(layer, 14, 14)[0] == expected
     layer = dataclasses.replace(TUCKER_LAYER, stride=2, residual=False)
     # squeeze at 14x14, core and restore at 7x7
     expected = 14 * 14 * 32 * 8 + 7 * 7 * 9 * 8 * 24 + 7 * 7 * 24 * 32
-    assert layer_madds(layer, 14, 14) == expected
+    assert layer_cost(layer, 14, 14).madds == expected
     assert brute_layer(layer, 14, 14)[0] == expected
 
 
 def test_se_block_accounting():
     layer = dataclasses.replace(IBN_LAYER, use_se=True)
     extra = 2 * 16 * 8  # squeeze width round8(0.25 * 16) = 8
-    assert layer_madds(layer, 14, 14) == 514_304 + extra
-    assert layer_params(layer) == 2_624 + extra
-    assert ("se_block", extra) in layer_units(layer, 14, 14)
+    cost = layer_cost(layer, 14, 14)
+    assert cost.madds == 514_304 + extra
+    assert cost.params == 2_624 + extra
+    assert ("se_block", extra) in cost.units
     assert brute_layer(layer, 14, 14) == (514_304 + extra, 2_624 + extra)
 
 
@@ -75,7 +69,7 @@ def test_tucker_unit_ratios_degenerate_cleanly():
     # ratios of 1.0 violate search-space rules but the formulas stay defined
     layer = LayerSpec(tucker(3, 1.0, 1.0), 32, 32, 1)
     expected = 14 * 14 * 32 * 32 + 14 * 14 * 9 * 32 * 32 + 14 * 14 * 32 * 32
-    assert layer_madds(layer, 14, 14) == expected
+    assert layer_cost(layer, 14, 14).madds == expected
 
 
 def test_network_cost_rejects_bad_dims():
@@ -90,18 +84,18 @@ def test_network_cost_rejects_bad_dims():
 
 def test_network_cost_single_layer_additivity():
     net = make_layout(32, 16, [(16, 1, 2)])
-    cost = network_cost(net)
-    stem = 16 * 16 * 9 * 3 * 16
-    assert cost.stem_madds == stem
-    assert cost.total_madds == stem + cost.per_layer_madds[0]
-    assert cost.total_params == cost.stem_params + cost.per_layer_params[0]
+    stem, layer = network_cost(net).layers
+    assert stem.madds == 16 * 16 * 9 * 3 * 16
+    assert network_cost(net).total_madds == stem.madds + layer.madds
+    assert network_cost(net).total_params == stem.params + layer.params
 
 
 def test_resolution_doubling_quadruples_stride1_madds():
     small = make_layout(32, 16, [(16, 1, 1)])
     big = make_layout(64, 16, [(16, 1, 1)])
-    assert network_cost(big).per_layer_madds[0] == 4 * network_cost(small).per_layer_madds[0]
-    assert network_cost(big).per_layer_params == network_cost(small).per_layer_params
+    big, small = network_cost(big).layers[1], network_cost(small).layers[1]
+    assert big.madds == 4 * small.madds
+    assert big.params == small.params
 
 
 def test_default_layout_matches_brute_network():
@@ -158,13 +152,6 @@ def test_space_buckets_exact_for_enumerable_space():
     for dv in enumerate_space(space):
         seen |= set(net_feature_counts(decode(space, dv)))
     assert seen == set(space_buckets(space))
-
-
-def test_channel_bands():
-    from hwnas.analysis import bucket_id, channel_band
-
-    assert channel_band(8) == 8 and channel_band(9) == 16 and channel_band(33) == 64
-    assert bucket_id("ibn_k3_s4", 40, 24, channel_bands=True) == "ibn_k3_s4|64|32"
 
 
 def test_total_counts_property():

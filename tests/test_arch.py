@@ -226,8 +226,9 @@ def test_valid_nets_analyze_cleanly(net):
     assert validate(net) == []
     assert len(derive_shapes(net).layers) == sum(b.num_layers for b in net.blocks)
     cost = network_cost(net)
-    assert cost.total_madds == cost.stem_madds + sum(cost.per_layer_madds)
-    assert cost.total_params == cost.stem_params + sum(cost.per_layer_params)
+    assert len(cost.layers) == sum(b.num_layers for b in net.blocks) + 1  # the stem first
+    assert cost.total_madds == sum(layer.madds for layer in cost.layers)
+    assert cost.total_params == sum(layer.params for layer in cost.layers)
     assert (cost.total_madds, cost.total_params) == brute_network(net)
     export_dot(net)
 

@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hwnas.analysis import network_cost
 from hwnas.arch import load_file, save_file, toy2_layout
 from hwnas.cli import _enum_cap, build_parser, main
-from hwnas.cost import load_model
+from hwnas.cost import BUILTIN_DEVICES, fit, generate_benchmarks, load_model, save_model
 from hwnas.space import build_space, decode
 from hwnas.tucker import save_kernel
 from strategies import make_layout
@@ -208,6 +208,19 @@ def test_holdout_frac_outside_unit_interval_rejected(text):
 @given(st.floats(min_value=0, max_value=1, exclude_max=True))
 def test_holdout_frac_in_unit_interval_accepted(frac):
     assert build_parser().parse_args(FIT_ARGS + [f"--holdout-frac={frac!r}"]).holdout_frac == frac
+
+
+@settings(max_examples=80, deadline=None)
+@given(number_texts(lambda x: not (math.isfinite(x) and x >= 0)))
+def test_ridge_lambda_negative_or_not_finite_rejected_at_parse(text):
+    line = parse_error(FIT_ARGS + [f"--ridge-lambda={text}"])
+    assert line.endswith(f"argument --ridge-lambda: must be a finite number >= 0, got {text!r}")
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.floats(min_value=0, allow_infinity=False))
+def test_ridge_lambda_finite_nonnegative_accepted(lam):
+    assert build_parser().parse_args(FIT_ARGS + [f"--ridge-lambda={lam!r}"]).ridge_lambda == lam
 
 
 def test_analyze_matches_network_cost(tmp_path, capsys):
@@ -411,3 +424,24 @@ def test_corrupt_arch_file_error(tmp_path, capsys):
     code, _, err = run(["analyze", "--arch", str(bad)], capsys)
     assert code == 1
     assert err.startswith("error: ParseError:")
+
+
+@pytest.mark.parametrize("stale", [
+    {"channel_bands": False},  # a file written before the version field
+    {"version": 1},
+    {"version": "2"},
+])
+def test_cost_eval_rejects_a_model_file_of_another_version(tmp_path, capsys, stale):
+    space = build_space("ibn_fused_tucker", "neutral", toy2_layout())
+    records = generate_benchmarks(space, BUILTIN_DEVICES["cpu_sim"], 50, np.random.default_rng(0))
+    model_path = tmp_path / "model.json"
+    save_model(fit(records, space), model_path)
+    doc = json.loads(model_path.read_text())
+    del doc["version"]
+    model_path.write_text(json.dumps({**doc, **stale}))
+    _, arch_path = write_arch(tmp_path)
+    code, out, err = run(["cost", "eval", "--model", str(model_path), "--arch", str(arch_path)],
+                         capsys)
+    assert code == 1 and not out
+    assert err == (f"error: ValueError: {model_path}: model file version "
+                   f"{stale.get('version')!r}, expected 2; refit it with 'hwnas cost fit'\n")

@@ -229,6 +229,14 @@ def test_fit_duplicates_equal_weighted_fit(toy_space):
     assert duplicated.intercept == pytest.approx(beta[-1], rel=1e-6)
 
 
+@pytest.mark.parametrize("lam", [math.nan, math.inf, -math.inf, -1e-9])
+def test_fit_rejects_a_negative_or_non_finite_ridge(toy_space, lam):
+    records = generate_benchmarks(toy_space, BUILTIN_DEVICES["cpu_sim"], 50,
+                                  np.random.default_rng(0))
+    with pytest.raises(FitError, match=f"ridge_lambda must be a finite number >= 0, got {lam}"):
+        fit(records, toy_space, ridge_lambda=lam)
+
+
 def test_fit_singular_without_ridge(toy_space):
     dev = BUILTIN_DEVICES["cpu_sim"]
     # the constant stem bucket is exactly collinear with the intercept

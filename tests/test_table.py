@@ -36,18 +36,15 @@ def _space(variant, adaptation, layout):
 
 @cache
 def _scorers(variant, adaptation, layout):
-    """Both oracles, noisy, and latency models with random weights over every
-    bucket, plain and banded."""
+    """Both oracles, noisy, and a latency model with random weights over every
+    bucket."""
     space = _space(variant, adaptation, layout)
     oracles = ((CapacityOracle(3e8, early_regular_bonus=0.2, noise_sigma=0.05), capacity_score),
                (LinearFeatureOracle.random_for_space(space, 3, noise_sigma=0.05), linear_score))
-    rng = np.random.default_rng(5)
-    models = []
-    for bands in (False, True):
-        buckets = space_buckets(space, bands)
-        models.append(LatencyModel(buckets, rng.uniform(size=len(buckets)), 0.5, 0.0, 0.0,
-                                   channel_bands=bands))
-    return oracles, models
+    buckets = space_buckets(space)
+    model = LatencyModel(buckets, np.random.default_rng(5).uniform(size=len(buckets)), 0.5,
+                         0.0, 0.0)
+    return oracles, model
 
 
 @pytest.mark.parametrize("variant,adaptation,layout",
@@ -59,14 +56,12 @@ def test_table_prices_like_the_decoded_network(variant, adaptation, layout, data
     dv = tuple(data.draw(st.integers(0, len(d.choices) - 1)) for d in space.decisions)
     net = decode(space, dv)
     cost = space_table(space).price(dv)
+    assert cost == network_cost(net)  # every layer's units, madds, params, op and key
     assert cost.groups == network_units(net)
-    assert cost.total_madds == network_cost(net).total_madds
-    for bands in (False, True):
-        # same buckets, counts and order: the linear sums below add in this order
-        assert list(cost.feature_counts(bands).items()) == list(
-            net_feature_counts(net, bands).items())
+    # same buckets, counts and order: the linear sums below add in this order
+    assert list(cost.feature_counts().items()) == list(net_feature_counts(net).items())
 
-    oracles, models = _scorers(variant, adaptation, layout)
+    oracles, model = _scorers(variant, adaptation, layout)
     for oracle, score in oracles:
         assert oracle.evaluate(cost, None) == score(oracle, net)
         seed = data.draw(st.integers(0, 2**32 - 1))
@@ -76,8 +71,7 @@ def test_table_prices_like_the_decoded_network(variant, adaptation, layout, data
     assert latency_of(NOISY_ACCEL, cost) == simulate_latency(NOISY_ACCEL, net)
     assert latency_of(NOISY_ACCEL, cost, np.random.default_rng(1)) == simulate_latency(
         NOISY_ACCEL, net, np.random.default_rng(1))
-    for model in models:
-        assert latency_of(model, cost) == predict(model, net)
+    assert latency_of(model, cost) == predict(model, net)
 
 
 @given(space_dv=spaces_with_dv())
@@ -87,6 +81,7 @@ def test_table_prices_random_layouts(space_dv):
     space, dv = space_dv
     net = decode(space, dv)
     cost = space_table(space).price(dv)
+    assert cost == network_cost(net)
     assert cost.groups == network_units(net)
     assert list(cost.feature_counts().items()) == list(net_feature_counts(net).items())
 
