@@ -221,29 +221,16 @@ def net_feature_counts(net: NetworkSpec) -> dict[str, int]:
 def space_buckets(space: SpaceSpec) -> tuple[str, ...]:
     """Every bucket any decodable architecture of the space can touch, sorted.
 
-    Derived structurally: per layer position, the atoms cross the reachable
-    (c_in, c_out) pairs implied by the multiplier menus of this block and the
-    previous one. Fitting over this full index keeps prediction total on the
-    space even for buckets missing from the training sample.
+    Read off the space's unit table (:func:`space_table`): the stem's key and
+    the key of every entry of every layer position. Fitting over this full
+    index keeps prediction total on the space even for buckets missing from
+    the training sample.
     """
-    layout = space.layout
-    atoms = space.kind_atoms()
-    buckets = {bucket_id(STEM_BUCKET, IMAGE_CHANNELS, layout.stem_channels)}
-    prev_outs = (layout.stem_channels,)
-    for block in layout.blocks:
-        outs = tuple(sorted({round8(m * block.base_channels) for m in space.multiplier_menu}))
-        for li in range(block.num_layers):
-            c_ins = prev_outs if li == 0 else outs
-            for atom in atoms:
-                for c_in in c_ins:
-                    if li == 0:
-                        for c_out in outs:
-                            buckets.add(bucket_id(atom.atom_id, c_in, c_out))
-                    else:
-                        # later layers keep the block width: c_in == c_out
-                        buckets.add(bucket_id(atom.atom_id, c_in, c_in))
-        prev_outs = outs
-    return tuple(sorted(buckets))
+    table = space_table(space)
+    keys = {table._stem.key}
+    for _, cells in table._positions:
+        keys.update(cost.key for cost in cells.values())
+    return tuple(sorted(bucket_id(*key) for key in keys))
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,14 @@ def _resolve_device(name_or_path: str):
     return load_device(name_or_path)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list], seed: int | None = None) -> None:
+def _write_csv(path: str | None, header: list[str], rows: list[list],
+               seed: int | None = None) -> None:
+    """Write a CSV with its meta lines to ``path``, else print the plain rows."""
+    if not path:
+        print(",".join(header))
+        for row in rows:
+            print(",".join(str(x) for x in row))
+        return
     buf = io.StringIO()
     for line in _meta_lines(seed):
         buf.write(f"# {line}\n")
@@ -161,6 +168,11 @@ def _write_csv(path: str, header: list[str], rows: list[list], seed: int | None 
     writer.writerow(header)
     writer.writerows(rows)
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
+
+
+def _resolve_source(args):
+    """The latency source: the fitted model at ``--model``, else ``--device``."""
+    return load_model(args.model) if args.model else _resolve_device(args.device)
 
 
 def _emit(path: str | None, text: str) -> None:
@@ -199,13 +211,7 @@ def cmd_space_inspect(args) -> int:
 def cmd_space_enumerate(args) -> int:
     space, cap = _resolve_space(args)
     rows = [[i, *dv] for i, dv in enumerate(enumerate_space(space, cap))]
-    header = ["index"] + [d.name for d in space.decisions]
-    if args.out:
-        _write_csv(args.out, header, rows)
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(x) for x in row))
+    _write_csv(args.out, ["index"] + [d.name for d in space.decisions], rows)
     return 0
 
 
@@ -237,12 +243,7 @@ def cmd_analyze(args) -> int:
         )
     rows.append(["total", "", "", "", "", "", "", "", "", "", cost.total_madds,
                  cost.total_params])
-    if args.out:
-        _write_csv(args.out, header, rows)
-    else:
-        print(",".join(header))
-        for row in rows:
-            print(",".join(str(x) for x in row))
+    _write_csv(args.out, header, rows)
     return 0
 
 
@@ -390,10 +391,7 @@ def _add_oracle_args(parser: argparse.ArgumentParser) -> None:
 
 def cmd_search_run(args) -> int:
     space, _ = _resolve_space(args)
-    if args.model:
-        source = load_model(args.model)
-    else:
-        source = _resolve_device(args.device)
+    source = _resolve_source(args)
     oracle = _make_oracle(args, space, args.seed)
     cfg = SearchConfig(
         steps=args.steps,
@@ -444,10 +442,7 @@ def cmd_search_ablation(args) -> int:
 
 def cmd_search_exhaustive(args) -> int:
     space, cap = _resolve_space(args)
-    if args.model:
-        source = load_model(args.model)
-    else:
-        source = _resolve_device(args.device)
+    source = _resolve_source(args)
     oracle = _make_oracle(args, space, args.seed)
     budget = args.budget if args.budget else resolve_budget(space, source, args.seed)
     net, rew = exhaustive_best(
@@ -468,12 +463,7 @@ def cmd_decomp_demo(args) -> int:
     rows = error_rank_table(kernel, height=args.height, width=args.width)
     header = ["rank_in", "rank_out", "rel_error", "madds_ratio"]
     csv_rows = [[r1, r2_, f"{err:.6e}", f"{ratio:.6f}"] for r1, r2_, err, ratio in rows]
-    if args.out:
-        _write_csv(args.out, header, csv_rows)
-    else:
-        print(",".join(header))
-        for row in csv_rows:
-            print(",".join(str(x) for x in row))
+    _write_csv(args.out, header, csv_rows)
     return 0
 
 

@@ -27,6 +27,12 @@ from .space import DecisionVector, SpaceSpec
 # gradient recomputes probabilities from the current logits.
 SampleOutcome = tuple[DecisionVector, float, float]
 
+# TuNAS's optimizer and baseline settings. Adam runs with beta1 = 0, so its
+# first moment is the gradient itself and only the second moment is kept.
+ADAM_BETA2 = 0.999
+ADAM_EPSILON = 1e-8
+BASELINE_DECAY = 0.9
+
 
 @dataclass(frozen=True)
 class CategoricalPolicy:
@@ -133,18 +139,15 @@ def reward(quality: float, latency_ms: float, cfg: RewardConfig) -> float:
 
 @dataclass
 class AdamState:
-    """Adam moments for the policy logits; update direction is ascent.
+    """Adam state for the policy logits; update direction is ascent.
 
-    Defaults: lr 5e-3, betas (0, 0.999), epsilon 1e-8. The moments ``m`` and
-    ``v`` have the shape of the logits; :meth:`for_policy` allocates them.
+    Betas (0, :data:`ADAM_BETA2`), epsilon :data:`ADAM_EPSILON`, lr 5e-3 by
+    default. The second moment ``v`` has the shape of the logits;
+    :meth:`for_policy` allocates it.
     """
 
     lr: float = 5e-3
-    beta1: float = 0.0
-    beta2: float = 0.999
-    epsilon: float = 1e-8
     step: int = 0
-    m: np.ndarray | None = None
     v: np.ndarray | None = None
 
     def __post_init__(self):
@@ -153,32 +156,24 @@ class AdamState:
 
     @classmethod
     def for_policy(cls, policy: CategoricalPolicy, **hyper) -> "AdamState":
-        zeros = np.zeros_like(policy.logits)
-        return cls(m=zeros, v=zeros, **hyper)
+        return cls(v=np.zeros_like(policy.logits), **hyper)
 
     def apply(self, logits: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        """One ascent step; returns new logits, replaces the moments.
+        """One ascent step; returns new logits, replaces the second moment.
 
-        Padded slots have zero gradient and moments, so they stay ``-inf``.
+        Padded slots have zero gradient and moment, so they stay ``-inf``.
         """
         self.step += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grads
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grads * grads
-        m_hat = self.m / (1.0 - self.beta1 ** self.step)
-        v_hat = self.v / (1.0 - self.beta2 ** self.step)
-        return logits + self.lr * m_hat / (np.sqrt(v_hat) + self.epsilon)
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grads * grads
+        v_hat = self.v / (1.0 - ADAM_BETA2 ** self.step)
+        return logits + self.lr * grads / (np.sqrt(v_hat) + ADAM_EPSILON)
 
 
 @dataclass
 class BaselineState:
-    """Reward EMA; initialized from the first batch's mean reward."""
+    """Reward EMA at :data:`BASELINE_DECAY`; initialized from the first batch's mean."""
 
-    decay: float = 0.9
     value: float | None = None
-
-    def __post_init__(self):
-        if not 0 <= self.decay < 1:
-            raise ValueError(f"decay must be in [0, 1), got {self.decay}")
 
 
 def sample(
@@ -250,7 +245,7 @@ def reinforce_step(
         baseline.value = mean_reward
     grads = reinforce_gradient(policy, batch, baseline.value)
     updated = CategoricalPolicy._trusted(adam.apply(policy.logits, grads), policy)
-    baseline.value = baseline.decay * baseline.value + (1.0 - baseline.decay) * mean_reward
+    baseline.value = BASELINE_DECAY * baseline.value + (1.0 - BASELINE_DECAY) * mean_reward
     return updated
 
 

@@ -13,6 +13,7 @@ collision-free layouts and a 1%-noise fit stays above r^2 = 0.99.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import json
 import math
 from dataclasses import dataclass, field
@@ -20,13 +21,15 @@ from pathlib import Path
 
 import numpy as np
 
-from .arch import NetworkSpec, load_file, save_file
+from .arch import NetworkSpec, ParseError, _as_num, _as_str, _require, load_file, save_file
 from .analysis import OP_CLASSES, net_feature_counts, network_units, space_buckets, space_table
 from .space import SpaceSpec, random_sample, decode
 
 
 # The model file layout :func:`save_model` writes and :func:`load_model` reads.
 MODEL_VERSION = 2
+MODEL_FIELDS = ("version", "space_ref", "buckets", "weights", "intercept", "lambda",
+                "train_r2", "holdout_r2")
 
 
 class FitError(RuntimeError):
@@ -295,40 +298,52 @@ def save_model(model: LatencyModel, path: str | Path, meta: dict | None = None) 
 
 
 def load_model(path: str | Path) -> LatencyModel:
+    """Read a model file; a malformed one raises one line naming the file and field."""
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    if doc.get("version") != MODEL_VERSION:
+    if isinstance(doc, dict) and doc.get("version") != MODEL_VERSION:
         raise ValueError(f"{path}: model file version {doc.get('version')!r}, expected "
                          f"{MODEL_VERSION}; refit it with 'hwnas cost fit'")
+    _require(doc, MODEL_FIELDS, str(path))
+    for key in ("buckets", "weights"):
+        if not isinstance(doc[key], list):
+            raise ParseError(f"{path}: {key}: expected a list")
+    holdout = doc["holdout_r2"]
     return LatencyModel(
-        buckets=tuple(doc["buckets"]),
-        weights=np.array(doc["weights"], dtype=np.float64),
-        intercept=float(doc["intercept"]),
-        ridge_lambda=float(doc["lambda"]),
-        train_r2=float(doc["train_r2"]),
-        holdout_r2=None if doc.get("holdout_r2") is None else float(doc["holdout_r2"]),
-        space_ref=doc.get("space_ref", ""),
+        buckets=tuple(_as_str(b, f"{path}: buckets[{i}]") for i, b in enumerate(doc["buckets"])),
+        weights=np.array([_as_num(w, f"{path}: weights[{i}]")
+                          for i, w in enumerate(doc["weights"])], dtype=np.float64),
+        intercept=_as_num(doc["intercept"], f"{path}: intercept"),
+        ridge_lambda=_as_num(doc["lambda"], f"{path}: lambda"),
+        train_r2=_as_num(doc["train_r2"], f"{path}: train_r2"),
+        holdout_r2=None if holdout is None else _as_num(holdout, f"{path}: holdout_r2"),
+        space_ref=_as_str(doc["space_ref"], f"{path}: space_ref"),
     )
 
 
 def save_device(device: DeviceSimulator, path: str | Path, meta: dict | None = None) -> None:
-    doc = {
-        "name": device.name,
-        "regular_conv": device.regular_conv,
-        "depthwise_conv": device.depthwise_conv,
-        "pointwise_conv": device.pointwise_conv,
-        "se_block": device.se_block,
-        "overhead_ms": device.overhead_ms,
-        "noise_sigma": device.noise_sigma,
-    }
+    """Write every field of the profile, in declaration order."""
+    doc = dataclasses.asdict(device)
     if meta:
         doc["_meta"] = meta
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
 def load_device(path: str | Path) -> DeviceSimulator:
+    """Read a profile; a malformed one raises one line naming the file and field.
+
+    The fields with a default (overhead and noise) may be left out.
+    """
     doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    doc.pop("_meta", None)
-    return DeviceSimulator(**doc)
+    fields = dataclasses.fields(DeviceSimulator)
+    if isinstance(doc, dict):
+        doc = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING} | doc
+    _require(doc, tuple(f.name for f in fields), str(path))
+    name = _as_str(doc["name"], f"{path}: name")
+    rates = [_as_num(doc[f.name], f"{path}: {f.name}") for f in fields[1:]]
+    try:
+        return DeviceSimulator(name, *rates)
+    except ValueError as exc:  # a rate that is negative or not finite
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def save_benchmarks(
@@ -362,12 +377,22 @@ def load_benchmarks(csv_path: str | Path) -> list[BenchmarkRecord]:
     csv_path = Path(csv_path)
     records = []
     with csv_path.open(newline="", encoding="utf-8") as fh:
-        rows = [row for row in csv.reader(fh) if row and not row[0].startswith("#")]
-    if not rows or rows[0] != ["arch_file", "latency_ms"]:
+        reader = csv.reader(fh)
+        rows = [(reader.line_num, row) for row in reader
+                if row and not row[0].startswith("#")]
+    if not rows or rows[0][1] != ["arch_file", "latency_ms"]:
         raise ValueError(f"{csv_path}: expected header arch_file,latency_ms")
-    for row in rows[1:]:
+    for line, row in rows[1:]:
+        where = f"{csv_path}, line {line}"
+        if len(row) != 2:
+            raise ParseError(f"{where}: expected the fields arch_file,latency_ms, "
+                             f"got {len(row)} field(s)")
         ref = Path(row[0])
         if not ref.is_absolute():
             ref = csv_path.parent / ref
-        records.append(BenchmarkRecord(load_file(ref), float(row[1])))
+        net = load_file(ref)
+        try:
+            records.append(BenchmarkRecord(net, float(row[1])))
+        except ValueError as exc:
+            raise ParseError(f"{where}: latency_ms: {exc}") from None
     return records

@@ -8,7 +8,9 @@ Pricing: every driver prices a sampled or enumerated decision vector from
 the space's unit table (:func:`~hwnas.analysis.space_table`), and oracles
 and latency sources read the resulting :class:`~hwnas.analysis.ArchCost`.
 ``decode`` runs only for the networks a driver returns: the final network
-of a search, the exhaustive or random-search best and each ablation row.
+of a search and the exhaustive or random-search best. Every driver scores a
+priced architecture through one noiseless scorer and picks its best through
+one argmax, which keeps the first maximizer.
 
 Noise determinism: in the default ``hash`` mode, oracle and simulator noise
 streams are re-keyed per architecture from (run seed, digest of the decision
@@ -26,13 +28,14 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Protocol, Sequence
 
 import numpy as np
 
-from .arch import NetworkSpec, iter_layers
-from .analysis import ArchCost, network_cost, space_buckets, space_table
+from .arch import NetworkSpec
+from .analysis import ArchCost, space_buckets, space_table
 from .controller import (
     AdamState,
     BaselineState,
@@ -44,7 +47,7 @@ from .controller import (
     reward,
     sample,
 )
-from .cost import DeviceSimulator, LatencyModel, predict_counts, simulate_groups, simulate_latency
+from .cost import DeviceSimulator, LatencyModel, predict_counts, simulate_groups
 from .space import (
     DEFAULT_ENUM_CAP,
     DecisionVector,
@@ -134,16 +137,12 @@ class CapacityOracle:
         return _clamp01(score)
 
 
-def regular_conv_fractions(net: NetworkSpec) -> tuple[float, float]:
+def _regular_fractions(ops: Sequence[str]) -> tuple[float, float]:
     """(overall, early-half) fraction of layers built on regular convolutions.
 
     Regular here means not depthwise based, i.e. fused or tucker kinds. The
     early half is the first ceil(n/2) layers.
     """
-    return _regular_fractions([layer.kind.op for _, _, layer in iter_layers(net)])
-
-
-def _regular_fractions(ops: Sequence[str]) -> tuple[float, float]:
     if not ops:
         return 0.0, 0.0
     early_n = -(-len(ops) // 2)
@@ -161,25 +160,37 @@ def latency_of(
     return predict_counts(source, cost.feature_counts())
 
 
+def _score(
+    oracle: QualityOracle, source: LatencySource, cost: ArchCost, reward_cfg: RewardConfig
+) -> tuple[float, float, float]:
+    """Noiseless (quality, latency, reward) of a priced architecture."""
+    quality = oracle.evaluate(cost, None)
+    latency = latency_of(source, cost)
+    return quality, latency, reward(quality, latency, reward_cfg)
+
+
+def _argmax(rows):
+    """The row with the highest reward, its last field; the first one among equals."""
+    return max(rows, key=itemgetter(-1))
+
+
+def _uniform_costs(space: SpaceSpec, seed: int, samples: int) -> list[ArchCost]:
+    """Costs of ``samples`` uniform draws, all from the ``[seed, 0xB0]`` stream."""
+    rng = np.random.default_rng([seed, 0xB0])
+    table = space_table(space)
+    return [table.price(random_sample(space, rng)) for _ in range(samples)]
+
+
 def resolve_budget(
     space: SpaceSpec, source: LatencySource, seed: int, samples: int = 256
 ) -> float:
     """Median noiseless latency over uniform samples; the default budget."""
-    rng = np.random.default_rng([seed, 0xB0])
-    table = space_table(space)
-    lats = [
-        latency_of(source, table.price(random_sample(space, rng)))
-        for _ in range(samples)
-    ]
-    return float(np.median(lats))
+    return float(np.median([latency_of(source, c) for c in _uniform_costs(space, seed, samples)]))
 
 
 def median_madds(space: SpaceSpec, seed: int, samples: int = 256) -> float:
     """Median total multiply-adds over uniform samples (capacity oracle scale)."""
-    rng = np.random.default_rng([seed, 0xB0])
-    table = space_table(space)
-    totals = [table.price(random_sample(space, rng)).total_madds for _ in range(samples)]
-    return float(np.median(totals))
+    return float(np.median([c.total_madds for c in _uniform_costs(space, seed, samples)]))
 
 
 @dataclass(frozen=True)
@@ -349,9 +360,9 @@ def run_search(
             )
         )
     final_dv = most_likely(policy)
-    final_cost = evaluator.table.price(final_dv)
-    final_quality = oracle.evaluate(final_cost, None)
-    final_latency = latency_of(latency_source, final_cost)
+    final_quality, final_latency, final_reward = _score(
+        oracle, latency_source, evaluator.table.price(final_dv), reward_cfg
+    )
     log = SearchLog(
         seed=cfg.seed,
         budget_ms=budget,
@@ -362,7 +373,7 @@ def run_search(
         final_dv=final_dv,
         final_quality=final_quality,
         final_latency_ms=final_latency,
-        final_reward=reward(final_quality, final_latency, reward_cfg),
+        final_reward=final_reward,
     )
     return decode(space, final_dv), log
 
@@ -384,9 +395,7 @@ def reward_iter(
         table = space_table(space)
         archs = ((dv, table.price(dv)) for dv in enumerate_space(space, cap))
     for dv, cost in archs:
-        quality = oracle.evaluate(cost, None)
-        latency = latency_of(latency_source, cost)
-        yield dv, cost, quality, latency, reward(quality, latency, reward_cfg)
+        yield dv, cost, *_score(oracle, latency_source, cost, reward_cfg)
 
 
 def exhaustive_best(
@@ -395,20 +404,14 @@ def exhaustive_best(
     latency_source: LatencySource,
     reward_cfg: RewardConfig,
     cap: int = DEFAULT_ENUM_CAP,
-    archs: Sequence[tuple[DecisionVector, ArchCost]] | None = None,
 ) -> tuple[NetworkSpec, float]:
     """Noise-free argmax of the reward over the entire space.
 
     Ties break lexicographically (the first enumerated maximizer wins).
     Raises :class:`~hwnas.space.EnumerationCapError` above the cap.
     """
-    best = None
-    for dv, _, _, _, rew in reward_iter(space, oracle, latency_source, reward_cfg, cap, archs):
-        if best is None or rew > best[1]:
-            best = (dv, rew)
-    if best is None:
-        raise ValueError("space is empty")
-    return decode(space, best[0]), best[1]
+    dv, *_, rew = _argmax(reward_iter(space, oracle, latency_source, reward_cfg, cap))
+    return decode(space, dv), rew
 
 
 def random_search_baseline(
@@ -419,20 +422,15 @@ def random_search_baseline(
     n: int,
     rng: np.random.Generator,
 ) -> tuple[NetworkSpec, float]:
-    """Best of ``n`` uniform samples under the noiseless reward."""
+    """Best of ``n`` uniform samples under the noiseless reward; the first among equals."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     table = space_table(space)
-    best = None
-    for _ in range(n):
-        dv = random_sample(space, rng)
-        cost = table.price(dv)
-        rew = reward(
-            oracle.evaluate(cost, None), latency_of(latency_source, cost), reward_cfg
-        )
-        if best is None or rew > best[1]:
-            best = (dv, rew)
-    return decode(space, best[0]), best[1]
+    draws = (random_sample(space, rng) for _ in range(n))
+    dv, *_, rew = _argmax(
+        (dv, *_score(oracle, latency_source, table.price(dv), reward_cfg)) for dv in draws
+    )
+    return decode(space, dv), rew
 
 
 # ---------------------------------------------------------------------------
@@ -488,23 +486,11 @@ def ablation_report(
         budget = resolve_budget(biggest, device, seed)
         reward_cfg = RewardConfig(tau=tau, budget_ms=budget)
         for name, sp in spaces:
-            net, rew = exhaustive_best(
-                sp, oracle, device, reward_cfg, cap, archs=enumerations[name]
+            _, cost, _, latency, rew = _argmax(
+                reward_iter(sp, oracle, device, reward_cfg, archs=enumerations[name])
             )
-            cost = network_cost(net)
-            frac_all, frac_early = regular_conv_fractions(net)
-            rows.append(
-                AblationRow(
-                    space=name,
-                    device=device.name,
-                    reward=rew,
-                    latency_ms=simulate_latency(device, net),
-                    madds=cost.total_madds,
-                    params=cost.total_params,
-                    frac_regular_all=frac_all,
-                    frac_regular_early=frac_early,
-                )
-            )
+            rows.append(AblationRow(name, device.name, rew, latency, cost.total_madds,
+                                    cost.total_params, *_regular_fractions(cost.ops)))
     return rows
 
 

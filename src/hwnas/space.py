@@ -79,7 +79,6 @@ class SpaceSpec:
     adaptation: str
     layout: NetworkSpec
     decisions: tuple[Decision, ...]
-    multiplier_menu: tuple[float, ...]
 
     def kind_atoms(self) -> tuple[LayerKind, ...]:
         """The per-layer atom list (shared by every layer decision)."""
@@ -185,7 +184,6 @@ def build_space(
         adaptation=adaptation,
         layout=layout,
         decisions=tuple(decisions),
-        multiplier_menu=mult_menu,
     )
 
 

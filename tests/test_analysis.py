@@ -1,6 +1,7 @@
 """Exact cost counting against frozen values and the brute-force oracle."""
 
 import dataclasses
+import itertools
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from hwnas.arch import (
     iter_layers,
     tucker,
 )
-from hwnas.space import build_space, decode, enumerate_space, random_sample
+from hwnas.space import ADAPTATIONS, VARIANTS, build_space, decode, enumerate_space, random_sample
 from bruteforce import brute_layer, brute_network
 from strategies import make_layout
 
@@ -146,12 +147,19 @@ def test_space_buckets_cover_all_samples():
 
 
 def test_space_buckets_exact_for_enumerable_space():
-    layout = make_layout(32, 40, [(16, 2, 2)])
-    space = build_space("ibn", "neutral", layout)
-    seen = set()
-    for dv in enumerate_space(space):
-        seen |= set(net_feature_counts(decode(space, dv)))
-    assert seen == set(space_buckets(space))
+    """The buckets the decoded networks touch, over every variant x adaptation.
+
+    Two multipliers keep three-layer spaces enumerable. The second block's
+    first layer reads either width of the first block; later layers keep
+    their block's width.
+    """
+    layout = make_layout(32, 40, [(16, 2, 2), (24, 1, 1)])
+    for variant, adaptation in itertools.product(VARIANTS, ADAPTATIONS):
+        space = build_space(variant, adaptation, layout, multipliers=(0.5, 2.0))
+        seen = set()
+        for dv in enumerate_space(space):
+            seen |= set(net_feature_counts(decode(space, dv)))
+        assert seen == set(space_buckets(space)), (variant, adaptation)
 
 
 def test_total_counts_property():

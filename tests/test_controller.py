@@ -9,6 +9,9 @@ from hypothesis import example, given, settings
 
 import reference_controller as ref
 from hwnas.controller import (
+    ADAM_BETA2,
+    ADAM_EPSILON,
+    BASELINE_DECAY,
     AdamState,
     BaselineState,
     CategoricalPolicy,
@@ -103,8 +106,8 @@ def test_reward_config_needs_finite_nonpositive_tau_and_positive_budget(tau, bud
 
 
 def test_adam_defaults():
-    adam = AdamState()
-    assert (adam.lr, adam.beta1, adam.beta2, adam.epsilon) == (5e-3, 0.0, 0.999, 1e-8)
+    assert AdamState().lr == 5e-3
+    assert (ADAM_BETA2, ADAM_EPSILON, BASELINE_DECAY) == (0.999, 1e-8, 0.9)
 
 
 def test_zero_update_when_reward_equals_baseline():

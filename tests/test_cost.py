@@ -12,7 +12,7 @@ from hypothesis import given, settings
 
 import reference_ridge as ref
 from hwnas.analysis import OP_CLASSES, net_feature_counts, space_buckets
-from hwnas.arch import BUILTIN_LAYOUTS, toy2_layout
+from hwnas.arch import BUILTIN_LAYOUTS, ParseError, toy2_layout
 from hwnas.cli import main
 from hwnas.cost import (
     BUILTIN_DEVICES,
@@ -392,11 +392,83 @@ def test_model_file_with_truncated_weights_rejected_at_load(tmp_path, toy_space)
         load_model(path)
 
 
+def _raises_one_line(load, path, *parts):
+    """``load(path)`` raises one line that names the file and each of ``parts``."""
+    with pytest.raises(ParseError) as info:
+        load(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}") and "\n" not in message
+    for part in parts:
+        assert part in message
+
+
+@pytest.mark.parametrize("edit, parts", [
+    (lambda doc: doc.pop("weights"), ["missing field(s) weights"]),
+    (lambda doc: doc.update(extra=1), ["unknown field(s) extra"]),
+    (lambda doc: doc.update(weights="0.5"), ["weights: expected a list"]),
+    (lambda doc: doc["weights"].__setitem__(2, "x"), ["weights[2]: expected a number"]),
+    (lambda doc: doc["buckets"].__setitem__(0, 7), ["buckets[0]: expected a string"]),
+    (lambda doc: doc.update(intercept=None), ["intercept: expected a number"]),
+    (lambda doc: doc.update(holdout_r2="high"), ["holdout_r2: expected a number"]),
+    (lambda doc: doc.update(space_ref=3), ["space_ref: expected a string"]),
+])
+def test_malformed_model_file_names_file_and_field(tmp_path, toy_space, edit, parts):
+    records = generate_benchmarks(toy_space, BUILTIN_DEVICES["cpu_sim"], 20,
+                                  np.random.default_rng(0))
+    path = tmp_path / "model.json"
+    save_model(fit(records, toy_space), path)
+    doc = json.loads(path.read_text())
+    edit(doc)
+    path.write_text(json.dumps(doc))
+    _raises_one_line(load_model, path, *parts)
+
+
+def test_model_file_that_is_not_an_object_is_named(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[2]")
+    _raises_one_line(load_model, path, "expected an object, got list")
+
+
+@pytest.mark.parametrize("text, parts", [
+    ('{"name": "d", "regular_conv": 1, "depthwise_conv": 1, "pointwise_conv": 1, '
+     '"se_block": 1, "colour": "red"}', ["unknown field(s) colour"]),
+    ('{"name": "d", "regular_conv": 1, "depthwise_conv": 1, "pointwise_conv": 1}',
+     ["missing field(s) se_block"]),
+    ('{"name": "d", "regular_conv": "fast", "depthwise_conv": 1, "pointwise_conv": 1, '
+     '"se_block": 1}', ["regular_conv: expected a number, got 'fast'"]),
+    ('{"name": 5, "regular_conv": 1, "depthwise_conv": 1, "pointwise_conv": 1, '
+     '"se_block": 1}', ["name: expected a string"]),
+    ('{"name": "d", "regular_conv": 1, "depthwise_conv": 1, "pointwise_conv": 1, '
+     '"se_block": 1, "overhead_ms": -1}', ["overhead_ms must be >= 0 and finite"]),
+    ('[1, 2]', ["expected an object, got list"]),
+], ids=["unknown_key", "no_se_block", "string_rate", "number_name", "negative_overhead",
+        "list"])
+def test_malformed_device_file_names_file_and_field(tmp_path, text, parts):
+    path = tmp_path / "device.json"
+    path.write_text(text)
+    _raises_one_line(load_device, path, *parts)
+
+
 def test_device_file_round_trip(tmp_path):
     dev = DeviceSimulator("custom", 1.5, 2.5, 0.5, 9.0, overhead_ms=0.25, noise_sigma=0.02)
     path = tmp_path / "device.json"
     save_device(dev, path, meta={"tool": "test"})
     assert load_device(path) == dev
+
+
+@pytest.mark.parametrize("row, parts", [
+    ("archs/arch_00000.json", ["line 4: expected the fields arch_file,latency_ms, got 1"]),
+    ("archs/arch_00000.json,1.0,2.0", ["line 4: expected the fields", "got 3"]),
+    ("archs/arch_00000.json,abc", ["line 4: latency_ms:", "'abc'"]),
+    ("archs/arch_00000.json,-1", ["line 4: latency_ms: latency must be a finite positive"]),
+], ids=["one_field", "three_fields", "not_a_number", "negative"])
+def test_malformed_benchmark_row_names_file_line_and_field(tmp_path, toy_space, row, parts):
+    records = generate_benchmarks(toy_space, BUILTIN_DEVICES["cpu_sim"], 1,
+                                  np.random.default_rng(0))
+    csv_path = tmp_path / "bench.csv"
+    save_benchmarks(records, csv_path, tmp_path / "archs", meta_lines=["test run"])
+    csv_path.write_text(csv_path.read_text() + row + "\n")
+    _raises_one_line(load_benchmarks, csv_path, *parts)
 
 
 def test_benchmark_csv_round_trip(tmp_path, toy_space):

@@ -11,28 +11,37 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from hwnas.analysis import space_table
-from hwnas.arch import BUILTIN_LAYOUTS, functional_signature, toy2_layout
+from hwnas.analysis import network_cost, space_buckets, space_table
+from hwnas.arch import BUILTIN_LAYOUTS, functional_signature, iter_layers, toy2_layout
 from hwnas.controller import RewardConfig, reward
 from hwnas.cost import BUILTIN_DEVICES, simulate_latency
 from hwnas.search import (
+    AblationRow,
     CapacityOracle,
     LinearFeatureOracle,
     SearchConfig,
     _Evaluator,
+    _regular_fractions,
     ablation_report,
     arch_hash,
     exhaustive_best,
     median_madds,
     pareto_front,
     random_search_baseline,
-    regular_conv_fractions,
     resolve_budget,
     reward_iter,
     run_search,
     write_log,
 )
-from hwnas.space import EnumerationCapError, build_space, decode, enumerate_space
+from hwnas.space import (
+    ADAPTATIONS,
+    VARIANTS,
+    EnumerationCapError,
+    build_space,
+    decode,
+    enumerate_space,
+    random_sample,
+)
 from reference_oracles import linear_score
 from strategies import make_layout
 
@@ -262,6 +271,20 @@ def test_exhaustive_best_single_decision():
     assert decode(space, first_argmax) == best_net
 
 
+def test_drivers_keep_the_first_of_tied_rewards(toy_space):
+    """Equal weights and no penalty tie every architecture at reward 0.5."""
+    oracle = LinearFeatureOracle({b: 0.5 for b in space_buckets(toy_space)})
+    rcfg = RewardConfig(tau=0.0, budget_ms=1.0)
+    assert {rew for *_, rew in reward_iter(toy_space, oracle, CPU, rcfg)} == {0.5}
+    net, rew = exhaustive_best(toy_space, oracle, CPU, rcfg)
+    assert (net, rew) == (decode(toy_space, (0, 0, 0)), 0.5)
+    first_draw = random_sample(toy_space, np.random.default_rng(3))
+    net, rew = random_search_baseline(toy_space, oracle, CPU, rcfg, 50,
+                                      np.random.default_rng(3))
+    assert first_draw != (0, 0, 0)
+    assert (net, rew) == (decode(toy_space, first_draw), 0.5)
+
+
 def test_exhaustive_dominant_penalty_returns_budget_exact(toy_space):
     oracle = CapacityOracle(scale_madds=median_madds(toy_space, 0))
     target = decode(toy_space, (2, 1, 4))
@@ -363,11 +386,14 @@ def test_subsumption_of_exhaustive_rewards():
 
 
 def test_regular_conv_fractions(toy_space):
-    all_ibn = decode(toy_space, (0, 0, 3))
-    assert regular_conv_fractions(all_ibn) == (0.0, 0.0)
+    all_ibn = space_table(toy_space).price((0, 0, 3))
+    assert _regular_fractions(all_ibn.ops) == (0.0, 0.0)
     big = build_space("ibn_fused", "neutral", toy2_layout())
-    mixed = decode(big, (4, 0, 3))  # fused early, ibn late
-    assert regular_conv_fractions(mixed) == (0.5, 1.0)
+    mixed = space_table(big).price((4, 0, 3))  # fused early, ibn late
+    assert mixed.ops == ("fused", "ibn")
+    assert _regular_fractions(mixed.ops) == (0.5, 1.0)
+    # the early half of an odd count is its first ceil(n/2) layers
+    assert _regular_fractions(("tucker", "ibn", "ibn")) == (1 / 3, 0.5)
 
 
 def test_ablation_report_structure():
@@ -383,6 +409,27 @@ def test_ablation_report_structure():
         assert row.latency_ms > 0 and row.madds > 0 and row.params > 0
         assert 0.0 <= row.frac_regular_all <= 1.0
         assert 0.0 <= row.frac_regular_early <= 1.0
+
+
+@pytest.mark.parametrize("adaptation", ADAPTATIONS)
+def test_ablation_rows_match_the_decoded_best_networks(adaptation):
+    """Each row equals the exhaustive best's network priced and simulated again."""
+    layout = toy2_layout()
+    spaces = [(v, build_space(v, adaptation, layout)) for v in VARIANTS]
+    rows = ablation_report(spaces, [CPU, ACCEL], tau=-0.3, seed=5)
+    biggest = spaces[-1][1]
+    oracle = CapacityOracle(scale_madds=median_madds(biggest, 5))
+    expected = []
+    for device in (CPU, ACCEL):
+        rcfg = RewardConfig(tau=-0.3, budget_ms=resolve_budget(biggest, device, 5))
+        for name, space in spaces:
+            net, rew = exhaustive_best(space, oracle, device, rcfg)
+            cost = network_cost(net)
+            ops = [layer.kind.op for _, _, layer in iter_layers(net)]
+            expected.append(AblationRow(name, device.name, rew, simulate_latency(device, net),
+                                        cost.total_madds, cost.total_params,
+                                        *_regular_fractions(ops)))
+    assert rows == expected
 
 
 def test_ablation_requires_shared_layout():
