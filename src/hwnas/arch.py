@@ -449,8 +449,8 @@ def _block_from_doc(doc: Any, where: str) -> BlockSpec:
     )
 
 
-def serialize(net: NetworkSpec) -> str:
-    """Render the canonical JSON document (fields in canonical order)."""
+def serialize(net: NetworkSpec, meta: dict | None = None) -> str:
+    """Render the canonical document as one JSON line; ``meta`` goes under ``_meta``."""
     doc = {
         "input_resolution": net.input_resolution,
         "stem_channels": net.stem_channels,
@@ -466,22 +466,29 @@ def serialize(net: NetworkSpec) -> str:
         ],
         "endpoints": {"c4": net.endpoint_c4, "c5": net.endpoint_c5},
     }
-    return json.dumps(doc, indent=2) + "\n"
+    if meta:
+        doc[META_KEY] = meta
+    return json.dumps(doc) + "\n"
+
+
+def parse_json(text: str, source: object = None) -> Any:
+    """``json.loads``; bad JSON raises a :class:`ParseError` naming ``source`` and where."""
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        where = "" if source is None else f"{source}: "
+        raise ParseError(f"{where}invalid JSON at line {exc.lineno} column {exc.colno}: "
+                         f"{exc.msg}") from exc
 
 
 def deserialize(text: str) -> NetworkSpec:
-    """Parse a canonical document back into a validated NetworkSpec.
+    """Parse a canonical document, in any JSON layout, into a validated NetworkSpec.
 
     Raises :class:`ParseError` for structural problems (with location) and
     :class:`InvalidArchitectureError` when the parsed network violates IR
     invariants. ``deserialize(serialize(net)) == net`` for every valid net.
     """
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    doc = parse_json(text)
     _require(doc, ("input_resolution", "stem_channels", "blocks", "endpoints"), "document")
     blocks_doc = doc["blocks"]
     if not isinstance(blocks_doc, list):
@@ -505,16 +512,16 @@ def deserialize(text: str) -> NetworkSpec:
 
 def save_file(net: NetworkSpec, path: str | Path, meta: dict | None = None) -> None:
     """Write the canonical document, optionally embedding a provenance block."""
-    text = serialize(net)
-    if meta:
-        doc = json.loads(text)
-        doc[META_KEY] = meta
-        text = json.dumps(doc, indent=2) + "\n"
-    Path(path).write_text(text, encoding="utf-8")
+    Path(path).write_text(serialize(net, meta), encoding="utf-8")
 
 
-def load_file(path: str | Path) -> NetworkSpec:
-    return deserialize(Path(path).read_text(encoding="utf-8"))
+def load_file(path: str | Path, where: str | None = None) -> NetworkSpec:
+    """Read an architecture file; parse and validation errors start with ``where`` or the path."""
+    try:
+        return deserialize(Path(path).read_text(encoding="utf-8"))
+    except (ParseError, InvalidArchitectureError) as exc:
+        exc.args = (f"{where or path}: {exc}",)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .arch import NetworkSpec, ParseError, _as_num, _as_str, _require, load_file, save_file
+from .arch import (NetworkSpec, ParseError, _as_num, _as_str, _require, load_file, parse_json,
+                   save_file)
 from .analysis import OP_CLASSES, net_feature_counts, network_units, space_buckets, space_table
 from .space import SpaceSpec, random_sample, decode
 
@@ -299,7 +300,7 @@ def save_model(model: LatencyModel, path: str | Path, meta: dict | None = None) 
 
 def load_model(path: str | Path) -> LatencyModel:
     """Read a model file; a malformed one raises one line naming the file and field."""
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = parse_json(Path(path).read_text(encoding="utf-8"), path)
     if isinstance(doc, dict) and doc.get("version") != MODEL_VERSION:
         raise ValueError(f"{path}: model file version {doc.get('version')!r}, expected "
                          f"{MODEL_VERSION}; refit it with 'hwnas cost fit'")
@@ -333,7 +334,7 @@ def load_device(path: str | Path) -> DeviceSimulator:
 
     The fields with a default (overhead and noise) may be left out.
     """
-    doc = json.loads(Path(path).read_text(encoding="utf-8"))
+    doc = parse_json(Path(path).read_text(encoding="utf-8"), path)
     fields = dataclasses.fields(DeviceSimulator)
     if isinstance(doc, dict):
         doc = {f.name: f.default for f in fields if f.default is not dataclasses.MISSING} | doc
@@ -390,7 +391,7 @@ def load_benchmarks(csv_path: str | Path) -> list[BenchmarkRecord]:
         ref = Path(row[0])
         if not ref.is_absolute():
             ref = csv_path.parent / ref
-        net = load_file(ref)
+        net = load_file(ref, f"{where}: {ref}")
         try:
             records.append(BenchmarkRecord(net, float(row[1])))
         except ValueError as exc:

@@ -15,7 +15,6 @@ hswish everywhere, ``dsp`` drops 5x5 kernels.
 from __future__ import annotations
 
 import itertools
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,6 +34,7 @@ from .arch import (
     ibn,
     kind_violations,
     load_file,
+    parse_json,
     tucker,
     validate,
 )
@@ -247,7 +247,7 @@ def enumerate_space(space: SpaceSpec, cap: int = DEFAULT_ENUM_CAP) -> Iterator[D
 
 def random_sample(space: SpaceSpec, rng: np.random.Generator) -> DecisionVector:
     """Uniform draw over the space; reproducible for a seeded generator."""
-    return tuple(int(rng.integers(len(d.choices))) for d in space.decisions)
+    return tuple(rng.integers([len(d.choices) for d in space.decisions]).tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -267,12 +267,7 @@ def resolve_layout(ref: str, relative_to: Path | None = None) -> NetworkSpec:
 def load_space_file(path: str | Path) -> tuple[SpaceSpec, int]:
     """Load a space definition. Returns (space, enumeration cap)."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
-        raise ParseError(
-            f"invalid JSON at line {exc.lineno} column {exc.colno}: {exc.msg}"
-        ) from exc
+    doc = parse_json(path.read_text(encoding="utf-8"), path)
     required = (
         "variant", "adaptation", "layout_ref", "multiplier_menu",
         "kernel_menu", "expansion_menu", "compression_menu", "enumeration_cap",

@@ -27,6 +27,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .arch import parse_json
+
 
 @dataclass(frozen=True)
 class Tucker2Factors:
@@ -203,7 +205,7 @@ def save_kernel(kernel: np.ndarray, path: str | Path) -> None:
 def load_kernel(path: str | Path) -> np.ndarray:
     path = Path(path)
     if path.suffix == ".json":
-        doc = json.loads(path.read_text(encoding="utf-8"))
+        doc = parse_json(path.read_text(encoding="utf-8"), path)
         kernel = np.array(doc["data"], dtype=np.float64).reshape(doc["dims"])
     else:
         raw = path.read_bytes()

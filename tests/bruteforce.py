@@ -1,16 +1,20 @@
-"""Independent brute-force cost counters used as test oracles.
+"""Independent brute-force cost counters and sampler used as test oracles.
 
 Everything here recomputes from first principles: its own width rounding,
 its own shape walk and explicit loops over output positions and kernel cells
 for each constituent convolution. Nothing is shared with the library's
-formula-based counters beyond reading the IR dataclasses.
+formula-based counters beyond reading the IR dataclasses. The sampler draws
+one decision at a time, the plainest reading of a uniform draw.
 """
 
 from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from hwnas.arch import NetworkSpec, LayerSpec
+from hwnas.space import SpaceSpec
 
 
 def _round_to_8(value: float) -> int:
@@ -120,3 +124,8 @@ def brute_network(net: NetworkSpec) -> tuple[int, int]:
             h = -(-h // layer.stride)
             w = -(-w // layer.stride)
     return total_madds, total_params
+
+
+def scalar_random_sample(space: SpaceSpec, rng: np.random.Generator) -> tuple[int, ...]:
+    """One scalar ``rng.integers`` call per decision, in decision order."""
+    return tuple(int(rng.integers(len(d.choices))) for d in space.decisions)

@@ -1,6 +1,7 @@
 """Architecture IR: validation, shapes, serialization, DOT export."""
 
 import dataclasses
+import json
 
 import pytest
 from hypothesis import given, settings
@@ -20,7 +21,9 @@ from hwnas.arch import (
     fused,
     ibn,
     iter_layers,
+    load_file,
     round8,
+    save_file,
     serialize,
     toy2_layout,
     tucker,
@@ -28,6 +31,14 @@ from hwnas.arch import (
 )
 from bruteforce import brute_network
 from strategies import make_layout, nets
+
+
+def assert_round_trips(net):
+    """``serialize`` writes one line that reads back as ``net``, as does any indented copy."""
+    text = serialize(net)
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert deserialize(text) == net
+    assert deserialize(json.dumps(json.loads(text), indent=2)) == net
 
 
 def replace_layer(net, bi, li, **changes):
@@ -121,8 +132,22 @@ def test_derive_shapes_rejects_invalid():
 
 
 def test_serialize_round_trip_default():
-    net = default_layout()
-    assert deserialize(serialize(net)) == net
+    assert_round_trips(default_layout())
+
+
+def test_serialize_writes_one_line_in_canonical_key_order():
+    net = replace_layer(default_layout(), 0, 0, kind=tucker(3, 0.25, 0.75))
+    text = serialize(net)
+    doc = json.loads(text)
+    assert text == json.dumps(doc) + "\n"
+    assert list(doc) == ["input_resolution", "stem_channels", "blocks", "endpoints"]
+    assert list(doc["blocks"][0]) == [
+        "base_channels", "multiplier", "num_layers", "first_stride", "layers",
+    ]
+    tail = ["c_in", "c_out", "stride", "se", "activation", "residual"]
+    assert list(doc["blocks"][0]["layers"][0]) == ["kind", "kernel", "compressions", *tail]
+    assert list(doc["blocks"][1]["layers"][0]) == ["kind", "kernel", "expansion", *tail]
+    assert list(doc["endpoints"]) == ["c4", "c5"]
 
 
 def test_serialize_round_trip_residual_off():
@@ -130,7 +155,7 @@ def test_serialize_round_trip_residual_off():
     net = make_layout(32, 16, [(16, 2, 1)])
     assert net.blocks[0].layers[1].residual
     off = replace_layer(net, 0, 1, residual=False)
-    assert deserialize(serialize(off)) == off
+    assert_round_trips(off)
 
 
 def test_deserialize_missing_blocks():
@@ -156,12 +181,35 @@ def test_deserialize_bad_json_reports_location():
 
 
 def test_deserialize_ignores_meta():
-    text = serialize(toy2_layout())
-    import json
-
-    doc = json.loads(text)
+    doc = json.loads(serialize(toy2_layout()))
     doc["_meta"] = {"tool": "test"}
     assert deserialize(json.dumps(doc)) == toy2_layout()
+    assert deserialize(json.dumps(doc, indent=2)) == toy2_layout()
+
+
+def test_save_file_with_meta_reads_back(tmp_path):
+    path = tmp_path / "net.json"
+    save_file(default_layout(), path, meta={"tool": "test", "seed": 3})
+    text = path.read_text()
+    assert text.count("\n") == 1
+    assert list(json.loads(text)) == [
+        "input_resolution", "stem_channels", "blocks", "endpoints", "_meta",
+    ]
+    assert json.loads(text)["_meta"] == {"tool": "test", "seed": 3}
+    assert load_file(path) == default_layout()
+
+
+@pytest.mark.parametrize("text, message", [
+    ("{nope", "invalid JSON at line 1 column 2"),
+    ('{"input_resolution": 32}', "document: missing field(s)"),
+    (serialize(toy2_layout()).replace('"kernel": 3', '"kernel": 4', 1), "kernel must be odd"),
+], ids=["not_json", "missing_field", "invalid"])
+def test_load_file_names_the_file(tmp_path, text, message):
+    path = tmp_path / "net.json"
+    path.write_text(text)
+    with pytest.raises((ParseError, InvalidArchitectureError)) as info:
+        load_file(path)
+    assert str(info.value).startswith(f"{path}: ") and message in str(info.value)
 
 
 def test_export_dot_counts():
@@ -203,7 +251,7 @@ def test_functional_signature_ignores_multiplier_bookkeeping():
 @settings(max_examples=60)
 @given(nets())
 def test_round_trip_property(net):
-    assert deserialize(serialize(net)) == net
+    assert_round_trips(net)
 
 
 @settings(max_examples=60)

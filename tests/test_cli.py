@@ -2,6 +2,7 @@
 
 import contextlib
 import csv
+import hashlib
 import io
 import json
 import math
@@ -14,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 
 from hwnas.analysis import network_cost
-from hwnas.arch import load_file, save_file, toy2_layout
+from hwnas.arch import functional_signature, load_file, save_file, toy2_layout
 from hwnas.cli import _enum_cap, build_parser, main
 from hwnas.cost import BUILTIN_DEVICES, fit, generate_benchmarks, load_model, save_model
 from hwnas.space import build_space, decode
@@ -297,6 +298,27 @@ def test_bench_deterministic_per_seed(tmp_path, capsys):
     assert latencies(a) == latencies(b)
 
 
+def test_bench_generate_toy2_is_pinned(tmp_path, capsys):
+    """20 ``toy2`` records at seed 0: CSV data rows and decoded networks are pinned.
+
+    A change to the sampling stream or to the pricing shows here. The bytes of
+    the architecture files are deliberately not pinned; any JSON layout reads.
+    """
+    bench = tmp_path / "b.csv"
+    code, _, _ = run(["bench", "generate", "--layout", "toy2", "-n", "20", "--seed", "0",
+                      "-o", str(bench)], capsys)
+    assert code == 0
+    rows = [line for line in bench.read_text().splitlines(keepends=True)
+            if not line.startswith("#")]
+    signatures = [functional_signature(load_file(tmp_path / line.split(",")[0]))
+                  for line in rows[1:]]
+    assert len(signatures) == 20
+    assert hashlib.sha256("".join(rows).encode()).hexdigest() == (
+        "782b06cd7b431758a16dd04c116accbdc6696d8b083d95f8eabaa201f066909a")
+    assert hashlib.sha256(repr(signatures).encode()).hexdigest() == (
+        "963462739fdba5baafcac26f559c02ff7652b9b46da9641a31b5e964ce93a020")
+
+
 def test_search_run_outputs(tmp_path, capsys):
     log = tmp_path / "log.ndjson"
     best = tmp_path / "best.json"
@@ -416,6 +438,24 @@ def test_unknown_flag_rejected(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["space", "size", "--nonsense", "1"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("flag, argv", [
+    ("--arch", ["analyze"]),
+    ("--space", ["space", "inspect"]),
+    ("--model", ["cost", "eval", "--arch", "{arch}"]),
+    ("--device", ["bench", "generate", "-n", "1", "-o", "{tmp}/b.csv"]),
+    ("--kernel", ["decomp", "demo"]),
+], ids=["arch", "space", "model", "device", "kernel"])
+def test_file_that_is_not_json_is_named(tmp_path, capsys, flag, argv):
+    _, arch = write_arch(tmp_path)
+    bad = tmp_path / "bad.json"
+    bad.write_text("nope")
+    argv = [a.format(arch=arch, tmp=tmp_path) for a in argv] + [flag, str(bad)]
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert err == (f"error: ParseError: {bad}: invalid JSON at line 1 column 1: "
+                   "Expecting value\n")
 
 
 def test_corrupt_arch_file_error(tmp_path, capsys):

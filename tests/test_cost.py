@@ -411,15 +411,18 @@ def _raises_one_line(load, path, *parts):
     (lambda doc: doc.update(intercept=None), ["intercept: expected a number"]),
     (lambda doc: doc.update(holdout_r2="high"), ["holdout_r2: expected a number"]),
     (lambda doc: doc.update(space_ref=3), ["space_ref: expected a string"]),
+    (lambda doc: "nope", ["invalid JSON at line 1 column 1: Expecting value"]),
+    (lambda doc: "{", ["invalid JSON at line 1 column 2: Expecting property name"]),
 ])
 def test_malformed_model_file_names_file_and_field(tmp_path, toy_space, edit, parts):
+    """``edit`` changes the document in place or returns the file's new text."""
     records = generate_benchmarks(toy_space, BUILTIN_DEVICES["cpu_sim"], 20,
                                   np.random.default_rng(0))
     path = tmp_path / "model.json"
     save_model(fit(records, toy_space), path)
     doc = json.loads(path.read_text())
-    edit(doc)
-    path.write_text(json.dumps(doc))
+    text = edit(doc)
+    path.write_text(text if isinstance(text, str) else json.dumps(doc))
     _raises_one_line(load_model, path, *parts)
 
 
@@ -441,8 +444,10 @@ def test_model_file_that_is_not_an_object_is_named(tmp_path):
     ('{"name": "d", "regular_conv": 1, "depthwise_conv": 1, "pointwise_conv": 1, '
      '"se_block": 1, "overhead_ms": -1}', ["overhead_ms must be >= 0 and finite"]),
     ('[1, 2]', ["expected an object, got list"]),
+    ("nope", ["invalid JSON at line 1 column 1: Expecting value"]),
+    ("{", ["invalid JSON at line 1 column 2: Expecting property name"]),
 ], ids=["unknown_key", "no_se_block", "string_rate", "number_name", "negative_overhead",
-        "list"])
+        "list", "nope", "unclosed"])
 def test_malformed_device_file_names_file_and_field(tmp_path, text, parts):
     path = tmp_path / "device.json"
     path.write_text(text)
@@ -461,12 +466,17 @@ def test_device_file_round_trip(tmp_path):
     ("archs/arch_00000.json,1.0,2.0", ["line 4: expected the fields", "got 3"]),
     ("archs/arch_00000.json,abc", ["line 4: latency_ms:", "'abc'"]),
     ("archs/arch_00000.json,-1", ["line 4: latency_ms: latency must be a finite positive"]),
-], ids=["one_field", "three_fields", "not_a_number", "negative"])
+    ("archs/renamed.json,1.0",
+     ["line 4: ", "renamed.json: document: missing field(s) stem_channels"]),
+], ids=["one_field", "three_fields", "not_a_number", "negative", "arch_missing_field"])
 def test_malformed_benchmark_row_names_file_line_and_field(tmp_path, toy_space, row, parts):
     records = generate_benchmarks(toy_space, BUILTIN_DEVICES["cpu_sim"], 1,
                                   np.random.default_rng(0))
     csv_path = tmp_path / "bench.csv"
     save_benchmarks(records, csv_path, tmp_path / "archs", meta_lines=["test run"])
+    arch_text = (tmp_path / "archs" / "arch_00000.json").read_text()
+    (tmp_path / "archs" / "renamed.json").write_text(
+        arch_text.replace('"stem_channels"', '"stem_width"'))
     csv_path.write_text(csv_path.read_text() + row + "\n")
     _raises_one_line(load_benchmarks, csv_path, *parts)
 

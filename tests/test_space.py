@@ -7,12 +7,21 @@ import re
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from hwnas.analysis import network_units, space_table
-from hwnas.arch import InvalidArchitectureError, NetworkSpec, ParseError, iter_layers, validate
+from hwnas.arch import (
+    BUILTIN_LAYOUTS,
+    InvalidArchitectureError,
+    NetworkSpec,
+    ParseError,
+    iter_layers,
+    validate,
+)
 from hwnas.cli import main
 from hwnas.space import (
+    ADAPTATIONS,
+    VARIANTS,
     EnumerationCapError,
     build_space,
     decode,
@@ -22,7 +31,12 @@ from hwnas.space import (
     random_sample,
     space_size,
 )
+from bruteforce import scalar_random_sample
 from strategies import make_layout, spaces_with_dv
+
+# Every built-in layout plus a blockless one, whose space has no decisions.
+SAMPLING_LAYOUTS = {**{name: make() for name, make in BUILTIN_LAYOUTS.items()},
+                    "empty": NetworkSpec(32, 16, ())}
 
 
 @pytest.fixture
@@ -143,6 +157,22 @@ def test_random_sample_deterministic(toy1x2):
     a = [random_sample(space, np.random.default_rng(7)) for _ in range(5)]
     b = [random_sample(space, np.random.default_rng(7)) for _ in range(5)]
     assert a == b
+
+
+@settings(max_examples=120, deadline=None)
+@given(variant=st.sampled_from(VARIANTS), adaptation=st.sampled_from(ADAPTATIONS),
+       layout=st.sampled_from(sorted(SAMPLING_LAYOUTS)), seed=st.integers(0, 2**63 - 1),
+       draws=st.integers(1, 6))
+@example(variant="ibn", adaptation="neutral", layout="empty", seed=0, draws=3)
+def test_random_sample_draws_like_one_scalar_call_per_decision(variant, adaptation, layout,
+                                                                seed, draws):
+    space = build_space(variant, adaptation, SAMPLING_LAYOUTS[layout])
+    fast, scalar = np.random.default_rng(seed), np.random.default_rng(seed)
+    for _ in range(draws):
+        dv = random_sample(space, fast)
+        assert dv == scalar_random_sample(space, scalar)
+        assert all(type(i) is int for i in dv)
+    assert fast.random() == scalar.random()
 
 
 def test_random_sample_covers_space(toy1x2):
