@@ -147,6 +147,11 @@ def _resolve_space(args) -> tuple:
     return build_space(args.variant, args.adaptation, layout), _enum_cap()
 
 
+def _space_ref(args) -> str:
+    """The space benchmark CSVs and model files name: ``variant/adaptation/layout`` or a file."""
+    return args.space or f"{args.variant}/{args.adaptation}/{args.layout}"
+
+
 def _resolve_device(name_or_path: str):
     if name_or_path in BUILTIN_DEVICES:
         return BUILTIN_DEVICES[name_or_path]
@@ -265,25 +270,22 @@ def cmd_bench_generate(args) -> int:
     rng = np.random.default_rng(args.seed)
     records = generate_benchmarks(space, device, args.num, rng)
     arch_dir = args.arch_dir or str(Path(args.out).with_suffix("")) + "_archs"
-    save_benchmarks(records, args.out, arch_dir, meta_lines=_meta_lines(args.seed))
+    meta_lines = _meta_lines(args.seed) + [f"space: {_space_ref(args)}"]
+    save_benchmarks(records, args.out, arch_dir, meta_lines=meta_lines)
     print(f"wrote {len(records)} benchmark records to {args.out}")
     return 0
 
 
 def cmd_cost_fit(args) -> int:
     space, _ = _resolve_space(args)
-    records = load_benchmarks(args.bench)
+    space_ref = _space_ref(args)
+    records = load_benchmarks(args.bench, space, space_ref)
     holdout_n = int(len(records) * args.holdout_frac)
     rng = np.random.default_rng(args.seed)
     order = rng.permutation(len(records))
     holdout = [records[i] for i in order[:holdout_n]]
     train = [records[i] for i in order[holdout_n:]]
-    model = fit(
-        train,
-        space,
-        ridge_lambda=args.ridge_lambda,
-        space_ref=args.space or f"{args.variant}/{args.adaptation}/{args.layout}",
-    )
+    model = fit(train, space, ridge_lambda=args.ridge_lambda, space_ref=space_ref)
     if holdout:
         model.holdout_r2 = r2(model, holdout)
     save_model(model, args.out, meta=_meta_dict(args.seed))
@@ -292,7 +294,8 @@ def cmd_cost_fit(args) -> int:
     print(
         f"fitted {len(model.buckets)} buckets on {len(train)} records "
         f"({len(train) / len(model.buckets):.3g} records per weight); "
-        f"train r2 {train_txt}, holdout r2 {holdout_txt}"
+        f"train r2 {train_txt}, holdout r2 {holdout_txt}; "
+        f"the training records touch {model.coverage:.1%} of the buckets"
     )
     if len(train) < len(model.buckets) and train_txt == "1.000000":
         print(f"warning: train r2 {train_txt} from fewer records than buckets: the model "

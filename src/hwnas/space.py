@@ -29,6 +29,7 @@ from .arch import (
     NetworkSpec,
     InvalidArchitectureError,
     ParseError,
+    _require,
     build_block,
     fused,
     ibn,
@@ -272,12 +273,10 @@ def load_space_file(path: str | Path) -> tuple[SpaceSpec, int]:
         "variant", "adaptation", "layout_ref", "multiplier_menu",
         "kernel_menu", "expansion_menu", "compression_menu", "enumeration_cap",
     )
-    missing = [k for k in required if k not in doc]
-    if missing:
-        raise ParseError(f"space file: missing field(s) {', '.join(missing)}")
+    _require(doc, required, str(path))
     cap = doc["enumeration_cap"]
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
-        raise ParseError(f"space file: enumeration_cap must be an integer >= 1, got {cap!r}")
+        raise ParseError(f"{path}: enumeration_cap must be an integer >= 1, got {cap!r}")
     layout = resolve_layout(doc["layout_ref"], relative_to=path.parent)
     space = build_space(
         doc["variant"],

@@ -27,7 +27,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .arch import parse_json
+from .arch import _require, parse_json
 
 
 @dataclass(frozen=True)
@@ -206,6 +206,7 @@ def load_kernel(path: str | Path) -> np.ndarray:
     path = Path(path)
     if path.suffix == ".json":
         doc = parse_json(path.read_text(encoding="utf-8"), path)
+        _require(doc, ("dims", "data"), str(path))
         kernel = np.array(doc["data"], dtype=np.float64).reshape(doc["dims"])
     else:
         raw = path.read_bytes()

@@ -7,6 +7,7 @@ import io
 import json
 import math
 import os
+import shutil
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -299,24 +300,32 @@ def test_bench_deterministic_per_seed(tmp_path, capsys):
 
 
 def test_bench_generate_toy2_is_pinned(tmp_path, capsys):
-    """20 ``toy2`` records at seed 0: CSV data rows and decoded networks are pinned.
+    """20 ``toy2`` records at seed 0: CSV data rows, vectors and decoded networks are pinned.
 
-    A change to the sampling stream or to the pricing shows here. The bytes of
-    the architecture files are deliberately not pinned; any JSON layout reads.
+    A change to the sampling stream or to the pricing shows here, and each
+    vector decodes to its row's architecture. The bytes of the architecture
+    files are deliberately not pinned; any JSON layout reads.
     """
     bench = tmp_path / "b.csv"
     code, _, _ = run(["bench", "generate", "--layout", "toy2", "-n", "20", "--seed", "0",
                       "-o", str(bench)], capsys)
     assert code == 0
-    rows = [line for line in bench.read_text().splitlines(keepends=True)
-            if not line.startswith("#")]
-    signatures = [functional_signature(load_file(tmp_path / line.split(",")[0]))
-                  for line in rows[1:]]
+    text = bench.read_text()
+    assert "# space: ibn/neutral/toy2\n" in text
+    rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
+    signatures = [functional_signature(load_file(tmp_path / row[0])) for row in rows[1:]]
     assert len(signatures) == 20
-    assert hashlib.sha256("".join(rows).encode()).hexdigest() == (
+    # the arch_file,latency_ms columns, as the two-column format wrote them
+    assert hashlib.sha256("".join(",".join(row[:2]) + "\n" for row in rows).encode()
+                          ).hexdigest() == (
         "782b06cd7b431758a16dd04c116accbdc6696d8b083d95f8eabaa201f066909a")
     assert hashlib.sha256(repr(signatures).encode()).hexdigest() == (
         "963462739fdba5baafcac26f559c02ff7652b9b46da9641a31b5e964ce93a020")
+    space = build_space("ibn", "neutral", toy2_layout())
+    vectors = [tuple(map(int, row[2].split())) for row in rows[1:]]
+    assert [functional_signature(decode(space, dv)) for dv in vectors] == signatures
+    assert hashlib.sha256(repr(vectors).encode()).hexdigest() == (
+        "2738cd3a96f216f9949aed8f3c50deaed4fe5a24dcccda198688bbd2ea0ed9a8")
 
 
 def test_search_run_outputs(tmp_path, capsys):
@@ -354,6 +363,43 @@ def test_cost_fit_warns_when_it_interpolates(tmp_path, capsys):
     assert code == 0
     assert "fitted 129 buckets on 80 records (0.62 records per weight); train r2 1.000000" in out
     assert err.startswith("warning: train r2 1.000000 from fewer records than buckets")
+
+
+def test_cost_fit_prices_vectors_without_architecture_files(tmp_path, capsys):
+    """A vector CSV fits after its architecture directory is deleted, to the
+    model its two-column copy (read from the files) gives."""
+    space_args = ["--variant", "ibn_fused_tucker", "--layout", "toy2"]
+    bench, two_column = tmp_path / "bench.csv", tmp_path / "two_column.csv"
+    code, _, _ = run(["bench", "generate", *space_args, "--device", "accel_sim", "-n", "300",
+                      "--seed", "3", "-o", str(bench)], capsys)
+    assert code == 0
+    two_column.write_text("".join(",".join(line.split(",")[:2]) + "\n"
+                                  for line in bench.read_text().splitlines()))
+    models = []
+    for csv_path in (two_column, bench):
+        if csv_path == bench:
+            shutil.rmtree(tmp_path / "bench_archs")
+        model_path = tmp_path / f"{csv_path.stem}.model.json"
+        code, out, err = run(["cost", "fit", *space_args, "--bench", str(csv_path),
+                              "-o", str(model_path)], capsys)
+        assert code == 0, err
+        assert "the training records touch 95.3% of the buckets" in out
+        models.append(load_model(model_path))
+    a, b = models
+    assert np.array_equal(a.weights, b.weights)
+    assert (a.intercept, a.train_r2) == (b.intercept, b.train_r2)
+    assert abs(a.holdout_r2 - b.holdout_r2) <= 1e-12
+
+
+def test_cost_fit_rejects_vectors_from_another_space(tmp_path, capsys):
+    bench = tmp_path / "bench.csv"
+    run(["bench", "generate", "--variant", "ibn", "--layout", "toy2", "-n", "20",
+         "-o", str(bench)], capsys)
+    code, _, err = run(["cost", "fit", "--variant", "ibn_fused_tucker", "--layout", "toy2",
+                        "--bench", str(bench), "-o", str(tmp_path / "model.json")], capsys)
+    assert code == 1
+    assert err == (f"error: ParseError: {bench}: its vectors are from space ibn/neutral/toy2, "
+                   "not ibn_fused_tucker/neutral/toy2\n")
 
 
 def test_search_run_with_fitted_model(tmp_path, capsys):

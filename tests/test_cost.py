@@ -21,6 +21,8 @@ from hwnas.cost import (
     FitError,
     LatencyModel,
     UnknownBucketError,
+    _DENSE_GROUP,
+    _gram,
     fit,
     generate_benchmarks,
     load_benchmarks,
@@ -288,11 +290,24 @@ def test_fit_matches_augmented_normal_equations(variant, n, branch):
         assert predicted == pytest.approx(x @ weights + intercept, **tolerance)
 
 
+def test_gram_of_index_arrays_matches_the_dense_product():
+    """Small groups go through pair arrays, the one large group through a dense product."""
+    rng = np.random.default_rng(0)
+    group = np.concatenate([rng.integers(0, 40, 500), np.full(100, 40)])
+    member = rng.integers(0, 30, len(group))
+    a = np.zeros((30, 41))
+    np.add.at(a, (member, group), 1.0)
+    assert np.bincount(group).max() > _DENSE_GROUP >= np.bincount(group)[:40].max()
+    assert np.array_equal(_gram(group, member, 30), a @ a.T)
+    assert np.array_equal(_gram(member, group, 41), a.T @ a)
+
+
 def test_fit_memory_stays_below_a_dense_normal_matrix():
     """400 records of default's 3,537 buckets: the dual system is 400 x 400.
 
-    The feature matrix takes about 11 MiB; one dense buckets x buckets matrix alone
-    would take 95 MiB. numpy reports its buffers to tracemalloc.
+    The features stay index arrays (a dense records x buckets matrix would take
+    11 MiB); one dense buckets x buckets matrix alone would take 95 MiB. numpy
+    reports its buffers to tracemalloc.
     """
     space = build_space("ibn_fused_tucker", "neutral", BUILTIN_LAYOUTS["default"]())
     dev = dataclasses.replace(BUILTIN_DEVICES["accel_sim"], noise_sigma=0.01)
@@ -461,6 +476,13 @@ def test_device_file_round_trip(tmp_path):
     assert load_device(path) == dev
 
 
+def strip_vectors(csv_path):
+    """Rewrite a benchmark CSV in the two-column format: no vector column, no space line."""
+    lines = [line if line.startswith("#") else ",".join(line.split(",")[:2])
+             for line in csv_path.read_text().splitlines() if not line.startswith("# space:")]
+    csv_path.write_text("".join(line + "\n" for line in lines))
+
+
 @pytest.mark.parametrize("row, parts", [
     ("archs/arch_00000.json", ["line 4: expected the fields arch_file,latency_ms, got 1"]),
     ("archs/arch_00000.json,1.0,2.0", ["line 4: expected the fields", "got 3"]),
@@ -470,10 +492,12 @@ def test_device_file_round_trip(tmp_path):
      ["line 4: ", "renamed.json: document: missing field(s) stem_channels"]),
 ], ids=["one_field", "three_fields", "not_a_number", "negative", "arch_missing_field"])
 def test_malformed_benchmark_row_names_file_line_and_field(tmp_path, toy_space, row, parts):
+    """Rows of the two-column format, which is still read."""
     records = generate_benchmarks(toy_space, BUILTIN_DEVICES["cpu_sim"], 1,
                                   np.random.default_rng(0))
     csv_path = tmp_path / "bench.csv"
     save_benchmarks(records, csv_path, tmp_path / "archs", meta_lines=["test run"])
+    strip_vectors(csv_path)
     arch_text = (tmp_path / "archs" / "arch_00000.json").read_text()
     (tmp_path / "archs" / "renamed.json").write_text(
         arch_text.replace('"stem_channels"', '"stem_width"'))
@@ -491,3 +515,71 @@ def test_benchmark_csv_round_trip(tmp_path, toy_space):
     assert [r.latency_ms for r in loaded] == pytest.approx(
         [r.latency_ms for r in records], rel=1e-8
     )
+
+
+TOY_REF = "ibn_fused_tucker/neutral/toy2"
+
+
+def _vector_csv(tmp_path, space, rows=(), space_line=TOY_REF):
+    """A 3-record vector CSV of ``space`` plus ``rows``; returns its path."""
+    records = generate_benchmarks(space, BUILTIN_DEVICES["cpu_sim"], 3, np.random.default_rng(0))
+    csv_path = tmp_path / "bench.csv"
+    save_benchmarks(records, csv_path, tmp_path / "archs",
+                    meta_lines=[] if space_line is None else [f"space: {space_line}"])
+    csv_path.write_text(csv_path.read_text() + "".join(row + "\n" for row in rows))
+    return csv_path
+
+
+def test_vector_rows_are_priced_without_opening_architecture_files(tmp_path, toy_space):
+    records = generate_benchmarks(toy_space, BUILTIN_DEVICES["cpu_sim"], 12,
+                                  np.random.default_rng(9))
+    csv_path = tmp_path / "bench.csv"
+    save_benchmarks(records, csv_path, tmp_path / "archs", meta_lines=[f"space: {TOY_REF}"])
+    for path in (tmp_path / "archs").iterdir():
+        path.unlink()
+    loaded = load_benchmarks(csv_path, toy_space, TOY_REF)
+    assert [r.net for r in loaded] == [None] * 12
+    assert [r.dv for r in loaded] == [r.dv for r in records]
+    assert [r.cost for r in loaded] == [r.cost for r in records]
+
+
+@pytest.mark.parametrize("row, parts", [
+    ("archs/x.json,1.0,0 1", ["line 6: vector: decision vector has 2 entries, space has 3"]),
+    ("archs/x.json,1.0,0 1 7", ["line 6: vector: decision 2 (b0.multiplier): index 7 out of"]),
+    ("archs/x.json,1.0,0 -1 0", ["line 6: vector: decision 1 (b0.l1.kind): index -1 out of"]),
+    ("archs/x.json,1.0,0 1.5 0", ["line 6: vector: expected integers, got '0 1.5 0'"]),
+    ("archs/x.json,1.0,0 one 0", ["line 6: vector: expected integers, got '0 one 0'"]),
+    ("archs/x.json,1.0", ["line 6: expected the fields arch_file,latency_ms,vector, got 2"]),
+    ("archs/x.json,abc,0 1 0", ["line 6: latency_ms:", "'abc'"]),
+], ids=["short", "out_of_range", "negative", "float", "word", "two_fields", "bad_latency"])
+def test_malformed_vector_row_names_file_and_line(tmp_path, toy_space, row, parts):
+    csv_path = _vector_csv(tmp_path, toy_space, [row])
+    _raises_one_line(lambda path: load_benchmarks(path, toy_space, TOY_REF), csv_path, *parts)
+
+
+@pytest.mark.parametrize("space_line, named", [
+    ("ibn/neutral/toy2", "ibn/neutral/toy2"), (None, "(none named)"),
+], ids=["other_space", "no_space_line"])
+def test_vectors_from_another_space_are_rejected(tmp_path, toy_space, space_line, named):
+    """ibn vectors have the length of ibn_fused_tucker ones and would price silently."""
+    ibn = build_space("ibn", "neutral", toy2_layout())
+    csv_path = _vector_csv(tmp_path, ibn, space_line=space_line)
+    _raises_one_line(lambda path: load_benchmarks(path, toy_space, TOY_REF), csv_path,
+                     f"its vectors are from space {named}, not {TOY_REF}")
+
+
+def test_fit_from_vectors_matches_fit_from_files(tmp_path):
+    """Both row kinds give the same index arrays, so the same model bit for bit."""
+    space = build_space("ibn_fused_tucker", "neutral", toy2_layout())
+    dev = dataclasses.replace(BUILTIN_DEVICES["accel_sim"], noise_sigma=0.01)
+    records = generate_benchmarks(space, dev, 300, np.random.default_rng(4))
+    csv_path = tmp_path / "bench.csv"
+    save_benchmarks(records, csv_path, tmp_path / "archs", meta_lines=[f"space: {TOY_REF}"])
+    from_vectors = load_benchmarks(csv_path, space, TOY_REF)
+    strip_vectors(csv_path)
+    from_files = load_benchmarks(csv_path, space, TOY_REF)
+    assert all(r.net is None for r in from_vectors) and all(r.cost is None for r in from_files)
+    a, b = fit(from_vectors[:200], space), fit(from_files[:200], space)
+    assert np.array_equal(a.weights, b.weights)
+    assert (a.intercept, a.train_r2, a.coverage) == (b.intercept, b.train_r2, b.coverage)
+    assert r2(a, from_vectors[200:]) == r2(b, from_files[200:])

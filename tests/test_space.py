@@ -344,7 +344,7 @@ def test_space_file_with_bad_multiplier_fails_inspect(tmp_path, capsys):
 @pytest.mark.parametrize("cap", [2.7, "abc", 0, -3, True, None])
 def test_space_file_enumeration_cap_must_be_positive_integer(tmp_path, cap):
     path = write_space_file(tmp_path / "space.json", enumeration_cap=cap)
-    message = f"space file: enumeration_cap must be an integer >= 1, got {cap!r}"
+    message = f"{path}: enumeration_cap must be an integer >= 1, got {cap!r}"
     with pytest.raises(ParseError, match=re.escape(message)):
         load_space_file(path)
 
@@ -353,5 +353,21 @@ def test_space_file_bad_enumeration_cap_fails_space_size(tmp_path, capsys):
     path = write_space_file(tmp_path / "space.json", enumeration_cap="abc")
     assert main(["space", "size", "--space", str(path)]) == 1
     assert capsys.readouterr().err == (
-        "error: ParseError: space file: enumeration_cap must be an integer >= 1, got 'abc'\n"
+        f"error: ParseError: {path}: enumeration_cap must be an integer >= 1, got 'abc'\n"
     )
+
+
+@pytest.mark.parametrize("text, part", [
+    ('{"variant": "ibn"}', "missing field(s) adaptation, layout_ref, multiplier_menu, "
+     "kernel_menu, expansion_menu, compression_menu, enumeration_cap"),
+    (json.dumps({"variant": "ibn", "adaptation": "neutral", "layout_ref": "toy2",
+                 "multiplier_menu": [1.0], "kernel_menu": [3], "expansion_menu": [4.0],
+                 "compression_menu": [0.25], "enumeration_cap": 100, "colour": "red"}),
+     "unknown field(s) colour"),
+    ("[1]", "expected an object, got list"),
+], ids=["missing", "unknown", "list"])
+def test_malformed_space_file_names_file_and_field(tmp_path, capsys, text, part):
+    path = tmp_path / "space.json"
+    path.write_text(text)
+    assert main(["space", "size", "--space", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: ParseError: {path}: {part}\n"

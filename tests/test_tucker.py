@@ -1,8 +1,12 @@
 """Mode-2 Tucker decomposition: exactness, monotonicity, functional equivalence."""
 
+import json
+import re
+
 import numpy as np
 import pytest
 
+from hwnas.arch import ParseError
 from hwnas.tucker import (
     Tucker2Factors,
     apply_conv,
@@ -165,6 +169,18 @@ def test_kernel_file_round_trip(tmp_path, suffix):
     path = tmp_path / f"kernel{suffix}"
     save_kernel(kernel, path)
     assert np.array_equal(load_kernel(path), kernel)
+
+
+@pytest.mark.parametrize("doc, part", [
+    ({"dims": [1, 1, 2, 2]}, "missing field(s) data"),
+    ({"dims": [1, 1, 1, 1], "data": [1.0], "scale": 2}, "unknown field(s) scale"),
+    ([1], "expected an object, got list"),
+], ids=["no_data", "unknown", "list"])
+def test_malformed_json_kernel_names_file_and_field(tmp_path, doc, part):
+    path = tmp_path / "kernel.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ParseError, match=re.escape(f"{path}: {part}")):
+        load_kernel(path)
 
 
 def test_kernel_file_truncated(tmp_path):
