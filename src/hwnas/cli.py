@@ -29,6 +29,7 @@ from .analysis import network_cost
 from .controller import RewardConfig
 from .cost import (
     BUILTIN_DEVICES,
+    coverage,
     fit,
     generate_benchmarks,
     load_benchmarks,
@@ -38,6 +39,7 @@ from .cost import (
     r2,
     save_benchmarks,
     save_model,
+    space_line,
 )
 from .search import (
     ABLATION_COLUMNS,
@@ -270,7 +272,7 @@ def cmd_bench_generate(args) -> int:
     rng = np.random.default_rng(args.seed)
     records = generate_benchmarks(space, device, args.num, rng)
     arch_dir = args.arch_dir or str(Path(args.out).with_suffix("")) + "_archs"
-    meta_lines = _meta_lines(args.seed) + [f"space: {_space_ref(args)}"]
+    meta_lines = _meta_lines(args.seed) + [space_line(space, _space_ref(args))]
     save_benchmarks(records, args.out, arch_dir, meta_lines=meta_lines)
     print(f"wrote {len(records)} benchmark records to {args.out}")
     return 0
@@ -295,7 +297,7 @@ def cmd_cost_fit(args) -> int:
         f"fitted {len(model.buckets)} buckets on {len(train)} records "
         f"({len(train) / len(model.buckets):.3g} records per weight); "
         f"train r2 {train_txt}, holdout r2 {holdout_txt}; "
-        f"the training records touch {model.coverage:.1%} of the buckets"
+        f"the training records touch {coverage(model, train):.1%} of the buckets"
     )
     if len(train) < len(model.buckets) and train_txt == "1.000000":
         print(f"warning: train r2 {train_txt} from fewer records than buckets: the model "

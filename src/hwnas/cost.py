@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -25,8 +26,8 @@ import numpy as np
 
 from .arch import (NetworkSpec, ParseError, _as_num, _as_str, _require, load_file, parse_json,
                    save_file)
-from .analysis import (OP_CLASSES, ArchCost, bucket_id, net_feature_counts, network_units,
-                       space_buckets, space_table)
+from .analysis import (OP_CLASSES, ArchCost, LayerCost, bucket_id, net_feature_counts,
+                       network_cost, network_units, space_buckets, space_table)
 from .space import DecisionVector, SpaceSpec, random_sample, decode
 
 
@@ -178,7 +179,6 @@ class LatencyModel:
     train_r2: float
     holdout_r2: float | None = None
     space_ref: str = ""
-    coverage: float | None = None  # share of buckets the training records touch; not saved
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -187,56 +187,28 @@ class LatencyModel:
         self._index = {b: i for i, b in enumerate(self.buckets)}
 
 
+def _layers(record: BenchmarkRecord) -> tuple[LayerCost, ...]:
+    """A record's layer costs: its table-priced ``cost``, else its network's."""
+    return (record.cost or network_cost(record.net)).layers
+
+
 def _design(
     records: list[BenchmarkRecord], index: dict[str, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(rows, columns, latencies): one (row, bucket column) pair per layer of each record.
 
-    Columns come from the keys of a record's ``cost`` if set, else from
-    :func:`net_feature_counts` of its ``net``; sorted per row, both give the
-    same arrays for one architecture. Unknown buckets raise, naming the bucket.
+    Unknown buckets raise, naming the bucket.
     """
     rows, cols = [], []
     for row, record in enumerate(records):
-        if record.cost is not None:
-            buckets = [bucket_id(*layer.key) for layer in record.cost.layers]
-        else:
-            counts = net_feature_counts(record.net)
-            buckets = [b for b, count in counts.items() for _ in range(count)]
+        layers = _layers(record)
         try:
-            cols += sorted([index[b] for b in buckets])
+            cols += [index[bucket_id(*layer.key)] for layer in layers]
         except KeyError as exc:
             raise UnknownBucketError(exc.args[0]) from None
-        rows += [row] * len(buckets)
+        rows += [row] * len(layers)
     return (np.array(rows, dtype=np.intp), np.array(cols, dtype=np.intp),
             np.array([r.latency_ms for r in records], dtype=np.float64))
-
-
-_DENSE_GROUP = 64  # larger groups skip the pair arrays, bounding them at 64 pairs per entry
-
-
-def _gram(group: np.ndarray, member: np.ndarray, size: int) -> np.ndarray:
-    """``a @ a.T`` for the ``size``-row count matrix ``a[member, group] += 1``.
-
-    Each group adds one per (member, member) pair of its entries: as pair
-    arrays for small groups, through a dense product for large ones (the
-    stem bucket holds every record).
-    """
-    counts = np.bincount(group)
-    sizes = counts[group]  # the size of each entry's group
-    big = sizes > _DENSE_GROUP
-    heavy = np.flatnonzero(counts > _DENSE_GROUP)
-    dense = np.zeros((size, len(heavy)))
-    np.add.at(dense, (member[big], np.searchsorted(heavy, group[big])), 1.0)
-    gram = dense @ dense.T
-    small = np.flatnonzero(~big)
-    small = small[np.lexsort((group[small], sizes[small]))]  # by group size, then group
-    pairs = [np.empty(0, dtype=np.intp)]
-    for k in np.flatnonzero(np.bincount(sizes[small])):  # the group sizes present
-        members = member[small[sizes[small] == k]].reshape(-1, k)  # one row per group
-        pairs.append((members[:, :, None] * size + members[:, None, :]).ravel())
-    gram += np.bincount(np.concatenate(pairs), minlength=size * size).reshape(size, size)
-    return gram
 
 
 def fit(
@@ -252,13 +224,11 @@ def fit(
     intercept from the system: ``intercept = mean(y) - mean(x) . weights``.
     With fewer records ``n`` than buckets ``d`` the weights come from the
     dual (records x records) system ``xc.T @ solve(xc @ xc.T + lambda I, yc)``,
-    otherwise from the primal (buckets x buckets) one. The features stay
-    (row, column) index arrays (:func:`_design`); the Gram matrix comes from
-    them (:func:`_gram`) and the rank-one centering terms, so the fit holds
-    ``min(n, d)^2`` floats and no ``n x d`` matrix.
+    otherwise from the primal (buckets x buckets) one, so beside the
+    ``n x d`` feature matrix (scattered from :func:`_design`'s index arrays)
+    the fit holds ``min(n, d)^2`` floats.
 
-    Train r^2 is read off the centered residuals of the fitted records, and
-    ``coverage`` (the share of buckets they touch) off the column array.
+    Train r^2 is read off the centered residuals of the fitted records.
 
     Raises :class:`FitError` for a ``ridge_lambda`` that is negative or not
     finite, and when the system is singular, advising
@@ -277,38 +247,31 @@ def fit(
         raise FitError(f"{n} records for {d} buckets make the system singular; "
                        "use ridge_lambda > 0")
     rows, cols, y = _design(records, {b: i for i, b in enumerate(buckets)})
-    col_sums = np.bincount(cols, minlength=d)
-    x_mean, y_mean = col_sums / n, y.mean()
+    x = np.zeros((n, d), dtype=np.float64)
+    np.add.at(x, (rows, cols), 1.0)
+    x_mean, y_mean = x.mean(axis=0), y.mean()
+    x -= x_mean
     y -= y_mean
-
-    def xc_t(v):  # xc.T @ v, for the centered feature matrix xc
-        return np.bincount(cols, weights=v[rows], minlength=d) - x_mean * v.sum()
-
-    if n < d:  # xc @ xc.T = x @ x.T - s 1' - 1 s' + |x_mean|^2, with s = x @ x_mean
-        gram = _gram(cols, rows, n)
-        shift = np.bincount(rows, weights=x_mean[cols], minlength=n)
-        gram -= shift[:, None]
-        gram -= shift
-        gram += x_mean @ x_mean
-    else:  # xc.T @ xc = x.T @ x - n x_mean x_mean'
-        gram = _gram(rows, cols, d) - np.outer(n * x_mean, x_mean)
+    gram = x @ x.T if n < d else x.T @ x
     gram[np.diag_indices_from(gram)] += ridge_lambda
     try:
-        weights = xc_t(np.linalg.solve(gram, y)) if n < d else np.linalg.solve(gram, xc_t(y))
+        weights = x.T @ np.linalg.solve(gram, y) if n < d else np.linalg.solve(gram, x.T @ y)
     except np.linalg.LinAlgError as exc:
         hint = "; use ridge_lambda > 0" if ridge_lambda == 0 else ""
         raise FitError(f"normal equations are singular{hint}") from exc
-    offset = x_mean @ weights
-    fitted = np.bincount(rows, weights=weights[cols], minlength=n) - offset  # xc @ weights
     return LatencyModel(
         buckets=buckets,
         weights=weights,
-        intercept=float(y_mean - offset),
+        intercept=float(y_mean - x_mean @ weights),
         ridge_lambda=ridge_lambda,
-        train_r2=_r2(y, fitted),  # both centered: the residuals are y - fitted
+        train_r2=_r2(y, x @ weights),  # both centered: the residuals are y - x @ weights
         space_ref=space_ref,
-        coverage=np.count_nonzero(col_sums) / d,
     )
+
+
+def coverage(model: LatencyModel, records: list[BenchmarkRecord]) -> float:
+    """Share of the model's buckets that ``records`` touch."""
+    return len({layer.key for r in records for layer in _layers(r)}) / len(model.buckets)
 
 
 def predict(model: LatencyModel, net: NetworkSpec) -> float:
@@ -443,14 +406,26 @@ def save_benchmarks(
             writer.writerow([str(ref), f"{record.latency_ms:.9g}", vector])
 
 
+def _space_digest(space: SpaceSpec) -> str:
+    """A digest of a space's definition, which fixes how its vectors price."""
+    return hashlib.sha256(repr(space).encode()).hexdigest()[:12]
+
+
+def space_line(space: SpaceSpec, space_ref: str) -> str:
+    """The ``# space:`` comment of a benchmark CSV: ``space_ref`` and the space's digest."""
+    return f"space: {space_ref} {_space_digest(space)}"
+
+
 def load_benchmarks(
-    csv_path: str | Path, space: SpaceSpec | None = None, space_ref: str | None = None
+    csv_path: str | Path, space: SpaceSpec, space_ref: str
 ) -> list[BenchmarkRecord]:
     """Read a benchmark CSV; arch paths resolve relative to the CSV.
 
-    Given ``space``, vector rows are priced from its unit table without
-    opening their architecture files, and the ``# space:`` line must name
-    ``space_ref``. Other rows, two-column files included, read their files.
+    Vector rows are priced from the unit table of ``space`` without opening
+    their architecture files, and the CSV's ``# space:`` line must carry the
+    digest of ``space`` (:func:`space_line`), so the same space named
+    another way passes and an edited one does not. Rows with an empty
+    vector, and two-column files, read their architecture files.
     """
     csv_path = Path(csv_path)
     declared, rows = None, []
@@ -464,17 +439,17 @@ def load_benchmarks(
     header = rows[0][1] if rows else None
     if header not in (BENCH_FIELDS[:2], BENCH_FIELDS):
         raise ValueError(f"{csv_path}: expected header arch_file,latency_ms[,vector]")
-    table = None if space is None else space_table(space)
+    digest, table = _space_digest(space), space_table(space)
     records = []
     for line, row in rows[1:]:
         where = f"{csv_path}, line {line}"
         if len(row) != len(header):
             raise ParseError(f"{where}: expected the fields {','.join(header)}, "
                              f"got {len(row)} field(s)")
-        if table is not None and len(row) == 3 and row[2]:
-            if declared != space_ref:
+        if len(row) == 3 and row[2]:
+            if (declared or "").rpartition(" ")[2] != digest:
                 raise ParseError(f"{csv_path}: its vectors are from space "
-                                 f"{declared or '(none named)'}, not {space_ref}")
+                                 f"{declared or '(none named)'}, not {space_ref} {digest}")
             try:
                 dv = tuple(int(token) for token in row[2].split())
                 net, cost = None, table.price(dv)

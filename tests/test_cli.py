@@ -18,7 +18,8 @@ from hypothesis import given, settings
 from hwnas.analysis import network_cost
 from hwnas.arch import functional_signature, load_file, save_file, toy2_layout
 from hwnas.cli import _enum_cap, build_parser, main
-from hwnas.cost import BUILTIN_DEVICES, fit, generate_benchmarks, load_model, save_model
+from hwnas.cost import (BUILTIN_DEVICES, fit, generate_benchmarks, load_model, save_model,
+                        space_line)
 from hwnas.space import build_space, decode
 from hwnas.tucker import save_kernel
 from strategies import make_layout
@@ -311,7 +312,8 @@ def test_bench_generate_toy2_is_pinned(tmp_path, capsys):
                       "-o", str(bench)], capsys)
     assert code == 0
     text = bench.read_text()
-    assert "# space: ibn/neutral/toy2\n" in text
+    space = build_space("ibn", "neutral", toy2_layout())
+    assert f"# {space_line(space, 'ibn/neutral/toy2')}\n" in text
     rows = [line.split(",") for line in text.splitlines() if not line.startswith("#")]
     signatures = [functional_signature(load_file(tmp_path / row[0])) for row in rows[1:]]
     assert len(signatures) == 20
@@ -321,7 +323,6 @@ def test_bench_generate_toy2_is_pinned(tmp_path, capsys):
         "782b06cd7b431758a16dd04c116accbdc6696d8b083d95f8eabaa201f066909a")
     assert hashlib.sha256(repr(signatures).encode()).hexdigest() == (
         "963462739fdba5baafcac26f559c02ff7652b9b46da9641a31b5e964ce93a020")
-    space = build_space("ibn", "neutral", toy2_layout())
     vectors = [tuple(map(int, row[2].split())) for row in rows[1:]]
     assert [functional_signature(decode(space, dv)) for dv in vectors] == signatures
     assert hashlib.sha256(repr(vectors).encode()).hexdigest() == (
@@ -398,8 +399,33 @@ def test_cost_fit_rejects_vectors_from_another_space(tmp_path, capsys):
     code, _, err = run(["cost", "fit", "--variant", "ibn_fused_tucker", "--layout", "toy2",
                         "--bench", str(bench), "-o", str(tmp_path / "model.json")], capsys)
     assert code == 1
-    assert err == (f"error: ParseError: {bench}: its vectors are from space ibn/neutral/toy2, "
-                   "not ibn_fused_tucker/neutral/toy2\n")
+    ibn, tucker = (build_space(variant, "neutral", toy2_layout())
+                   for variant in ("ibn", "ibn_fused_tucker"))
+    assert err == (f"error: ParseError: {bench}: its vectors are from space "
+                   f"{space_line(ibn, 'ibn/neutral/toy2')[7:]}, "
+                   f"not {space_line(tucker, 'ibn_fused_tucker/neutral/toy2')[7:]}\n")
+
+
+def test_cost_fit_knows_a_space_file_by_its_content(tmp_path, capsys, monkeypatch):
+    """The same space file named another way is accepted; one edited in place
+    after ``bench generate`` (same vector length, other atoms) is not."""
+    monkeypatch.chdir(tmp_path)
+    doc = {"variant": "ibn", "adaptation": "neutral", "layout_ref": "toy2",
+           "multiplier_menu": [1.0], "kernel_menu": [3, 5], "expansion_menu": [4.0],
+           "compression_menu": [0.25], "enumeration_cap": 100}
+    (tmp_path / "space.json").write_text(json.dumps(doc))
+    code, _, _ = run(["bench", "generate", "--space", "space.json", "-n", "20",
+                      "-o", "bench.csv"], capsys)
+    assert code == 0
+    fit_argv = ["cost", "fit", "--space", "./space.json", "--bench", "bench.csv",
+                "-o", "model.json"]
+    code, _, err = run(fit_argv, capsys)
+    assert code == 0, err
+    (tmp_path / "space.json").write_text(json.dumps({**doc, "expansion_menu": [6.0]}))
+    code, _, err = run(fit_argv, capsys)
+    assert code == 1
+    assert err.startswith("error: ParseError: bench.csv: its vectors are from space space.json ")
+    assert "not ./space.json " in err and err.count("\n") == 1
 
 
 def test_search_run_with_fitted_model(tmp_path, capsys):

@@ -21,8 +21,7 @@ from hwnas.cost import (
     FitError,
     LatencyModel,
     UnknownBucketError,
-    _DENSE_GROUP,
-    _gram,
+    coverage,
     fit,
     generate_benchmarks,
     load_benchmarks,
@@ -35,6 +34,7 @@ from hwnas.cost import (
     save_model,
     simulate_groups,
     simulate_latency,
+    space_line,
 )
 from hwnas.space import build_space, decode, random_sample
 from strategies import make_layout
@@ -290,24 +290,11 @@ def test_fit_matches_augmented_normal_equations(variant, n, branch):
         assert predicted == pytest.approx(x @ weights + intercept, **tolerance)
 
 
-def test_gram_of_index_arrays_matches_the_dense_product():
-    """Small groups go through pair arrays, the one large group through a dense product."""
-    rng = np.random.default_rng(0)
-    group = np.concatenate([rng.integers(0, 40, 500), np.full(100, 40)])
-    member = rng.integers(0, 30, len(group))
-    a = np.zeros((30, 41))
-    np.add.at(a, (member, group), 1.0)
-    assert np.bincount(group).max() > _DENSE_GROUP >= np.bincount(group)[:40].max()
-    assert np.array_equal(_gram(group, member, 30), a @ a.T)
-    assert np.array_equal(_gram(member, group, 41), a.T @ a)
-
-
 def test_fit_memory_stays_below_a_dense_normal_matrix():
     """400 records of default's 3,537 buckets: the dual system is 400 x 400.
 
-    The features stay index arrays (a dense records x buckets matrix would take
-    11 MiB); one dense buckets x buckets matrix alone would take 95 MiB. numpy
-    reports its buffers to tracemalloc.
+    The feature matrix takes about 11 MiB; one dense buckets x buckets matrix alone
+    would take 95 MiB. numpy reports its buffers to tracemalloc.
     """
     space = build_space("ibn_fused_tucker", "neutral", BUILTIN_LAYOUTS["default"]())
     dev = dataclasses.replace(BUILTIN_DEVICES["accel_sim"], noise_sigma=0.01)
@@ -476,6 +463,9 @@ def test_device_file_round_trip(tmp_path):
     assert load_device(path) == dev
 
 
+TOY_REF = "ibn_fused_tucker/neutral/toy2"
+
+
 def strip_vectors(csv_path):
     """Rewrite a benchmark CSV in the two-column format: no vector column, no space line."""
     lines = [line if line.startswith("#") else ",".join(line.split(",")[:2])
@@ -502,30 +492,29 @@ def test_malformed_benchmark_row_names_file_line_and_field(tmp_path, toy_space, 
     (tmp_path / "archs" / "renamed.json").write_text(
         arch_text.replace('"stem_channels"', '"stem_width"'))
     csv_path.write_text(csv_path.read_text() + row + "\n")
-    _raises_one_line(load_benchmarks, csv_path, *parts)
+    _raises_one_line(lambda path: load_benchmarks(path, toy_space, TOY_REF), csv_path, *parts)
 
 
 def test_benchmark_csv_round_trip(tmp_path, toy_space):
     dev = BUILTIN_DEVICES["cpu_sim"]
     records = generate_benchmarks(toy_space, dev, 12, np.random.default_rng(9))
     csv_path = tmp_path / "bench.csv"
-    save_benchmarks(records, csv_path, tmp_path / "archs", meta_lines=["test run"])
-    loaded = load_benchmarks(csv_path)
-    assert [r.net for r in loaded] == [r.net for r in records]
+    save_benchmarks(records, csv_path, tmp_path / "archs",
+                    meta_lines=["test run", space_line(toy_space, TOY_REF)])
+    loaded = load_benchmarks(csv_path, toy_space, TOY_REF)
+    assert [decode(toy_space, r.dv) for r in loaded] == [r.net for r in records]
     assert [r.latency_ms for r in loaded] == pytest.approx(
         [r.latency_ms for r in records], rel=1e-8
     )
 
 
-TOY_REF = "ibn_fused_tucker/neutral/toy2"
-
-
-def _vector_csv(tmp_path, space, rows=(), space_line=TOY_REF):
-    """A 3-record vector CSV of ``space`` plus ``rows``; returns its path."""
+def _vector_csv(tmp_path, space, rows=(), ref=TOY_REF):
+    """A 3-record vector CSV of ``space``, named ``ref`` (no space line if None),
+    plus ``rows``; returns its path."""
     records = generate_benchmarks(space, BUILTIN_DEVICES["cpu_sim"], 3, np.random.default_rng(0))
     csv_path = tmp_path / "bench.csv"
     save_benchmarks(records, csv_path, tmp_path / "archs",
-                    meta_lines=[] if space_line is None else [f"space: {space_line}"])
+                    meta_lines=[] if ref is None else [space_line(space, ref)])
     csv_path.write_text(csv_path.read_text() + "".join(row + "\n" for row in rows))
     return csv_path
 
@@ -534,7 +523,8 @@ def test_vector_rows_are_priced_without_opening_architecture_files(tmp_path, toy
     records = generate_benchmarks(toy_space, BUILTIN_DEVICES["cpu_sim"], 12,
                                   np.random.default_rng(9))
     csv_path = tmp_path / "bench.csv"
-    save_benchmarks(records, csv_path, tmp_path / "archs", meta_lines=[f"space: {TOY_REF}"])
+    save_benchmarks(records, csv_path, tmp_path / "archs",
+                    meta_lines=[space_line(toy_space, TOY_REF)])
     for path in (tmp_path / "archs").iterdir():
         path.unlink()
     loaded = load_benchmarks(csv_path, toy_space, TOY_REF)
@@ -557,15 +547,22 @@ def test_malformed_vector_row_names_file_and_line(tmp_path, toy_space, row, part
     _raises_one_line(lambda path: load_benchmarks(path, toy_space, TOY_REF), csv_path, *parts)
 
 
-@pytest.mark.parametrize("space_line, named", [
-    ("ibn/neutral/toy2", "ibn/neutral/toy2"), (None, "(none named)"),
-], ids=["other_space", "no_space_line"])
-def test_vectors_from_another_space_are_rejected(tmp_path, toy_space, space_line, named):
-    """ibn vectors have the length of ibn_fused_tucker ones and would price silently."""
+@pytest.mark.parametrize("ref", ["ibn/neutral/toy2", TOY_REF, None],
+                         ids=["other_space", "other_space_same_name", "no_space_line"])
+def test_vectors_from_another_space_are_rejected(tmp_path, toy_space, ref):
+    """ibn vectors have the length of ibn_fused_tucker ones and would price
+    silently; the space's digest tells them apart, whatever the name."""
     ibn = build_space("ibn", "neutral", toy2_layout())
-    csv_path = _vector_csv(tmp_path, ibn, space_line=space_line)
+    csv_path = _vector_csv(tmp_path, ibn, ref=ref)
+    named = "(none named)" if ref is None else space_line(ibn, ref)[len("space: "):]
+    expected = space_line(toy_space, TOY_REF)[len("space: "):]
     _raises_one_line(lambda path: load_benchmarks(path, toy_space, TOY_REF), csv_path,
-                     f"its vectors are from space {named}, not {TOY_REF}")
+                     f"its vectors are from space {named}, not {expected}")
+
+
+def test_vectors_of_the_same_space_under_another_name_are_read(tmp_path, toy_space):
+    csv_path = _vector_csv(tmp_path, toy_space, ref="./spaces/toy.json")
+    assert len(load_benchmarks(csv_path, toy_space, TOY_REF)) == 3
 
 
 def test_fit_from_vectors_matches_fit_from_files(tmp_path):
@@ -574,12 +571,13 @@ def test_fit_from_vectors_matches_fit_from_files(tmp_path):
     dev = dataclasses.replace(BUILTIN_DEVICES["accel_sim"], noise_sigma=0.01)
     records = generate_benchmarks(space, dev, 300, np.random.default_rng(4))
     csv_path = tmp_path / "bench.csv"
-    save_benchmarks(records, csv_path, tmp_path / "archs", meta_lines=[f"space: {TOY_REF}"])
+    save_benchmarks(records, csv_path, tmp_path / "archs", meta_lines=[space_line(space, TOY_REF)])
     from_vectors = load_benchmarks(csv_path, space, TOY_REF)
     strip_vectors(csv_path)
     from_files = load_benchmarks(csv_path, space, TOY_REF)
     assert all(r.net is None for r in from_vectors) and all(r.cost is None for r in from_files)
     a, b = fit(from_vectors[:200], space), fit(from_files[:200], space)
     assert np.array_equal(a.weights, b.weights)
-    assert (a.intercept, a.train_r2, a.coverage) == (b.intercept, b.train_r2, b.coverage)
+    assert (a.intercept, a.train_r2) == (b.intercept, b.train_r2)
+    assert coverage(a, from_vectors[:200]) == coverage(b, from_files[:200])
     assert r2(a, from_vectors[200:]) == r2(b, from_files[200:])
