@@ -28,10 +28,12 @@ One cost record
 ---------------
 :func:`layer_cost` turns a layer's table into a :class:`LayerCost`: its
 ``(op class, multiply-adds)`` units, their sum, its parameters, its op and
-its feature-bucket key ``(atom id, c_in, c_out)``. An :class:`ArchCost`
-holds one per layer, stem first, and everything downstream reads it: the
-simulators its units, the oracles its multiply-adds and ops, the latency
-model its bucket keys, ``analyze`` and the ablation its per-layer counts.
+its feature bucket, the string :func:`bucket_id` formats from its atom id,
+``c_in`` and ``c_out``. An :class:`ArchCost` holds one per layer, stem
+first, and everything downstream reads it: the simulators its units, the
+oracles its multiply-adds, ops and buckets, the latency model its buckets
+(one weight per layer, summed in layer order), ``analyze`` and the
+ablation its per-layer counts.
 :func:`network_cost` builds it for a network, such as one read from a file.
 
 Per-space unit tables
@@ -53,6 +55,7 @@ built space decodes to a valid network (see
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
@@ -112,10 +115,14 @@ class LayerCost(NamedTuple):
     madds: int  # their sum
     params: int  # kernel weights: the layer's multiply-adds at a 1x1 input
     op: str  # the layer kind's op, or "stem"
-    key: tuple[str, int, int]  # (atom id, c_in, c_out): the layer's feature bucket
+    key: str  # the layer's feature bucket: bucket_id(atom id, c_in, c_out)
 
 
-def _cost(table: _Table, h: int, w: int, stride: int, op: str, key: tuple[str, int, int],
+def bucket_id(atom_id: str, c_in: int, c_out: int) -> str:
+    return f"{atom_id}|{c_in}|{c_out}"
+
+
+def _cost(table: _Table, h: int, w: int, stride: int, op: str, key: str,
           share=None) -> LayerCost:
     """Price formula rows at input size ``h x w``; ``share`` interns each unit."""
     positions = (h * w, -(-h // stride) * -(-w // stride), 1)
@@ -137,14 +144,14 @@ def layer_cost(layer: LayerSpec, h: int, w: int) -> LayerCost:
     """
     kind = layer.kind
     return _cost(_layer_table(kind, layer.c_in, layer.c_out, layer.use_se), h, w, layer.stride,
-                 kind.op, (kind.atom_id, layer.c_in, layer.c_out))
+                 kind.op, bucket_id(kind.atom_id, layer.c_in, layer.c_out))
 
 
 def _stem_cost(stem_channels: int, h: int, w: int) -> LayerCost:
     """Cost of the stem conv; ``h, w`` is the stem's output size."""
     weights = STEM_KERNEL * STEM_KERNEL * IMAGE_CHANNELS * stem_channels
     return _cost([("regular_conv", weights, _OUT)], h, w, 1, STEM_BUCKET,
-                 (STEM_BUCKET, IMAGE_CHANNELS, stem_channels))
+                 bucket_id(STEM_BUCKET, IMAGE_CHANNELS, stem_channels))
 
 
 @dataclass(frozen=True)
@@ -171,10 +178,6 @@ class ArchCost:
         """The op of each layer after the stem, in order."""
         return tuple([layer.op for layer in self.layers[1:]])
 
-    def feature_counts(self) -> dict[str, int]:
-        """Bucket counts, as :func:`net_feature_counts` gives them for the network."""
-        return _bucket_counts([layer.key for layer in self.layers])
-
 
 @lru_cache(maxsize=256)
 def network_cost(net: NetworkSpec) -> ArchCost:
@@ -198,24 +201,15 @@ def network_units(net: NetworkSpec) -> tuple[Units, ...]:
 # Cost-model features
 # ---------------------------------------------------------------------------
 
-def bucket_id(atom_id: str, c_in: int, c_out: int) -> str:
-    return f"{atom_id}|{c_in}|{c_out}"
-
-
-def _bucket_counts(keys) -> dict[str, int]:
-    """Count (atom id, c_in, c_out) keys by bucket, in order of first occurrence."""
-    counts: dict[str, int] = {}
-    for atom_id, c_in, c_out in keys:
-        key = bucket_id(atom_id, c_in, c_out)
-        counts[key] = counts.get(key, 0) + 1
-    return counts
-
-
 def net_feature_counts(net: NetworkSpec) -> dict[str, int]:
-    """Bucket counts of a network, no space membership check (stem included)."""
-    keys = [(STEM_BUCKET, IMAGE_CHANNELS, net.stem_channels)]
-    keys += [(layer.kind.atom_id, layer.c_in, layer.c_out) for _, _, layer in iter_layers(net)]
-    return _bucket_counts(keys)
+    """Bucket counts of a network in order of first occurrence, stem included.
+
+    Read off the network's layers, not its :class:`ArchCost`, so it checks
+    the keys :func:`network_cost` gives; no space membership check.
+    """
+    return Counter([bucket_id(STEM_BUCKET, IMAGE_CHANNELS, net.stem_channels)]
+                   + [bucket_id(layer.kind.atom_id, layer.c_in, layer.c_out)
+                      for _, _, layer in iter_layers(net)])
 
 
 def space_buckets(space: SpaceSpec) -> tuple[str, ...]:
@@ -230,7 +224,7 @@ def space_buckets(space: SpaceSpec) -> tuple[str, ...]:
     keys = {table._stem.key}
     for _, cells in table._positions:
         keys.update(cost.key for cost in cells.values())
-    return tuple(sorted(bucket_id(*key) for key in keys))
+    return tuple(sorted(keys))
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +276,8 @@ class SpaceTable:
                             rows = _layer_table(atom, layer.c_in, layer.c_out, layer.use_se)
                             key = (ai, ci, mi) if li == 0 and cin_at else (ai, mi)
                             cells[li][key] = _cost(rows, h, w, layer.stride, atom.op,
-                                                   (atom_id, layer.c_in, layer.c_out), share)
+                                                   bucket_id(atom_id, layer.c_in, layer.c_out),
+                                                   share)
                 outs.append(block.layers[0].c_out)
             for li, table in enumerate(cells):
                 getter = itemgetter(at[(bi, li)], *(cin_at if li == 0 else ()), mult_at)

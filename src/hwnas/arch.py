@@ -379,6 +379,13 @@ def _as_str(value: Any, where: str) -> str:
     return value
 
 
+def _as_list(value: Any, where: str, item) -> list:
+    """A list whose every item ``item(v, "where[i]")`` accepts, as it returns them."""
+    if not isinstance(value, list):
+        raise ParseError(f"{where}: expected a list, got {value!r}")
+    return [item(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
 def _layer_to_doc(layer: LayerSpec) -> dict:
     doc: dict[str, Any] = {"kind": layer.kind.op, "kernel": layer.kind.kernel}
     if layer.kind.op == "tucker":

@@ -309,7 +309,7 @@ def cmd_cost_fit(args) -> int:
 def cmd_cost_eval(args) -> int:
     model = load_model(args.model)
     net = load_file(args.arch)
-    print(f"{predict(model, net):.6f}")
+    print(f"{predict(model, network_cost(net)):.6f}")
     return 0
 
 

@@ -24,10 +24,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .arch import (NetworkSpec, ParseError, _as_num, _as_str, _require, load_file, parse_json,
-                   save_file)
-from .analysis import (OP_CLASSES, ArchCost, LayerCost, bucket_id, net_feature_counts,
-                       network_cost, network_units, space_buckets, space_table)
+from .arch import (NetworkSpec, ParseError, _as_list, _as_num, _as_str, _require, load_file,
+                   parse_json, save_file)
+from .analysis import (OP_CLASSES, ArchCost, network_cost, network_units, space_buckets,
+                       space_table)
 from .space import DecisionVector, SpaceSpec, random_sample, decode
 
 
@@ -126,16 +126,16 @@ def simulate_latency(
 
 @dataclass(frozen=True)
 class BenchmarkRecord:
-    """One (architecture, measured latency) observation.
+    """One (architecture, measured latency) observation, with the architecture's cost.
 
-    Records drawn from a space carry their vector and table-priced cost;
-    records read back from a vector row have no ``net``.
+    Records drawn from a space also carry their vector; records read back
+    from a vector row have no ``net``.
     """
 
     net: NetworkSpec | None
     latency_ms: float
+    cost: ArchCost
     dv: DecisionVector | None = None
-    cost: ArchCost | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.latency_ms) and self.latency_ms > 0):
@@ -158,7 +158,7 @@ def generate_benchmarks(
         dv = random_sample(space, rng)
         cost = table.price(dv)
         latency = simulate_groups(device, cost.groups, rng)
-        records.append(BenchmarkRecord(decode(space, dv), latency, dv, cost))
+        records.append(BenchmarkRecord(decode(space, dv), latency, cost, dv))
     return records
 
 
@@ -187,11 +187,6 @@ class LatencyModel:
         self._index = {b: i for i, b in enumerate(self.buckets)}
 
 
-def _layers(record: BenchmarkRecord) -> tuple[LayerCost, ...]:
-    """A record's layer costs: its table-priced ``cost``, else its network's."""
-    return (record.cost or network_cost(record.net)).layers
-
-
 def _design(
     records: list[BenchmarkRecord], index: dict[str, int]
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -201,9 +196,9 @@ def _design(
     """
     rows, cols = [], []
     for row, record in enumerate(records):
-        layers = _layers(record)
+        layers = record.cost.layers
         try:
-            cols += [index[bucket_id(*layer.key)] for layer in layers]
+            cols += [index[layer.key] for layer in layers]
         except KeyError as exc:
             raise UnknownBucketError(exc.args[0]) from None
         rows += [row] * len(layers)
@@ -271,22 +266,18 @@ def fit(
 
 def coverage(model: LatencyModel, records: list[BenchmarkRecord]) -> float:
     """Share of the model's buckets that ``records`` touch."""
-    return len({layer.key for r in records for layer in _layers(r)}) / len(model.buckets)
+    return len({layer.key for r in records for layer in r.cost.layers}) / len(model.buckets)
 
 
-def predict(model: LatencyModel, net: NetworkSpec) -> float:
-    """Predicted latency in ms; unknown buckets raise, naming the bucket."""
-    return predict_counts(model, net_feature_counts(net))
-
-
-def predict_counts(model: LatencyModel, counts: dict[str, int]) -> float:
-    """Prediction from bucket counts, in the order given (stem first)."""
+def predict(model: LatencyModel, cost: ArchCost) -> float:
+    """Predicted latency in ms: the intercept plus each layer's bucket weight, stem
+    first; an unknown bucket raises, naming it."""
     total = model.intercept
-    for bucket, count in counts.items():
-        col = model._index.get(bucket)
+    for layer in cost.layers:
+        col = model._index.get(layer.key)
         if col is None:
-            raise UnknownBucketError(bucket)
-        total += model.weights[col] * count
+            raise UnknownBucketError(layer.key)
+        total += model.weights[col]
     return float(total)
 
 
@@ -336,14 +327,10 @@ def load_model(path: str | Path) -> LatencyModel:
         raise ValueError(f"{path}: model file version {doc.get('version')!r}, expected "
                          f"{MODEL_VERSION}; refit it with 'hwnas cost fit'")
     _require(doc, MODEL_FIELDS, str(path))
-    for key in ("buckets", "weights"):
-        if not isinstance(doc[key], list):
-            raise ParseError(f"{path}: {key}: expected a list")
     holdout = doc["holdout_r2"]
     return LatencyModel(
-        buckets=tuple(_as_str(b, f"{path}: buckets[{i}]") for i, b in enumerate(doc["buckets"])),
-        weights=np.array([_as_num(w, f"{path}: weights[{i}]")
-                          for i, w in enumerate(doc["weights"])], dtype=np.float64),
+        buckets=tuple(_as_list(doc["buckets"], f"{path}: buckets", _as_str)),
+        weights=np.array(_as_list(doc["weights"], f"{path}: weights", _as_num), dtype=np.float64),
         intercept=_as_num(doc["intercept"], f"{path}: intercept"),
         ridge_lambda=_as_num(doc["lambda"], f"{path}: lambda"),
         train_r2=_as_num(doc["train_r2"], f"{path}: train_r2"),
@@ -461,9 +448,10 @@ def load_benchmarks(
             ref = Path(row[0])
             if not ref.is_absolute():
                 ref = csv_path.parent / ref
-            net, dv, cost = load_file(ref, f"{where}: {ref}"), None, None
+            net = load_file(ref, f"{where}: {ref}")
+            dv, cost = None, network_cost(net)
         try:
-            records.append(BenchmarkRecord(net, float(row[1]), dv, cost))
+            records.append(BenchmarkRecord(net, float(row[1]), cost, dv))
         except ValueError as exc:
             raise ParseError(f"{where}: latency_ms: {exc}") from None
     return records

@@ -47,7 +47,7 @@ from .controller import (
     reward,
     sample,
 )
-from .cost import DeviceSimulator, LatencyModel, predict_counts, simulate_groups
+from .cost import DeviceSimulator, LatencyModel, predict, simulate_groups
 from .space import (
     DEFAULT_ENUM_CAP,
     DecisionVector,
@@ -84,7 +84,7 @@ def _clamp01(x: float) -> float:
 
 @dataclass
 class LinearFeatureOracle:
-    """Quality as the mean of per-bucket weights over a network's features.
+    """Quality as the mean bucket weight over a network's layers, stem included.
 
     With weights drawn uniformly from [0, 1] the clean score lands in [0, 1]
     by construction; optional Gaussian noise is clamped back into range.
@@ -104,8 +104,7 @@ class LinearFeatureOracle:
                    descriptor=f"linear_feature(seed={seed})")
 
     def evaluate(self, cost: ArchCost, rng: np.random.Generator | None) -> float:
-        counts = cost.feature_counts()
-        score = sum(self.weights.get(b, 0.0) * c for b, c in counts.items())
+        score = sum([self.weights.get(layer.key, 0.0) for layer in cost.layers])
         score /= len(cost.layers)  # every layer and the stem
         if rng is not None and self.noise_sigma > 0:
             score += rng.normal(0.0, self.noise_sigma)
@@ -157,7 +156,7 @@ def latency_of(
     """Latency in ms from either a simulator (noisy) or a fitted model."""
     if isinstance(source, DeviceSimulator):
         return simulate_groups(source, cost.groups, rng)
-    return predict_counts(source, cost.feature_counts())
+    return predict(source, cost)
 
 
 def _score(
@@ -197,9 +196,10 @@ def median_madds(space: SpaceSpec, seed: int, samples: int = 256) -> float:
 class SearchConfig:
     """Knobs of one controller run.
 
-    ``budget_ms=None`` resolves to the median simulated latency of 256
-    uniform samples. ``noise_mode`` selects the per-architecture (``hash``)
-    or per-evaluation (``iid``) noise regime described in the module docs.
+    ``budget_ms=None`` resolves to the latency source's noiseless median
+    latency over 256 uniform samples (:func:`resolve_budget`). ``noise_mode``
+    selects the per-architecture (``hash``) or per-evaluation (``iid``) noise
+    regime described in the module docs.
     ``lr`` feeds the controller's Adam; the 5e-3 default suits long searches,
     desk-scale runs of a few thousand steps converge faster with 10x that.
     """

@@ -29,6 +29,10 @@ from .arch import (
     NetworkSpec,
     InvalidArchitectureError,
     ParseError,
+    _as_int,
+    _as_list,
+    _as_num,
+    _as_str,
     _require,
     build_block,
     fused,
@@ -277,14 +281,14 @@ def load_space_file(path: str | Path) -> tuple[SpaceSpec, int]:
     cap = doc["enumeration_cap"]
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise ParseError(f"{path}: enumeration_cap must be an integer >= 1, got {cap!r}")
-    layout = resolve_layout(doc["layout_ref"], relative_to=path.parent)
+    layout = resolve_layout(_as_str(doc["layout_ref"], f"{path}: layout_ref"), path.parent)
     space = build_space(
-        doc["variant"],
-        doc["adaptation"],
+        _as_str(doc["variant"], f"{path}: variant"),
+        _as_str(doc["adaptation"], f"{path}: adaptation"),
         layout,
-        multipliers=doc["multiplier_menu"],
-        kernels=doc["kernel_menu"],
-        expansions=doc["expansion_menu"],
-        compressions=doc["compression_menu"],
+        multipliers=_as_list(doc["multiplier_menu"], f"{path}: multiplier_menu", _as_num),
+        kernels=_as_list(doc["kernel_menu"], f"{path}: kernel_menu", _as_int),
+        expansions=_as_list(doc["expansion_menu"], f"{path}: expansion_menu", _as_num),
+        compressions=_as_list(doc["compression_menu"], f"{path}: compression_menu", _as_num),
     )
     return space, cap

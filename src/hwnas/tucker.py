@@ -21,13 +21,14 @@ observations; only the mode-2 factorization gets numerical operations here.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
-from .arch import _require, parse_json
+from .arch import ParseError, _as_int, _as_list, _as_num, _require, parse_json
 
 
 @dataclass(frozen=True)
@@ -207,7 +208,14 @@ def load_kernel(path: str | Path) -> np.ndarray:
     if path.suffix == ".json":
         doc = parse_json(path.read_text(encoding="utf-8"), path)
         _require(doc, ("dims", "data"), str(path))
-        kernel = np.array(doc["data"], dtype=np.float64).reshape(doc["dims"])
+        dims = _as_list(doc["dims"], f"{path}: dims", _as_int)
+        if len(dims) != 4 or min(dims) < 1:
+            raise ParseError(f"{path}: dims: expected 4 integers >= 1, got {dims}")
+        data = _as_list(doc["data"], f"{path}: data", _as_num)
+        if len(data) != math.prod(dims):
+            raise ParseError(f"{path}: data: expected {math.prod(dims)} numbers for dims "
+                             f"{dims}, got {len(data)}")
+        kernel = np.array(data, dtype=np.float64).reshape(dims)
     else:
         raw = path.read_bytes()
         if len(raw) < 16:

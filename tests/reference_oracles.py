@@ -1,18 +1,25 @@
-"""The synthetic oracles' scores computed from a decoded network.
+"""The synthetic oracles' scores and a model's latency computed from a decoded network.
 
-The oracles in ``hwnas.search`` score a table-priced architecture; these
-per-network formulas read ``network_cost``, ``net_feature_counts`` and the
-network's layers instead, and are the reference the table path is tested
-against.
+The oracles in ``hwnas.search`` and ``hwnas.cost.predict`` read a
+table-priced architecture; these per-network formulas read ``network_cost``
+and the network's layers instead, and are the reference the table path is
+tested against.
 """
 
 from __future__ import annotations
 
 import math
 
-from hwnas.analysis import net_feature_counts, network_cost
-from hwnas.arch import NetworkSpec
+from hwnas.analysis import STEM_BUCKET, bucket_id, network_cost
+from hwnas.arch import IMAGE_CHANNELS, NetworkSpec, iter_layers
+from hwnas.cost import LatencyModel
 from hwnas.search import CapacityOracle, LinearFeatureOracle
+
+
+def _buckets(net: NetworkSpec) -> list[str]:
+    """Each layer's bucket, stem first."""
+    return [bucket_id(STEM_BUCKET, IMAGE_CHANNELS, net.stem_channels)] + [
+        bucket_id(layer.kind.atom_id, layer.c_in, layer.c_out) for _, _, layer in iter_layers(net)]
 
 
 def _noisy01(score: float, sigma: float, rng) -> float:
@@ -31,7 +38,13 @@ def capacity_score(oracle: CapacityOracle, net: NetworkSpec, rng=None) -> float:
 
 
 def linear_score(oracle: LinearFeatureOracle, net: NetworkSpec, rng=None) -> float:
-    counts = net_feature_counts(net)
-    score = sum(oracle.weights.get(b, 0.0) * c for b, c in counts.items())
+    score = sum([oracle.weights.get(b, 0.0) for b in _buckets(net)])  # in layer order
     score /= sum(len(block.layers) for block in net.blocks) + 1  # every layer and the stem
     return _noisy01(score, oracle.noise_sigma, rng)
+
+
+def model_latency(model: LatencyModel, net: NetworkSpec) -> float:
+    total = model.intercept
+    for b in _buckets(net):  # in layer order
+        total += model.weights[model.buckets.index(b)]
+    return float(total)

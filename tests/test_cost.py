@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 
 import reference_ridge as ref
-from hwnas.analysis import OP_CLASSES, net_feature_counts, space_buckets
+from hwnas.analysis import OP_CLASSES, net_feature_counts, network_cost, space_buckets
 from hwnas.arch import BUILTIN_LAYOUTS, ParseError, toy2_layout
 from hwnas.cli import main
 from hwnas.cost import (
@@ -120,7 +120,7 @@ def test_negative_rates_rejected():
 def test_benchmark_record_requires_positive_latency(toy_space):
     net = decode(toy_space, random_sample(toy_space, np.random.default_rng(0)))
     with pytest.raises(ValueError, match="positive"):
-        BenchmarkRecord(net, 0.0)
+        BenchmarkRecord(net, 0.0, network_cost(net))
 
 
 @pytest.mark.parametrize("field_name", OP_CLASSES + ("overhead_ms", "noise_sigma"))
@@ -147,7 +147,7 @@ def test_nan_device_profile_fails_bench_generate(tmp_path, capsys):
 def test_benchmark_record_rejects_non_finite_latency(toy_space, latency):
     net = decode(toy_space, random_sample(toy_space, np.random.default_rng(0)))
     with pytest.raises(ValueError, match="finite positive"):
-        BenchmarkRecord(net, latency)
+        BenchmarkRecord(net, latency, network_cost(net))
 
 
 @pytest.mark.parametrize("layout", ["toy2", "default"])
@@ -192,7 +192,8 @@ def test_fit_predict_matches_simulator_on_fresh_samples(toy_space):
     rng = np.random.default_rng(99)
     for _ in range(200):
         net = decode(toy_space, random_sample(toy_space, rng))
-        assert predict(model, net) == pytest.approx(simulate_latency(dev, net), abs=1e-6)
+        predicted = predict(model, network_cost(net))
+        assert predicted == pytest.approx(simulate_latency(dev, net), abs=1e-6)
 
 
 def test_fit_deterministic_bit_for_bit(toy_space):
@@ -286,7 +287,7 @@ def test_fit_matches_augmented_normal_equations(variant, n, branch):
     fresh = generate_benchmarks(space, dev, 100, np.random.default_rng(6))
     for sample, tolerance in ((records, dict(rel=1e-9)), (fresh, dict(abs=1e-6))):
         x, _ = ref.feature_matrix(sample, model.buckets)
-        predicted = np.array([predict(model, r.net) for r in sample])
+        predicted = np.array([predict(model, r.cost) for r in sample])
         assert predicted == pytest.approx(x @ weights + intercept, **tolerance)
 
 
@@ -327,7 +328,7 @@ def test_predict_is_linear_in_counts(toy_space):
         manual = model.intercept + sum(
             model.weights[index[b]] * c for b, c in counts.items()
         )
-        assert predict(model, net) == pytest.approx(manual, rel=1e-12)
+        assert predict(model, network_cost(net)) == pytest.approx(manual, rel=1e-12)
 
 
 def test_predict_unknown_bucket_names_it(toy_space):
@@ -338,7 +339,7 @@ def test_predict_unknown_bucket_names_it(toy_space):
     foreign_space = build_space("ibn", "neutral", foreign_layout)
     net = decode(foreign_space, (0, 3))
     with pytest.raises(UnknownBucketError, match=r"stem\|3\|24"):
-        predict(model, net)
+        predict(model, network_cost(net))
 
 
 def test_r2_degenerate_conventions():
@@ -353,7 +354,7 @@ def test_r2_degenerate_conventions():
         ridge_lambda=0.0,
         train_r2=1.0,
     )
-    constant = [BenchmarkRecord(net, 2.5), BenchmarkRecord(net, 2.5)]
+    constant = [BenchmarkRecord(net, 2.5, network_cost(net))] * 2
     assert r2(model, constant) == 1.0  # SStot = 0, SSres = 0
     wrong = dataclasses.replace(model, intercept=3.0)
     assert r2(wrong, constant) == 0.0  # SStot = 0, SSres > 0
@@ -575,7 +576,8 @@ def test_fit_from_vectors_matches_fit_from_files(tmp_path):
     from_vectors = load_benchmarks(csv_path, space, TOY_REF)
     strip_vectors(csv_path)
     from_files = load_benchmarks(csv_path, space, TOY_REF)
-    assert all(r.net is None for r in from_vectors) and all(r.cost is None for r in from_files)
+    assert all(r.net is None for r in from_vectors) and all(r.dv is None for r in from_files)
+    assert [r.cost for r in from_files] == [r.cost for r in from_vectors]
     a, b = fit(from_vectors[:200], space), fit(from_files[:200], space)
     assert np.array_equal(a.weights, b.weights)
     assert (a.intercept, a.train_r2) == (b.intercept, b.train_r2)

@@ -202,7 +202,10 @@ def test_search_with_fitted_model_latency_source(toy_space):
     net_b, log_b = run_search(toy_space, oracle, model, cfg)
     assert net_a == net_b and log_a == log_b
     assert log_a.latency_source.startswith("model:")
-    assert log_a.final_latency_ms == pytest.approx(predict(model, net_a))
+    assert log_a.final_latency_ms == pytest.approx(predict(model, network_cost(net_a)))
+    assert log_a.final_reward == 0.5161117302688815
+    digest = hashlib.sha256(repr(log_a.steps).encode()).hexdigest()
+    assert digest == "484de9a355997b6ecaefcfb496908666123f7ba88431f3a2ec4a8d454274f9ff"
     # the model tracks the simulator, so budgets agree closely too
     assert resolve_budget(toy_space, model, 4) == pytest.approx(
         resolve_budget(toy_space, CPU, 4), rel=1e-3

@@ -341,6 +341,26 @@ def test_space_file_with_bad_multiplier_fails_inspect(tmp_path, capsys):
     )
 
 
+@pytest.mark.parametrize("fields, message", [
+    ({"kernel_menu": [3.0]}, "kernel_menu[0]: expected an integer, got 3.0"),
+    ({"kernel_menu": ["3"]}, "kernel_menu[0]: expected an integer, got '3'"),
+    ({"multiplier_menu": 5}, "multiplier_menu: expected a list, got 5"),
+    ({"multiplier_menu": [1.0, True]}, "multiplier_menu[1]: expected a number, got True"),
+    ({"expansion_menu": ["a"]}, "expansion_menu[0]: expected a number, got 'a'"),
+    ({"compression_menu": {"in": 0.25}},
+     "compression_menu: expected a list, got {'in': 0.25}"),
+    ({"layout_ref": 7}, "layout_ref: expected a string, got 7"),
+    ({"variant": 5}, "variant: expected a string, got 5"),
+    ({"adaptation": None}, "adaptation: expected a string, got None"),
+], ids=["float_kernel", "text_kernel", "scalar_multipliers", "bool_multiplier",
+        "text_expansion", "object_compressions", "number_layout", "number_variant",
+        "null_adaptation"])
+def test_space_file_field_types_name_the_file_and_field(tmp_path, capsys, fields, message):
+    path = write_space_file(tmp_path / "space.json", **fields)
+    assert main(["space", "inspect", "--space", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: ParseError: {path}: {message}\n"
+
+
 @pytest.mark.parametrize("cap", [2.7, "abc", 0, -3, True, None])
 def test_space_file_enumeration_cap_must_be_positive_integer(tmp_path, cap):
     path = write_space_file(tmp_path / "space.json", enumeration_cap=cap)

@@ -175,7 +175,17 @@ def test_kernel_file_round_trip(tmp_path, suffix):
     ({"dims": [1, 1, 2, 2]}, "missing field(s) data"),
     ({"dims": [1, 1, 1, 1], "data": [1.0], "scale": 2}, "unknown field(s) scale"),
     ([1], "expected an object, got list"),
-], ids=["no_data", "unknown", "list"])
+    ({"dims": "abc", "data": [1.0]}, "dims: expected a list, got 'abc'"),
+    ({"dims": [3, 3, 2], "data": [1, 2]}, "dims: expected 4 integers >= 1, got [3, 3, 2]"),
+    ({"dims": [1, 1, 0, 2], "data": []}, "dims: expected 4 integers >= 1, got [1, 1, 0, 2]"),
+    ({"dims": [1, 1, 2.0, 1], "data": [1, 2]}, "dims[2]: expected an integer, got 2.0"),
+    ({"dims": [1, 1, 2, 2], "data": "1234"}, "data: expected a list, got '1234'"),
+    ({"dims": [1, 1, 1, 1], "data": ["x"]}, "data[0]: expected a number, got 'x'"),
+    ({"dims": [1, 1, 1, 1], "data": [True]}, "data[0]: expected a number, got True"),
+    ({"dims": [1, 1, 2, 2], "data": [1, 2]},
+     "data: expected 4 numbers for dims [1, 1, 2, 2], got 2"),
+], ids=["no_data", "unknown", "list", "dims_text", "three_dims", "zero_dim", "float_dim",
+        "data_text", "text_value", "bool_value", "short_data"])
 def test_malformed_json_kernel_names_file_and_field(tmp_path, doc, part):
     path = tmp_path / "kernel.json"
     path.write_text(json.dumps(doc))
