@@ -127,6 +127,7 @@ _holdout_frac = _float_arg(lambda x: 0 <= x < 1, "in [0, 1)")
 _nonnegative = _float_arg(lambda x: math.isfinite(x) and x >= 0, "a finite number >= 0")
 _finite = _float_arg(math.isfinite, "a finite number")
 _tau = _float_arg(lambda x: math.isfinite(x) and x <= 0, "a finite number <= 0")
+_lr = _float_arg(lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
 
 
 def _add_space_args(parser: argparse.ArgumentParser) -> None:
@@ -404,6 +405,7 @@ def cmd_search_run(args) -> int:
         tau=args.tau,
         budget_ms=args.budget,
         seed=args.seed,
+        lr=args.lr,
         noise_mode=args.noise_mode,
     )
     net, log = run_search(space, oracle, source, cfg)
@@ -540,6 +542,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tau", type=_tau, default=-0.3)
     p.add_argument("--steps", type=int, default=5000)
     p.add_argument("--samples-per-step", type=int, default=1)
+    p.add_argument("--lr", type=_lr, default=SearchConfig.lr, help="controller Adam step size")
     p.add_argument("--noise-mode", choices=("hash", "iid"), default="hash")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--log", required=True, help="search log path (ndjson)")

@@ -3,13 +3,13 @@
 The policy holds the logits of every decision in one ``(decisions x
 max_choices)`` array: row ``d`` holds decision ``d``'s logits followed by
 ``-inf`` padding, so padded slots get probability exactly 0 and sampling,
-the gradient, Adam and entropy are each a few numpy expressions over the
-whole array. Sampling draws each decision independently from its softmax.
-The update ascends the score-function gradient of the advantage-weighted
-log-probability, with an exponential moving average of the reward as
-baseline and Adam on the logits. Each policy makes one softmax pass, shared
-by sampling, the gradient and entropy. Logits are validated when constructed;
-an update keeps the padding and its softmax pass checks the rows stay finite.
+the gradient, Adam and entropy are each a few numpy calls over the whole
+array. The update ascends the score-function gradient of the advantage-
+weighted log-probability, with an exponential moving average of the reward
+as baseline and Adam on the logits, whose second moment is updated in place.
+One softmax pass per policy serves sampling, the gradient and entropy, and
+the policy carries the index arrays they gather with. Logits are validated
+when built; an update keeps the padding and its pass checks rows stay finite.
 """
 
 from __future__ import annotations
@@ -38,14 +38,16 @@ BASELINE_DECAY = 0.9
 class CategoricalPolicy:
     """Padded logits, one row per decision; probabilities are softmax per row.
 
-    Each row holds at least one finite logit followed by ``-inf`` padding;
-    ``mask`` marks the finite (real) slots and ``last`` holds each row's last
-    real slot.
+    Each row holds at least one finite logit followed by ``-inf`` padding.
+    ``mask`` marks the real slots and ``last`` each row's last one; ``rows``
+    is the column of decision indices and ``onehot`` an identity row per choice.
     """
 
     logits: np.ndarray
     mask: np.ndarray = field(init=False, repr=False, compare=False)
     last: np.ndarray = field(init=False, repr=False, compare=False)
+    rows: np.ndarray = field(init=False, repr=False, compare=False)
+    onehot: np.ndarray = field(init=False, repr=False, compare=False)
     stats: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -58,8 +60,10 @@ class CategoricalPolicy:
         if bad.any():
             raise ValueError(f"decision {int(np.flatnonzero(bad)[0])}: logits must be "
                              "finite, followed only by -inf padding")
-        self.__dict__.update(mask=mask, last=mask.sum(axis=1) - 1,
-                             stats=_softmax_pass(logits, mask))
+        onehot = np.eye(logits.shape[1])
+        self.__dict__.update(mask=mask, last=onehot[mask.sum(axis=1) - 1] == 1,
+                             rows=np.arange(len(logits))[:, None], onehot=onehot)
+        self.__dict__["stats"] = _softmax_pass(logits, self)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "CategoricalPolicy":
@@ -77,30 +81,30 @@ class CategoricalPolicy:
     def _trusted(cls, logits: np.ndarray, like: "CategoricalPolicy") -> "CategoricalPolicy":
         """Wrap logits padded as ``like``'s, checking only that rows are finite."""
         policy = object.__new__(cls)
-        policy.__dict__.update(logits=logits, mask=like.mask, last=like.last,
-                               stats=_softmax_pass(logits, like.mask))
+        policy.__dict__.update(like.__dict__, logits=logits, stats=_softmax_pass(logits, like))
         return policy
 
 
-def _softmax_pass(logits: np.ndarray, mask: np.ndarray) -> tuple[np.ndarray, ...]:
+def _softmax_pass(logits: np.ndarray, like: CategoricalPolicy) -> tuple[np.ndarray, ...]:
     """(exp / row sum, log-softmax, its exp): the policy's one softmax pass.
 
     The gradient reads the first, sampling's CDF and entropy the last; the two
-    differ in the last bit. A row whose max is not finite raises. numpy sums a
-    vector sequentially below 8 elements and pairwise from 8, so a plain sum
-    over a padded row would add in another order than a sum over the
-    decision's own choices. The masked sum adds each row's real slots as a
-    vector of that length would, keeping results independent of padding.
+    differ in the last bit. The row max is read at the argmax (cheaper than a
+    max reduction); a row whose max is not finite raises. numpy sums a vector
+    sequentially below 8 elements and pairwise from 8, so a plain sum over a
+    padded row would add in another order than a sum over the decision's own
+    choices; the masked sum adds each row's real slots as such a vector would.
     """
-    rowmax = logits.max(axis=1, keepdims=True)
-    finite = np.isfinite(rowmax[:, 0])
-    if not finite.all():
-        raise ValueError(f"decision {int(np.flatnonzero(~finite)[0])}: logits must be finite")
+    rowmax = logits[like.rows, logits.argmax(axis=1, keepdims=True)]
+    finite = list(map(math.isfinite, rowmax.ravel().tolist()))
+    if not all(finite):
+        raise ValueError(f"decision {finite.index(False)}: logits must be finite")
     shifted = logits - rowmax
     exp = np.exp(shifted)
-    total = exp.sum(axis=1, keepdims=True, where=mask)
-    logp = shifted - np.log(total)
-    return exp / total, logp, np.exp(logp)
+    total = np.add.reduce(exp, axis=1, keepdims=True, where=like.mask)
+    exp /= total
+    logp = np.subtract(shifted, np.log(total, out=total), out=shifted)
+    return exp, logp, np.exp(logp)
 
 
 def softmax(policy: CategoricalPolicy) -> np.ndarray:
@@ -143,7 +147,7 @@ class AdamState:
 
     Betas (0, :data:`ADAM_BETA2`), epsilon :data:`ADAM_EPSILON`, lr 5e-3 by
     default. The second moment ``v`` has the shape of the logits;
-    :meth:`for_policy` allocates it.
+    :meth:`for_policy` allocates it and each step updates it in place.
     """
 
     lr: float = 5e-3
@@ -159,14 +163,19 @@ class AdamState:
         return cls(v=np.zeros_like(policy.logits), **hyper)
 
     def apply(self, logits: np.ndarray, grads: np.ndarray) -> np.ndarray:
-        """One ascent step; returns new logits, replaces the second moment.
+        """One ascent step; returns new logits, updates the second moment in place.
 
-        Padded slots have zero gradient and moment, so they stay ``-inf``.
+        Padded slots have zero gradient and moment, so they stay ``-inf``. One
+        scratch buffer serves each term, computed in the order of the plain formula.
         """
         self.step += 1
-        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grads * grads
-        v_hat = self.v / (1.0 - ADAM_BETA2 ** self.step)
-        return logits + self.lr * grads / (np.sqrt(v_hat) + ADAM_EPSILON)
+        scratch = (1.0 - ADAM_BETA2) * grads
+        scratch *= grads
+        self.v *= ADAM_BETA2
+        self.v += scratch
+        np.sqrt(np.divide(self.v, 1.0 - ADAM_BETA2 ** self.step, out=scratch), out=scratch)
+        scratch += ADAM_EPSILON
+        return logits + np.divide(self.lr * grads, scratch, out=scratch)
 
 
 @dataclass
@@ -176,31 +185,27 @@ class BaselineState:
     value: float | None = None
 
 
-def sample(
-    policy: CategoricalPolicy, rng: np.random.Generator
-) -> tuple[DecisionVector, float]:
+def sample(policy: CategoricalPolicy, rng: np.random.Generator) -> tuple[DecisionVector, float]:
     """Independent categorical draw per decision; returns (vector, logprob).
 
-    One uniform per decision, drawn in decision order by ``rng.random(n)``:
+    One uniform per decision, drawn in decision order by ``rng.random((n, 1))``:
     the same stream as one ``rng.random()`` call per decision.
     """
     _, logp, exp_logp = policy.stats
-    cdf = np.cumsum(exp_logp, axis=1)
-    target = rng.random(len(cdf)) * cdf[:, -1]
-    # inverse CDF; the clamp keeps a draw that rounds up to the total on a real slot
-    idx = np.minimum((cdf <= target[:, None]).sum(axis=1), policy.last)
-    return tuple(idx.tolist()), float(logp[np.arange(len(idx)), idx].sum())
+    cdf = np.add.accumulate(exp_logp, axis=1)
+    target = rng.random((len(cdf), 1)) * cdf[:, -1:]
+    # inverse CDF, clamped to the last real slot for a draw that rounds up to the total
+    idx = ((cdf > target) | policy.last).argmax(axis=1, keepdims=True)
+    return tuple(idx.ravel().tolist()), float(np.add.reduce(logp[policy.rows, idx], axis=None))
 
 
 def logprob_of(policy: CategoricalPolicy, dv: DecisionVector) -> float:
     """Log-probability of a decision vector under the current logits."""
-    logp = log_softmax(policy)
-    return float(logp[np.arange(len(logp)), list(dv)].sum())
+    return float(np.add.reduce(log_softmax(policy)[policy.rows[:, 0], list(dv)]))
 
 
-def reinforce_objective(
-    policy: CategoricalPolicy, batch: Sequence[SampleOutcome], baseline_value: float
-) -> float:
+def reinforce_objective(policy: CategoricalPolicy, batch: Sequence[SampleOutcome],
+                        baseline_value: float) -> float:
     """Mean advantage-weighted log-probability (the surrogate being ascended)."""
     total = 0.0
     for dv, _, rew in batch:
@@ -208,26 +213,22 @@ def reinforce_objective(
     return total / len(batch)
 
 
-def reinforce_gradient(
-    policy: CategoricalPolicy, batch: Sequence[SampleOutcome], baseline_value: float
-) -> np.ndarray:
+def reinforce_gradient(policy: CategoricalPolicy, batch: Sequence[SampleOutcome],
+                       baseline_value: float) -> np.ndarray:
     """Analytic score-function gradient of :func:`reinforce_objective`.
 
     Per decision, d logprob / d logits = onehot(chosen) - softmax(logits);
-    padded slots get 0. Samples are summed in batch order.
+    padded slots get 0. Samples are added to zeros one at a time, in batch order.
     """
-    chosen = np.array([dv for dv, _, _ in batch])[:, :, None]
-    onehot = chosen == np.arange(policy.logits.shape[1])
-    advantages = np.array([rew - baseline_value for _, _, rew in batch])[:, None, None]
-    return ((onehot - softmax(policy)) * advantages).sum(axis=0) / len(batch)
+    grads, probs = np.zeros(policy.logits.shape), softmax(policy)
+    for dv, _, rew in batch:
+        grads += (policy.onehot.take(dv, axis=0) - probs) * (rew - baseline_value)
+    grads /= len(batch)
+    return grads
 
 
-def reinforce_step(
-    policy: CategoricalPolicy,
-    batch: Sequence[SampleOutcome],
-    baseline: BaselineState,
-    adam: AdamState,
-) -> CategoricalPolicy:
+def reinforce_step(policy: CategoricalPolicy, batch: Sequence[SampleOutcome],
+                   baseline: BaselineState, adam: AdamState) -> CategoricalPolicy:
     """One policy-gradient update.
 
     The advantage uses the pre-update baseline (initialized to the first
@@ -238,7 +239,7 @@ def reinforce_step(
     if not batch:
         raise ValueError("batch must be non-empty")
     rewards = [rew for _, _, rew in batch]
-    if not all(math.isfinite(r) for r in rewards):
+    if not all(map(math.isfinite, rewards)):
         raise ValueError(f"non-finite reward in batch: {rewards}")
     mean_reward = sum(rewards) / len(rewards)
     if baseline.value is None:
@@ -251,7 +252,7 @@ def reinforce_step(
 
 def most_likely(policy: CategoricalPolicy) -> DecisionVector:
     """Argmax per decision; ties break to the lowest index."""
-    return tuple(np.argmax(policy.logits, axis=1).tolist())
+    return tuple(policy.logits.argmax(axis=1).tolist())
 
 
 def entropy(policy: CategoricalPolicy) -> float:
@@ -262,7 +263,7 @@ def entropy(policy: CategoricalPolicy) -> float:
     is ``-inf``, as after a step at a huge learning rate.
     """
     _, logp, exp_logp = policy.stats
-    value = float(-(exp_logp * np.where(policy.mask, logp, 0.0)).sum())
+    value = -float(np.add.reduce(exp_logp * np.where(policy.mask, logp, 0.0), axis=None))
     if not math.isfinite(value):
         raise ValueError(f"entropy is {value}: a decision's logits differ by more than "
                          "the largest float (is lr too large?)")

@@ -282,13 +282,19 @@ def load_space_file(path: str | Path) -> tuple[SpaceSpec, int]:
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise ParseError(f"{path}: enumeration_cap must be an integer >= 1, got {cap!r}")
     layout = resolve_layout(_as_str(doc["layout_ref"], f"{path}: layout_ref"), path.parent)
-    space = build_space(
-        _as_str(doc["variant"], f"{path}: variant"),
-        _as_str(doc["adaptation"], f"{path}: adaptation"),
-        layout,
+    args = (_as_str(doc["variant"], f"{path}: variant"),
+            _as_str(doc["adaptation"], f"{path}: adaptation"), layout)
+    menus = dict(
         multipliers=_as_list(doc["multiplier_menu"], f"{path}: multiplier_menu", _as_num),
         kernels=_as_list(doc["kernel_menu"], f"{path}: kernel_menu", _as_int),
         expansions=_as_list(doc["expansion_menu"], f"{path}: expansion_menu", _as_num),
         compressions=_as_list(doc["compression_menu"], f"{path}: compression_menu", _as_num),
     )
-    return space, cap
+    # the space's own checks name no file: prefix it, keeping the error type
+    try:
+        return build_space(*args, **menus), cap
+    except InvalidArchitectureError as exc:
+        raise InvalidArchitectureError([f"{path}: {exc.violations[0]}",
+                                        *exc.violations[1:]]) from exc
+    except ValueError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc

@@ -20,6 +20,8 @@ from hwnas.arch import functional_signature, load_file, save_file, toy2_layout
 from hwnas.cli import _enum_cap, build_parser, main
 from hwnas.cost import (BUILTIN_DEVICES, fit, generate_benchmarks, load_model, save_model,
                         space_line)
+from hwnas.search import (CapacityOracle, SearchConfig, median_madds, run_search,
+                          write_log)
 from hwnas.space import build_space, decode
 from hwnas.tucker import save_kernel
 from strategies import make_layout
@@ -224,6 +226,36 @@ def test_ridge_lambda_negative_or_not_finite_rejected_at_parse(text):
 @given(st.floats(min_value=0, allow_infinity=False))
 def test_ridge_lambda_finite_nonnegative_accepted(lam):
     assert build_parser().parse_args(FIT_ARGS + [f"--ridge-lambda={lam!r}"]).ridge_lambda == lam
+
+
+@pytest.mark.parametrize("text", ["0", "nan", "-1", "inf", "-0.0", "abc"])
+def test_lr_not_finite_positive_rejected_at_parse(text):
+    line = parse_error(["search", "run", "--log", "x.ndjson", "--lr", text])
+    assert line.endswith(f"argument --lr: must be a finite number > 0, got {text!r}")
+
+
+def test_lr_defaults_to_the_search_config_default():
+    args = build_parser().parse_args(["search", "run", "--log", "x.ndjson"])
+    assert args.lr == SearchConfig(steps=1).lr == 5e-3
+
+
+def test_search_run_lr_reaches_the_controller(tmp_path, capsys):
+    """``--lr 0.05`` logs the steps of ``run_search`` at ``SearchConfig(lr=0.05)``."""
+    cli_log, api_log = tmp_path / "cli.ndjson", tmp_path / "api.ndjson"
+    code, _, _ = run(["search", "run", "--variant", "ibn", "--layout", "toy2", "--steps", "40",
+                      "--seed", "3", "--lr", "0.05", "--log", str(cli_log)], capsys)
+    assert code == 0
+    space = build_space("ibn", "neutral", toy2_layout())
+    oracle = CapacityOracle(scale_madds=median_madds(space, 3))
+    cfg = SearchConfig(steps=40, seed=3, lr=0.05)
+    _, log = run_search(space, oracle, BUILTIN_DEVICES["cpu_sim"], cfg)
+    write_log(log, api_log)
+    _, default_log = run_search(space, oracle, BUILTIN_DEVICES["cpu_sim"],
+                                SearchConfig(steps=40, seed=3))
+    steps = [[line for line in path.read_text().splitlines() if '"type": "step"' in line]
+             for path in (cli_log, api_log)]
+    assert len(steps[0]) == 40 and steps[0] == steps[1]
+    assert log.steps != default_log.steps  # the rate changes the trajectory
 
 
 def test_analyze_matches_network_cost(tmp_path, capsys):

@@ -389,7 +389,7 @@ def test_sample_clamps_to_the_carried_last_slot():
             return np.ones(n)
 
     policy = policy_of([0.0, 1.0, 2.0], [0.5], [1.0, 0.0, 0.0, 0.0, 0.0])
-    assert policy.last.tolist() == [2, 0, 4]
+    assert [np.flatnonzero(row).tolist() for row in policy.last] == [[2], [0], [4]]
     assert sample(policy, RoundsUp())[0] == (2, 0, 4)
     updated = reinforce_step(policy, [((0, 0, 1), 0.0, 1.0)], BaselineState(value=0.0),
                              AdamState.for_policy(policy))

@@ -149,6 +149,53 @@ def test_pinned_trajectory_default_heavy_simulator_noise():
     assert digest == "172c1a9c77ca62cf17fdb9a76a15ad77101912055048d4fbf7cbfbed74615228"
 
 
+def test_pinned_trajectory_default_batch_of_three():
+    """Three samples per step on the nine-block layout: the gradient sums a
+    batch and each 16-wide row reaches numpy's pairwise summation."""
+    space = build_space("ibn_fused_tucker", "neutral", BUILTIN_LAYOUTS["default"]())
+    device = dataclasses.replace(ACCEL, noise_sigma=0.01)
+    oracle = CapacityOracle(median_madds(space, 0), noise_sigma=0.01)
+    budget = resolve_budget(space, device, 0)
+    cfg = SearchConfig(steps=300, samples_per_step=3, tau=-0.3, budget_ms=budget,
+                       seed=2, lr=5e-3)
+    _, log = run_search(space, oracle, device, cfg)
+    assert log.final_dv == (5, 4, 5, 6, 10, 5, 6, 7, 7, 5, 6, 13, 7,
+                            7, 6, 7, 3, 6, 3, 5, 5, 5, 7, 5, 7, 5)
+    assert log.final_reward == -0.4887847019539239
+    digest = hashlib.sha256(repr(log.steps).encode()).hexdigest()
+    assert digest == "f9cb5d4e2c443146512da0a120cefe66680d1b40c5eb39ab0f1818e1586327ca"
+
+
+@pytest.mark.parametrize("samples_per_step", [1, 3])
+def test_controller_seams_are_called_per_sample_and_per_step(toy_space, monkeypatch,
+                                                             samples_per_step):
+    """The benchmark tracer patches these names in ``hwnas.search`` and reads its
+    cache hit ratio from the ``sample`` count, so the loop must call each of
+    them through the module, per sample or per step."""
+    import hwnas.search as search_module
+
+    calls = dict.fromkeys(("sample", "reward", "reinforce_step", "entropy", "most_likely"), 0)
+
+    def counting(name):
+        inner = getattr(search_module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(search_module, name, counting(name))
+    steps = 25
+    cfg = SearchConfig(steps=steps, samples_per_step=samples_per_step, seed=0, budget_ms=1.0)
+    run_search(toy_space, CapacityOracle(median_madds(toy_space, 0)), CPU, cfg)
+    samples = steps * samples_per_step
+    # reward also scores the final architecture once, noiselessly
+    assert calls == {"sample": samples, "reward": samples + 1, "reinforce_step": steps,
+                     "entropy": steps, "most_likely": 1}
+
+
 def test_hash_mode_repeats_noise_per_architecture(toy_space):
     oracle = LinearFeatureOracle.random_for_space(toy_space, 0, noise_sigma=0.05)
     cfg = SearchConfig(steps=200, seed=3)

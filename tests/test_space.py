@@ -300,7 +300,8 @@ def test_space_file_with_invalid_atoms_fails_inspect(tmp_path, capsys):
     path = write_space_file(tmp_path / "space.json", kernel_menu=[4], expansion_menu=[0.5])
     assert main(["space", "inspect", "--space", str(path)]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: InvalidArchitectureError: atom ibn_k4_s0.5: kernel must be odd")
+    assert err.startswith(
+        f"error: InvalidArchitectureError: {path}: atom ibn_k4_s0.5: kernel must be odd")
     assert "expansion must be > 1, got 0.5" in err
 
 
@@ -337,8 +338,22 @@ def test_space_file_with_bad_multiplier_fails_inspect(tmp_path, capsys):
     path = write_space_file(tmp_path / "space.json", multiplier_menu=[-1.0, 1.0])
     assert main(["space", "inspect", "--space", str(path)]) == 1
     assert capsys.readouterr().err == (
-        "error: ValueError: multiplier menu: -1.0 must be > 0 and keep block widths finite\n"
+        f"error: ValueError: {path}: multiplier menu: -1.0 must be > 0 and keep block widths "
+        "finite\n"
     )
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"multiplier_menu": []}, "ValueError: {path}: empty multiplier menu"),
+    ({"variant": "ibnx"}, "ValueError: {path}: unknown variant 'ibnx'; expected one of"),
+    ({"kernel_menu": [4]},
+     "InvalidArchitectureError: {path}: atom ibn_k4_s4: kernel must be odd and >= 1, got 4"),
+], ids=["empty_multipliers", "unknown_variant", "even_kernel"])
+def test_space_file_errors_from_build_space_name_the_file(tmp_path, capsys, fields, message):
+    path = write_space_file(tmp_path / "space.json", **fields)
+    assert main(["space", "inspect", "--space", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: " + message.format(path=path)) and err.count("\n") == 1
 
 
 @pytest.mark.parametrize("fields, message", [
