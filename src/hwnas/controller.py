@@ -241,7 +241,10 @@ def reinforce_step(policy: CategoricalPolicy, batch: Sequence[SampleOutcome],
     rewards = [rew for _, _, rew in batch]
     if not all(map(math.isfinite, rewards)):
         raise ValueError(f"non-finite reward in batch: {rewards}")
-    mean_reward = sum(rewards) / len(rewards)
+    mean_reward = 0.0
+    for rew in rewards:  # in order: sum() of floats is compensated from Python 3.12 on
+        mean_reward += rew
+    mean_reward /= len(rewards)
     if baseline.value is None:
         baseline.value = mean_reward
     grads = reinforce_gradient(policy, batch, baseline.value)

@@ -206,6 +206,40 @@ def _design(
             np.array([r.latency_ms for r in records], dtype=np.float64))
 
 
+def _gram_pairs(
+    rows: np.ndarray, cols: np.ndarray, n: int, d: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(rows, cols, gram): the entries of :func:`_design` that do not center to zero,
+    and the integer matrix ``x @ x.T`` of the records' bucket counts over them.
+
+    A column that is 1 in every record centers to zero (in practice the stem
+    bucket), yet it alone would add ``n^2`` entry pairs, so its entries are
+    dropped. It is found by its distinct rows: a repeated bucket can reach
+    ``n`` entries while missing from some records. Each of the remaining
+    entries pairs with every entry of its column, so the pairs number the
+    sum of the squared column counts, and ``x @ x.T`` counts them per
+    (row, row) cell.
+    """
+    order = np.argsort(cols, kind="stable")  # rows stay ascending within a column
+    rows, cols = rows[order], cols[order]
+    first = np.ones(len(cols), dtype=bool)
+    first[1:] = (cols[1:] != cols[:-1]) | (rows[1:] != rows[:-1])
+    counts = np.bincount(cols, minlength=d)
+    constant = (counts == n) & (np.bincount(cols[first], minlength=d) == n)
+    kept = ~constant[cols]
+    rows, cols = rows[kept], cols[kept]
+    counts[constant] = 0
+    sizes = counts[cols]  # each entry pairs with every entry of its column
+    column_start = np.cumsum(counts) - counts
+    # pair t of entry e is the entry at (start of e's column) + (t - first pair of e)
+    partners = np.repeat(column_start[cols] - (np.cumsum(sizes) - sizes), sizes)
+    partners += np.arange(len(partners))
+    keys = rows.take(partners)
+    del partners
+    keys += np.repeat(rows * n, sizes)
+    return rows, cols, np.bincount(keys, minlength=n * n).reshape(n, n)
+
+
 def fit(
     records: list[BenchmarkRecord],
     space: SpaceSpec,
@@ -215,13 +249,26 @@ def fit(
     """Ridge least squares through the smaller Gram matrix; deterministic.
 
     Minimizes ``sum (prediction - measured)^2 + lambda * |weights|^2`` with
-    an unpenalized intercept. Centering the features and targets removes the
-    intercept from the system: ``intercept = mean(y) - mean(x) . weights``.
+    an unpenalized intercept. Centering the features ``x`` (each record's
+    bucket counts) and targets removes the intercept from the system:
+    ``intercept = mean(y) - mean(x) . weights``.
+
     With fewer records ``n`` than buckets ``d`` the weights come from the
     dual (records x records) system ``xc.T @ solve(xc @ xc.T + lambda I, yc)``,
-    otherwise from the primal (buckets x buckets) one, so beside the
-    ``n x d`` feature matrix (scattered from :func:`_design`'s index arrays)
-    the fit holds ``min(n, d)^2`` floats.
+    and ``x`` is never formed. ``xc @ xc.T`` is ``x @ x.T - s_i - s_j +
+    mean(x) . mean(x)`` with ``s = x @ mean(x)``, and ``x @ x.T`` is an exact
+    count of the pairs of layers that share a bucket (:func:`_gram_pairs`).
+    Those pairs number the sum of the squared bucket counts over the buckets
+    that are not 1 in every record; the stem bucket is, and is left out of
+    every term, as it centers to zero. On 1,600 ``default`` records that is
+    about 1.0M pairs (3.6M with the stem): the fit holds a few index arrays
+    of that length and the ``n x n`` counts and Gram matrix. The weights and
+    the train predictions are sums over the layers' index arrays too.
+
+    Otherwise the weights come from the primal (buckets x buckets) system
+    over the dense ``n x d`` feature matrix, with ``d^2`` floats beside it.
+    That branch keeps the arithmetic of earlier versions, so its models, and
+    the pinned ``toy2`` runs that search with one, stay the same bit for bit.
 
     Train r^2 is read off the centered residuals of the fitted records.
 
@@ -242,26 +289,46 @@ def fit(
         raise FitError(f"{n} records for {d} buckets make the system singular; "
                        "use ridge_lambda > 0")
     rows, cols, y = _design(records, {b: i for i, b in enumerate(buckets)})
-    x = np.zeros((n, d), dtype=np.float64)
-    np.add.at(x, (rows, cols), 1.0)
-    x_mean, y_mean = x.mean(axis=0), y.mean()
-    x -= x_mean
+    y_mean = y.mean()
     y -= y_mean
-    gram = x @ x.T if n < d else x.T @ x
-    gram[np.diag_indices_from(gram)] += ridge_lambda
-    try:
-        weights = x.T @ np.linalg.solve(gram, y) if n < d else np.linalg.solve(gram, x.T @ y)
-    except np.linalg.LinAlgError as exc:
-        hint = "; use ridge_lambda > 0" if ridge_lambda == 0 else ""
-        raise FitError(f"normal equations are singular{hint}") from exc
+    if n < d:
+        rows, cols, gram = _gram_pairs(rows, cols, n, d)
+        x_mean = np.bincount(cols, minlength=d) / n
+        s = np.bincount(rows, weights=x_mean[cols], minlength=n)
+        gram = gram - s[:, None]  # float64 from here on
+        gram -= s[None, :]
+        gram += x_mean @ x_mean
+        a = _solve(gram, y, ridge_lambda)
+        weights = np.bincount(cols, weights=a[rows], minlength=d) - x_mean * a.sum()
+        fitted = np.bincount(rows, weights=weights[cols], minlength=n) - x_mean @ weights
+    else:
+        x = np.zeros((n, d), dtype=np.float64)
+        np.add.at(x, (rows, cols), 1.0)
+        x_mean = x.mean(axis=0)
+        x -= x_mean
+        weights = _solve(x.T @ x, x.T @ y, ridge_lambda)
+        fitted = x @ weights
     return LatencyModel(
         buckets=buckets,
         weights=weights,
         intercept=float(y_mean - x_mean @ weights),
         ridge_lambda=ridge_lambda,
-        train_r2=_r2(y, x @ weights),  # both centered: the residuals are y - x @ weights
+        train_r2=_r2(y, fitted),  # both centered: the residuals are y - fitted
         space_ref=space_ref,
     )
+
+
+def _solve(gram: np.ndarray, rhs: np.ndarray, ridge_lambda: float) -> np.ndarray:
+    """``solve(gram + lambda I, rhs)``, adding lambda to ``gram`` in place.
+
+    A singular system raises :class:`FitError`.
+    """
+    gram[np.diag_indices_from(gram)] += ridge_lambda
+    try:
+        return np.linalg.solve(gram, rhs)
+    except np.linalg.LinAlgError as exc:
+        hint = "; use ridge_lambda > 0" if ridge_lambda == 0 else ""
+        raise FitError(f"normal equations are singular{hint}") from exc
 
 
 def coverage(model: LatencyModel, records: list[BenchmarkRecord]) -> float:
@@ -429,29 +496,29 @@ def load_benchmarks(
     digest, table = _space_digest(space), space_table(space)
     records = []
     for line, row in rows[1:]:
-        where = f"{csv_path}, line {line}"
         if len(row) != len(header):
-            raise ParseError(f"{where}: expected the fields {','.join(header)}, "
+            raise ParseError(f"{csv_path}, line {line}: expected the fields {','.join(header)}, "
                              f"got {len(row)} field(s)")
         if len(row) == 3 and row[2]:
             if (declared or "").rpartition(" ")[2] != digest:
                 raise ParseError(f"{csv_path}: its vectors are from space "
                                  f"{declared or '(none named)'}, not {space_ref} {digest}")
             try:
-                dv = tuple(int(token) for token in row[2].split())
+                dv = tuple(map(int, row[2].split()))
                 net, cost = None, table.price(dv)
             except ValueError:
-                raise ParseError(f"{where}: vector: expected integers, got {row[2]!r}") from None
+                raise ParseError(f"{csv_path}, line {line}: vector: expected integers, "
+                                 f"got {row[2]!r}") from None
             except IndexError as exc:
-                raise ParseError(f"{where}: vector: {exc}") from None
+                raise ParseError(f"{csv_path}, line {line}: vector: {exc}") from None
         else:
             ref = Path(row[0])
             if not ref.is_absolute():
                 ref = csv_path.parent / ref
-            net = load_file(ref, f"{where}: {ref}")
+            net = load_file(ref, f"{csv_path}, line {line}: {ref}")
             dv, cost = None, network_cost(net)
         try:
             records.append(BenchmarkRecord(net, float(row[1]), cost, dv))
         except ValueError as exc:
-            raise ParseError(f"{where}: latency_ms: {exc}") from None
+            raise ParseError(f"{csv_path}, line {line}: latency_ms: {exc}") from None
     return records

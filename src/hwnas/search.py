@@ -104,7 +104,9 @@ class LinearFeatureOracle:
                    descriptor=f"linear_feature(seed={seed})")
 
     def evaluate(self, cost: ArchCost, rng: np.random.Generator | None) -> float:
-        score = sum([self.weights.get(layer.key, 0.0) for layer in cost.layers])
+        score = 0.0
+        for layer in cost.layers:  # in order: sum() of floats is compensated from Python 3.12 on
+            score += self.weights.get(layer.key, 0.0)
         score /= len(cost.layers)  # every layer and the stem
         if rng is not None and self.noise_sigma > 0:
             score += rng.normal(0.0, self.noise_sigma)

@@ -38,7 +38,9 @@ def capacity_score(oracle: CapacityOracle, net: NetworkSpec, rng=None) -> float:
 
 
 def linear_score(oracle: LinearFeatureOracle, net: NetworkSpec, rng=None) -> float:
-    score = sum([oracle.weights.get(b, 0.0) for b in _buckets(net)])  # in layer order
+    score = 0.0
+    for b in _buckets(net):  # in layer order, uncompensated on every Python version
+        score += oracle.weights.get(b, 0.0)
     score /= sum(len(block.layers) for block in net.blocks) + 1  # every layer and the stem
     return _noisy01(score, oracle.noise_sigma, rng)
 

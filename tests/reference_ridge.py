@@ -26,9 +26,13 @@ def feature_matrix(records, buckets) -> tuple[np.ndarray, np.ndarray]:
 
 def fit(records, buckets, ridge_lambda: float) -> tuple[np.ndarray, float]:
     """(weights, intercept) minimizing squared error + lambda * |weights|^2."""
-    x, y = feature_matrix(records, buckets)
-    d = len(buckets)
-    xa = np.hstack([x, np.ones((len(records), 1))])
+    return solve(*feature_matrix(records, buckets), ridge_lambda)
+
+
+def solve(x: np.ndarray, y: np.ndarray, ridge_lambda: float) -> tuple[np.ndarray, float]:
+    """:func:`fit` on a given ``records x buckets`` count matrix."""
+    d = x.shape[1]
+    xa = np.hstack([x, np.ones((len(y), 1))])
     normal = xa.T @ xa
     normal[:d, :d] += ridge_lambda * np.eye(d)
     beta = np.linalg.solve(normal, xa.T @ y)

@@ -127,6 +127,17 @@ def test_first_batch_initializes_baseline():
     assert baseline.value == pytest.approx(0.8)
 
 
+def test_batch_mean_is_summed_in_order_on_every_python():
+    """In order, 1e16 + 1.0 rounds back to 1e16, so the mean is 0.0; the
+    compensated float sum() of Python 3.12 and later would give 1/3."""
+    policy = policy_of([0.0, 0.0])
+    adam = AdamState.for_policy(policy)
+    baseline = BaselineState()
+    batch = [((0,), -0.7, 1e16), ((1,), -0.7, 1.0), ((0,), -0.7, -1e16)]
+    reinforce_step(policy, batch, baseline, adam)
+    assert baseline.value == 0.0
+
+
 def test_non_finite_reward_rejected():
     policy = policy_of([0.0, 0.0])
     adam = AdamState.for_policy(policy)
@@ -337,7 +348,10 @@ def test_array_trajectory_matches_loop_reference(rows, seed, steps, samples_per_
         assert rng.bit_generator.state == rng_ref.bit_generator.state
         used = baseline.value
         if used is None:  # the first batch's mean, as reinforce_step computes it
-            used = sum(step_rewards) / len(step_rewards)
+            used = 0.0
+            for rew in step_rewards:
+                used += rew
+            used /= len(step_rewards)
         policy = reinforce_step(policy, batch, baseline, adam)
         rows = ref.adam_apply(rows, ref.reinforce_gradient(rows, batch, used),
                               m_ref, v_ref, step, lr=lr)

@@ -8,10 +8,11 @@ import tracemalloc
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 import reference_ridge as ref
-from hwnas.analysis import OP_CLASSES, net_feature_counts, network_cost, space_buckets
+from hwnas.analysis import (OP_CLASSES, ArchCost, LayerCost, net_feature_counts, network_cost,
+                            space_buckets)
 from hwnas.arch import BUILTIN_LAYOUTS, ParseError, toy2_layout
 from hwnas.cli import main
 from hwnas.cost import (
@@ -265,6 +266,7 @@ def test_fit_without_ridge_rejects_records_up_to_buckets(variant, data):
 @pytest.mark.parametrize("variant, n, branch", [
     ("ibn", 200, "primal"),  # 33 buckets: more records than buckets
     ("ibn_fused_tucker", 80, "dual"),  # 129 buckets: fewer records than buckets
+    ("ibn_fused_tucker", 128, "dual"),  # one record short of the buckets
 ])
 def test_fit_matches_augmented_normal_equations(variant, n, branch):
     """Both branches of the smaller-Gram solve give the reference's model.
@@ -291,22 +293,73 @@ def test_fit_matches_augmented_normal_equations(variant, n, branch):
         assert predicted == pytest.approx(x @ weights + intercept, **tolerance)
 
 
-def test_fit_memory_stays_below_a_dense_normal_matrix():
-    """400 records of default's 3,537 buckets: the dual system is 400 x 400.
+@settings(max_examples=40, deadline=None)
+@given(n=st.integers(2, 128), used=st.integers(1, 127), seed=st.integers(0, 2**32 - 1))
+@example(n=2, used=1, seed=0)
+@example(n=3, used=5, seed=0)
+@example(n=128, used=127, seed=0)  # 128 records of 129 buckets, none unused
+def test_dual_fit_matches_augmented_normal_equations_on_any_counts(n, used, seed):
+    """The dual branch against the reference on count matrices over toy2's
+    129 ibn_fused_tucker buckets, at the tolerances of the test above.
 
-    The feature matrix takes about 11 MiB; one dense buckets x buckets matrix alone
-    would take 95 MiB. numpy reports its buffers to tracemalloc.
+    Column 0 is 1 in every record, as the stem bucket is. Column 1 reaches
+    ``n`` entries through repeats while missing from some records: 2 in each
+    of the first ``n // 2`` records, and 1 in the last when ``n`` is odd.
+    Each record adds 1 to 20 layers drawn from the next ``used`` columns, so
+    buckets repeat within records; the other columns are unused. Layers come
+    in a shuffled order, so a record's repeats are not adjacent.
+
+    Both fits take lambda 1e-3. The reference's normal equations lose about
+    as many digits as their condition number, near (largest singular value)^2
+    / lambda; at the default 1e-6 some near-square random count matrices take
+    them below the weight tolerance, which sampled architectures do not.
+    """
+    space = build_space("ibn_fused_tucker", "neutral", toy2_layout())
+    buckets = space_buckets(space)
+    rng = np.random.default_rng(seed)
+    x = np.zeros((n, len(buckets)), dtype=np.intp)
+    x[:, 0] = 1
+    x[:n // 2, 1] = 2
+    x[n - 1, 1] += n % 2
+    for row in x:
+        np.add.at(row, 2 + rng.integers(0, used, rng.integers(1, 21)), 1)
+    y = (x @ rng.uniform(0.5, 2.0, len(buckets)) + 5.0) * rng.normal(1.0, 0.01, n)
+    records = []
+    for counts, latency in zip(x, y):
+        keys = [buckets[col] for col in rng.permutation(np.repeat(np.arange(len(buckets)),
+                                                                  counts))]
+        layers = tuple(LayerCost((), 0, 0, "test", key) for key in keys)
+        records.append(BenchmarkRecord(None, float(latency), ArchCost(layers)))
+    model = fit(records, space, ridge_lambda=1e-3)
+    weights, intercept = ref.solve(x.astype(np.float64), y, 1e-3)
+    assert np.max(np.abs(model.weights - weights)) <= 1e-6 * np.max(np.abs(weights))
+    assert model.intercept == pytest.approx(intercept, rel=1e-6)
+    assert np.all(model.weights[2 + used:] == 0.0)
+    predicted = np.array([predict(model, r.cost) for r in records])
+    assert predicted == pytest.approx(x @ weights + intercept, rel=1e-9)
+    assert model.train_r2 == pytest.approx(r2(model, records), abs=1e-9)
+
+
+@pytest.mark.parametrize("n, mib", [(400, 32), (1600, 56)])
+def test_fit_memory_stays_below_a_dense_normal_matrix(n, mib):
+    """Records of default's 3,537 buckets: the dual system is n x n.
+
+    One dense buckets x buckets matrix alone would take 95 MiB, and a dense
+    records x buckets feature matrix 11 MiB at 400 records and 43 MiB at
+    1,600. The fit forms neither: beside the integer and float Gram matrices
+    (20 MiB each at 1,600) it holds index arrays over about 1.0M pairs of
+    layers that share a bucket. numpy reports its buffers to tracemalloc.
     """
     space = build_space("ibn_fused_tucker", "neutral", BUILTIN_LAYOUTS["default"]())
     dev = dataclasses.replace(BUILTIN_DEVICES["accel_sim"], noise_sigma=0.01)
-    records = generate_benchmarks(space, dev, 400, np.random.default_rng(0))
+    records = generate_benchmarks(space, dev, n, np.random.default_rng(0))
     tracemalloc.start()
     try:
         fit(records, space)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 32 * 2**20
+    assert peak < mib * 2**20
 
 
 def test_fit_needs_two_records(toy_space):
