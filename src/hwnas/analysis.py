@@ -7,13 +7,14 @@ parameters, elementwise adds (residuals) and activations count as zero.
 
 Each layer's cost is written once, in the formula table of
 :func:`_layer_table`: one row per constituent conv, holding its op class,
-its kernel weights and the spatial positions it runs at. With ``h, w`` the
-layer input size, ``h', w'`` the post-stride output size and ``sC1``/``eC2``
-the rounded internal widths, the rows are (weights @ positions)::
+its kernel weights and the spatial positions it runs at. Every feature map
+is square. With ``S`` the layer input size, ``S' = ceil(S / stride)`` the
+post-stride output size and ``sC1``/``eC2`` the rounded internal widths, the
+rows are (weights @ positions)::
 
-    ibn:    C1*sC1 @ h*w  +  K^2*sC1     @ h'*w'  +  sC1*C2 @ h'*w'
-    fused:                   K^2*C1*sC1  @ h'*w'  +  sC1*C2 @ h'*w'
-    tucker: C1*sC1 @ h*w  +  K^2*sC1*eC2 @ h'*w'  +  eC2*C2 @ h'*w'
+    ibn:    C1*sC1 @ S^2  +  K^2*sC1     @ S'^2  +  sC1*C2 @ S'^2
+    fused:                   K^2*C1*sC1  @ S'^2  +  sC1*C2 @ S'^2
+    tucker: C1*sC1 @ S^2  +  K^2*sC1*eC2 @ S'^2  +  eC2*C2 @ S'^2
 
 A squeeze-excite block, when enabled, adds two fully connected layers over
 the layer output width C at squeeze ratio 0.25: ``2 * C * round8(0.25*C)``
@@ -122,10 +123,9 @@ def bucket_id(atom_id: str, c_in: int, c_out: int) -> str:
     return f"{atom_id}|{c_in}|{c_out}"
 
 
-def _cost(table: _Table, h: int, w: int, stride: int, op: str, key: str,
-          share=None) -> LayerCost:
-    """Price formula rows at input size ``h x w``; ``share`` interns each unit."""
-    positions = (h * w, -(-h // stride) * -(-w // stride), 1)
+def _cost(table: _Table, size: int, stride: int, op: str, key: str, share=None) -> LayerCost:
+    """Price formula rows at input size ``size``; ``share`` interns each unit."""
+    positions = (size * size, (-(-size // stride)) ** 2, 1)
     units = []
     madds = params = 0  # plain loops: per call, cheaper than sum() over comprehensions
     for op_class, weights, where in table:
@@ -136,21 +136,21 @@ def _cost(table: _Table, h: int, w: int, stride: int, op: str, key: str,
     return LayerCost(tuple(units), madds, params, op, key)
 
 
-def layer_cost(layer: LayerSpec, h: int, w: int) -> LayerCost:
-    """Cost of one layer at input size ``h x w``.
+def layer_cost(layer: LayerSpec, size: int) -> LayerCost:
+    """Cost of one layer at input size ``size``.
 
     ``layer`` is a layer of a validated network (:func:`hwnas.arch.validate`;
     nothing is checked here); the stride applies at the layer's KxK stage.
     """
     kind = layer.kind
-    return _cost(_layer_table(kind, layer.c_in, layer.c_out, layer.use_se), h, w, layer.stride,
+    return _cost(_layer_table(kind, layer.c_in, layer.c_out, layer.use_se), size, layer.stride,
                  kind.op, bucket_id(kind.atom_id, layer.c_in, layer.c_out))
 
 
-def _stem_cost(stem_channels: int, h: int, w: int) -> LayerCost:
-    """Cost of the stem conv; ``h, w`` is the stem's output size."""
+def _stem_cost(stem_channels: int, size: int) -> LayerCost:
+    """Cost of the stem conv; ``size`` is the stem's output size."""
     weights = STEM_KERNEL * STEM_KERNEL * IMAGE_CHANNELS * stem_channels
-    return _cost([("regular_conv", weights, _OUT)], h, w, 1, STEM_BUCKET,
+    return _cost([("regular_conv", weights, _OUT)], size, 1, STEM_BUCKET,
                  bucket_id(STEM_BUCKET, IMAGE_CHANNELS, stem_channels))
 
 
@@ -182,13 +182,9 @@ class ArchCost:
 @lru_cache(maxsize=256)
 def network_cost(net: NetworkSpec) -> ArchCost:
     """Cost of every layer of a network, stem first."""
-    trace = derive_shapes(net)
-    h, w = trace.stem.height, trace.stem.width
-    layers = [_stem_cost(net.stem_channels, h, w)]
-    for (_, _, layer), entry in zip(iter_layers(net), trace.layers):
-        layers.append(layer_cost(layer, h, w))
-        h, w = entry.height, entry.width
-    return ArchCost(tuple(layers))
+    sizes = derive_shapes(net)  # layer i reads a sizes[i] input
+    layers = [layer_cost(layer, size) for (_, _, layer), size in zip(iter_layers(net), sizes)]
+    return ArchCost((_stem_cost(net.stem_channels, sizes[0]), *layers))
 
 
 @lru_cache(maxsize=256)
@@ -244,11 +240,9 @@ class SpaceTable:
         layout = space.layout
         at = {(d.block, d.layer): i for i, d in enumerate(space.decisions)}
         atoms = [(atom, atom.atom_id) for atom in space.kind_atoms()]
-        trace = derive_shapes(layout)
-        # input size of every layer: the stem's output, then each layer's
-        inputs = [(e.height, e.width) for e in (trace.stem, *trace.layers)]
+        sizes = derive_shapes(layout)  # layer p reads a sizes[p] input
         stem = layout.stem_channels
-        self._stem = _stem_cost(stem, *inputs[0])
+        self._stem = _stem_cost(stem, sizes[0])
         self._positions: list[tuple[itemgetter, dict]] = []
         self._size = len(space.decisions)
         # Units repeat across entries (an expand conv ignores c_out): keep
@@ -269,13 +263,13 @@ class SpaceTable:
                     # keep the block width, so one c_in serves them.
                     block = space.block(bi, template[:n if ci == 0 else 1], mult, c_in)
                     for li, layer in enumerate(block.layers):
-                        h, w = inputs[p + li]
+                        size = sizes[p + li]
                         for ai, (atom, atom_id) in enumerate(atoms):
                             # layer_cost of the layer with this atom as its kind; a
                             # LayerSpec per entry would double the build time
                             rows = _layer_table(atom, layer.c_in, layer.c_out, layer.use_se)
                             key = (ai, ci, mi) if li == 0 and cin_at else (ai, mi)
-                            cells[li][key] = _cost(rows, h, w, layer.stride, atom.op,
+                            cells[li][key] = _cost(rows, size, layer.stride, atom.op,
                                                    bucket_id(atom_id, layer.c_in, layer.c_out),
                                                    share)
                 outs.append(block.layers[0].c_out)

@@ -1,4 +1,4 @@
-"""Architecture IR: layers, blocks, networks, shape math, serialization, DOT export.
+"""Architecture IR: layers, blocks, networks, feature map sizes, serialization, DOT export.
 
 Everything here is deliberately dumb data. All types are frozen dataclasses,
 hashable and safe to share across threads; all operations are pure functions.
@@ -153,22 +153,6 @@ class NetworkSpec:
     endpoint_c5: int = -1
 
 
-@dataclass(frozen=True)
-class ShapeEntry:
-    """Post-stride spatial size of one layer."""
-
-    height: int
-    width: int
-
-
-@dataclass(frozen=True)
-class ShapeTrace:
-    """Stem entry plus one entry per layer, in execution order."""
-
-    stem: ShapeEntry
-    layers: tuple[ShapeEntry, ...]
-
-
 def iter_layers(net: NetworkSpec) -> Iterator[tuple[int, int, LayerSpec]]:
     """Yield (block index, layer index, layer) in execution order."""
     for bi, block in enumerate(net.blocks):
@@ -315,29 +299,22 @@ def validate(net: NetworkSpec) -> list[str]:
     return v
 
 
-def _ceil_div(a: int, b: int) -> int:
-    return -(-a // b)
-
-
-def derive_shapes(net: NetworkSpec) -> ShapeTrace:
+def derive_shapes(net: NetworkSpec) -> tuple[int, ...]:
     """Apply the stride schedule to the input resolution.
 
-    Each entry records the layer's post-stride output size; a stride-2 layer
-    maps an H x W input to ceil(H/2) x ceil(W/2) (same padding).
+    Every feature map is square, so one size describes it. The result holds
+    the stem's output size, then each layer's post-stride output size: layer
+    ``i`` reads a ``sizes[i]``-square input and writes a ``sizes[i + 1]``-square
+    output; a stride-2 layer maps size S to ceil(S/2) (same padding).
     Raises :class:`InvalidArchitectureError` on an invalid network.
     """
     violations = validate(net)
     if violations:
         raise InvalidArchitectureError(violations)
-    h = _ceil_div(net.input_resolution, STEM_STRIDE)
-    w = _ceil_div(net.input_resolution, STEM_STRIDE)
-    stem = ShapeEntry(h, w)
-    entries = []
+    sizes = [-(-net.input_resolution // STEM_STRIDE)]
     for _, _, layer in iter_layers(net):
-        h = _ceil_div(h, layer.stride)
-        w = _ceil_div(w, layer.stride)
-        entries.append(ShapeEntry(h, w))
-    return ShapeTrace(stem=stem, layers=tuple(entries))
+        sizes.append(-(-sizes[-1] // layer.stride))
+    return tuple(sizes)
 
 
 # ---------------------------------------------------------------------------

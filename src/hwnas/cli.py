@@ -232,13 +232,13 @@ def cmd_analyze(args) -> int:
     cost = network_cost(net)
     header = ["block", "layer", "kind", "kernel", "config", "c_in", "c_out",
               "stride", "h_out", "w_out", "madds", "params"]
-    trace = derive_shapes(net)
+    sizes = derive_shapes(net)
     stem = cost.layers[0]
     rows = [
         ["stem", "", "conv", 3, "", 3, net.stem_channels, 2,
-         trace.stem.height, trace.stem.width, stem.madds, stem.params]
+         sizes[0], sizes[0], stem.madds, stem.params]
     ]
-    for (bi, li, layer), entry, priced in zip(iter_layers(net), trace.layers, cost.layers[1:]):
+    for (bi, li, layer), size, priced in zip(iter_layers(net), sizes[1:], cost.layers[1:]):
         kind = layer.kind
         config = (
             f"{kind.input_compression:g}-{kind.output_compression:g}"
@@ -247,7 +247,7 @@ def cmd_analyze(args) -> int:
         )
         rows.append(
             [bi, li, kind.op, kind.kernel, config, layer.c_in, layer.c_out,
-             layer.stride, entry.height, entry.width, priced.madds, priced.params]
+             layer.stride, size, size, priced.madds, priced.params]
         )
     rows.append(["total", "", "", "", "", "", "", "", "", "", cost.total_madds,
                  cost.total_params])

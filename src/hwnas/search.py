@@ -27,7 +27,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Protocol, Sequence
@@ -439,12 +439,6 @@ def random_search_baseline(
 # Ablation report
 # ---------------------------------------------------------------------------
 
-ABLATION_COLUMNS = (
-    "space", "device", "reward", "latency_ms", "madds", "params",
-    "frac_regular_all", "frac_regular_early",
-)
-
-
 @dataclass(frozen=True)
 class AblationRow:
     space: str
@@ -455,6 +449,9 @@ class AblationRow:
     params: int
     frac_regular_all: float
     frac_regular_early: float
+
+
+ABLATION_COLUMNS = tuple(f.name for f in fields(AblationRow))
 
 
 def ablation_report(
@@ -512,42 +509,20 @@ def pareto_front(points: Sequence[tuple[float, float]]) -> list[tuple[float, flo
 # ---------------------------------------------------------------------------
 
 def write_log(log: SearchLog, path: str | Path, meta: dict | None = None) -> None:
-    """One meta record, one record per step, one final record."""
-    head = {
-        "type": "meta",
-        "seed": log.seed,
-        "budget_ms": log.budget_ms,
-        "tau": log.tau,
-        "oracle": log.oracle,
-        "latency_source": log.latency_source,
-    }
+    """One meta record, one record per step, one final record.
+
+    The meta record holds the run's settings and ``meta``; the step and final
+    records hold a :class:`StepRecord`'s and the ``final_*`` fields, in
+    declaration order.
+    """
+    record = vars(log)
+    head = {"type": "meta", **{k: v for k, v in record.items()
+                               if k != "steps" and not k.startswith("final_")}}
     if meta:
         head.update(meta)
     lines = [json.dumps(head)]
     for rec in log.steps:
-        lines.append(
-            json.dumps(
-                {
-                    "type": "step",
-                    "step": rec.step,
-                    "dv": list(rec.dv),
-                    "quality": rec.quality,
-                    "latency_ms": rec.latency_ms,
-                    "reward": rec.reward,
-                    "baseline": rec.baseline,
-                    "entropy": rec.entropy,
-                }
-            )
-        )
-    lines.append(
-        json.dumps(
-            {
-                "type": "final",
-                "dv": list(log.final_dv),
-                "quality": log.final_quality,
-                "latency_ms": log.final_latency_ms,
-                "reward": log.final_reward,
-            }
-        )
-    )
+        lines.append(json.dumps({"type": "step", **vars(rec)}))
+    final = {k.removeprefix("final_"): v for k, v in record.items() if k.startswith("final_")}
+    lines.append(json.dumps({"type": "final", **final}))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -56,14 +56,14 @@ def _check_kernel(kernel: np.ndarray) -> tuple[int, int, int]:
     return k, kernel.shape[2], kernel.shape[3]
 
 
-def _canonical_columns(u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _canonical_columns(u: np.ndarray) -> np.ndarray:
     """Flip column signs so the largest-magnitude entry is positive."""
     signs = np.ones(u.shape[1])
     for col in range(u.shape[1]):
         pivot = np.argmax(np.abs(u[:, col]))
         if u[pivot, col] < 0:
             signs[col] = -1.0
-    return u * signs, signs
+    return u * signs
 
 
 def tucker2(kernel: np.ndarray, rank_in: int, rank_out: int) -> Tucker2Factors:
@@ -83,8 +83,8 @@ def tucker2(kernel: np.ndarray, rank_in: int, rank_out: int) -> Tucker2Factors:
     unfold_out = np.moveaxis(kernel, 3, 0).reshape(c2, -1)
     u_in = np.linalg.svd(unfold_in, full_matrices=False)[0][:, :rank_in]
     u_out = np.linalg.svd(unfold_out, full_matrices=False)[0][:, :rank_out]
-    u_in, _ = _canonical_columns(u_in)
-    u_out, _ = _canonical_columns(u_out)
+    u_in = _canonical_columns(u_in)
+    u_out = _canonical_columns(u_out)
     core = np.einsum("abcd,ci,dj->abij", kernel, u_in, u_out)
     return Tucker2Factors(input_factor=u_in, core=core, output_factor=u_out)
 

@@ -85,13 +85,11 @@ def test_criterion_2_analyzer_oracle_equivalence():
                 cost = network_cost(net)
                 assert (cost.total_madds, cost.total_params) == brute_network(net)
                 # per-layer agreement, not just totals
-                trace = derive_shapes(net)
-                h, w = trace.stem.height, trace.stem.width
-                for (_, _, layer), entry, priced in zip(
-                    iter_layers(net), trace.layers, cost.layers[1:]
+                sizes = derive_shapes(net)  # layer i reads a sizes[i] input
+                for (_, _, layer), size, priced in zip(
+                    iter_layers(net), sizes, cost.layers[1:]
                 ):
-                    assert (priced.madds, priced.params) == brute_layer(layer, h, w)
-                    h, w = entry.height, entry.width
+                    assert (priced.madds, priced.params) == brute_layer(layer, size, size)
                 checked += 1
     elapsed = time.time() - start
     assert elapsed < 10.0

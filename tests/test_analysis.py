@@ -30,7 +30,7 @@ TUCKER_LAYER = LayerSpec(tucker(3, 0.25, 0.75), 32, 32, 1)
     [(IBN_LAYER, 514_304), (FUSED_LAYER, 2_007_040), (TUCKER_LAYER, 539_392)],
 )
 def test_layer_madds_frozen_values(layer, expected):
-    assert layer_cost(layer, 14, 14).madds == expected
+    assert layer_cost(layer, 14).madds == expected
     assert brute_layer(layer, 14, 14)[0] == expected
 
 
@@ -39,7 +39,7 @@ def test_layer_madds_frozen_values(layer, expected):
     [(IBN_LAYER, 2_624), (FUSED_LAYER, 10_240), (TUCKER_LAYER, 2_752)],
 )
 def test_layer_params_frozen_values(layer, expected):
-    assert layer_cost(layer, 14, 14).params == expected
+    assert layer_cost(layer, 14).params == expected
     assert brute_layer(layer, 14, 14)[1] == expected
 
 
@@ -47,19 +47,19 @@ def test_stride_two_applies_after_first_pointwise():
     layer = dataclasses.replace(IBN_LAYER, stride=2, residual=False)
     # expand at 14x14, depthwise and project at 7x7
     expected = 14 * 14 * 16 * 64 + 7 * 7 * 9 * 64 + 7 * 7 * 64 * 16
-    assert layer_cost(layer, 14, 14).madds == expected
+    assert layer_cost(layer, 14).madds == expected
     assert brute_layer(layer, 14, 14)[0] == expected
     layer = dataclasses.replace(TUCKER_LAYER, stride=2, residual=False)
     # squeeze at 14x14, core and restore at 7x7
     expected = 14 * 14 * 32 * 8 + 7 * 7 * 9 * 8 * 24 + 7 * 7 * 24 * 32
-    assert layer_cost(layer, 14, 14).madds == expected
+    assert layer_cost(layer, 14).madds == expected
     assert brute_layer(layer, 14, 14)[0] == expected
 
 
 def test_se_block_accounting():
     layer = dataclasses.replace(IBN_LAYER, use_se=True)
     extra = 2 * 16 * 8  # squeeze width round8(0.25 * 16) = 8
-    cost = layer_cost(layer, 14, 14)
+    cost = layer_cost(layer, 14)
     assert cost.madds == 514_304 + extra
     assert cost.params == 2_624 + extra
     assert ("se_block", extra) in cost.units
@@ -70,7 +70,7 @@ def test_tucker_unit_ratios_degenerate_cleanly():
     # ratios of 1.0 violate search-space rules but the formulas stay defined
     layer = LayerSpec(tucker(3, 1.0, 1.0), 32, 32, 1)
     expected = 14 * 14 * 32 * 32 + 14 * 14 * 9 * 32 * 32 + 14 * 14 * 32 * 32
-    assert layer_cost(layer, 14, 14).madds == expected
+    assert layer_cost(layer, 14).madds == expected
 
 
 def test_network_cost_rejects_bad_dims():

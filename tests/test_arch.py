@@ -106,22 +106,22 @@ def test_default_endpoints_enforced():
 
 def test_derive_shapes_two_halvings():
     net = make_layout(320, 32, [(32, 2, 2)])
-    trace = derive_shapes(net)
-    assert (trace.stem.height, trace.stem.width) == (160, 160)
-    assert all(e.height == e.width == 80 for e in trace.layers)
+    sizes = derive_shapes(net)
+    assert sizes[0] == 160
+    assert all(s == 80 for s in sizes[1:])
 
 
 def test_derive_shapes_default_c5_at_10x10():
     net = default_layout(320)
-    trace = derive_shapes(net)
-    assert len(trace.layers) == 17
+    sizes = derive_shapes(net)
+    assert len(sizes) == 1 + 17  # the stem, then each layer
     # blocks 6..8 sit at output stride 32
-    assert all(e.height == e.width == 10 for e in trace.layers[-5:])
+    assert all(s == 10 for s in sizes[-5:])
 
 
 def test_derive_shapes_ceil_division():
     net = make_layout(321, 16, [(16, 1, 1)])
-    assert derive_shapes(net).stem.height == 161
+    assert derive_shapes(net)[0] == 161
 
 
 def test_derive_shapes_rejects_invalid():
@@ -257,13 +257,10 @@ def test_round_trip_property(net):
 @settings(max_examples=60)
 @given(nets())
 def test_shapes_monotone_property(net):
-    trace = derive_shapes(net)
-    sizes = [(trace.stem.height, trace.stem.width)] + [
-        (e.height, e.width) for e in trace.layers
-    ]
-    for (h0, w0), (h1, w1) in zip(sizes, sizes[1:]):
-        assert h1 <= h0 and w1 <= w0
-        assert h1 >= 1 and w1 >= 1
+    sizes = derive_shapes(net)
+    for s0, s1 in zip(sizes, sizes[1:]):
+        assert s1 <= s0
+        assert s1 >= 1
 
 
 @settings(max_examples=60)
@@ -272,7 +269,7 @@ def test_valid_nets_analyze_cleanly(net):
     from hwnas.analysis import network_cost
 
     assert validate(net) == []
-    assert len(derive_shapes(net).layers) == sum(b.num_layers for b in net.blocks)
+    assert len(derive_shapes(net)) == 1 + sum(b.num_layers for b in net.blocks)
     cost = network_cost(net)
     assert len(cost.layers) == sum(b.num_layers for b in net.blocks) + 1  # the stem first
     assert cost.total_madds == sum(layer.madds for layer in cost.layers)

@@ -16,13 +16,13 @@ import pytest
 from hypothesis import given, settings
 
 from hwnas.analysis import network_cost
-from hwnas.arch import functional_signature, load_file, save_file, toy2_layout
+from hwnas.arch import default_layout, functional_signature, load_file, save_file, toy2_layout
 from hwnas.cli import _enum_cap, build_parser, main
 from hwnas.cost import (BUILTIN_DEVICES, fit, generate_benchmarks, load_model, save_model,
                         space_line)
 from hwnas.search import (CapacityOracle, SearchConfig, median_madds, run_search,
                           write_log)
-from hwnas.space import build_space, decode
+from hwnas.space import build_space, decode, random_sample
 from hwnas.tucker import save_kernel
 from strategies import make_layout
 
@@ -272,6 +272,22 @@ def test_analyze_matches_network_cost(tmp_path, capsys):
     assert totals[0] == "total"
     assert int(totals[-2]) == cost.total_madds
     assert int(totals[-1]) == cost.total_params
+
+
+def test_analyze_table_is_pinned(tmp_path, capsys):
+    """Every cell of the analyze table, h_out/w_out included, for one default network
+    with squeeze-excite and stride-2 layers of all three kinds."""
+    space = build_space("ibn_fused_tucker", "cpu", default_layout())
+    net = decode(space, random_sample(space, np.random.default_rng(3)))
+    path = tmp_path / "arch.json"
+    save_file(net, path)
+    out_path = tmp_path / "table.csv"
+    code, _, _ = run(["analyze", "--arch", str(path), "-o", str(out_path)], capsys)
+    assert code == 0
+    rows = [line for line in out_path.read_text().splitlines() if not line.startswith("#")]
+    assert len(rows) == 1 + 1 + 17 + 1  # header, stem, layers, total
+    assert hashlib.sha256("\n".join(rows).encode()).hexdigest() == (
+        "dcf03b530656659ca144ffcea7b307bde07edf98b6ab70df0c7a8d73e80566fe")
 
 
 def test_export_dot(tmp_path, capsys):
