@@ -184,8 +184,10 @@ def kind_violations(kind: LayerKind, where: str) -> list[str]:
     if kind.kernel < 1 or kind.kernel % 2 == 0:
         out.append(f"{where}: kernel must be odd and >= 1, got {kind.kernel}")
     if kind.op in ("ibn", "fused"):
-        if kind.expansion is None or kind.expansion <= 1:
+        if kind.expansion is None or not kind.expansion > 1:  # NaN fails too
             out.append(f"{where}: expansion must be > 1, got {kind.expansion}")
+        elif kind.expansion == math.inf:
+            out.append(f"{where}: expansion must be finite, got {kind.expansion}")
         if kind.input_compression is not None or kind.output_compression is not None:
             out.append(f"{where}: compression ratios only apply to tucker layers")
     else:
@@ -233,11 +235,14 @@ def validate(net: NetworkSpec) -> list[str]:
             )
         if block.base_channels < 1:
             v.append(f"{where}: base_channels must be >= 1, got {block.base_channels}")
-        if block.multiplier <= 0:
+        width = block.multiplier * block.base_channels
+        if not block.multiplier > 0:  # NaN fails too
             v.append(f"{where}: multiplier must be > 0, got {block.multiplier}")
+        elif not math.isfinite(width):
+            v.append(f"{where}: multiplier {block.multiplier} makes the block width overflow")
         if block.first_stride not in (1, 2):
             v.append(f"{where}: first_stride must be 1 or 2, got {block.first_stride}")
-        want_out = round8(block.multiplier * block.base_channels) if block.base_channels >= 1 else None
+        want_out = round8(width) if block.base_channels >= 1 and 0 < width < math.inf else None
 
         for li, layer in enumerate(block.layers):
             lw = f"block {bi} layer {li}"

@@ -29,6 +29,7 @@ from .analysis import network_cost
 from .controller import RewardConfig
 from .cost import (
     BUILTIN_DEVICES,
+    check_space,
     coverage,
     fit,
     generate_benchmarks,
@@ -39,6 +40,7 @@ from .cost import (
     r2,
     save_benchmarks,
     save_model,
+    space_id,
     space_line,
 )
 from .search import (
@@ -178,9 +180,13 @@ def _write_csv(path: str | None, header: list[str], rows: list[list],
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
 
 
-def _resolve_source(args):
-    """The latency source: the fitted model at ``--model``, else ``--device``."""
-    return load_model(args.model) if args.model else _resolve_device(args.device)
+def _resolve_source(args, space):
+    """The model at ``--model``, which must be fitted on ``space``, else ``--device``."""
+    if not args.model:
+        return _resolve_device(args.device)
+    model = load_model(args.model)
+    check_space(model.space_ref, space, _space_ref(args), f"{args.model}: it was fitted on")
+    return model
 
 
 def _emit(path: str | None, text: str) -> None:
@@ -288,7 +294,7 @@ def cmd_cost_fit(args) -> int:
     order = rng.permutation(len(records))
     holdout = [records[i] for i in order[:holdout_n]]
     train = [records[i] for i in order[holdout_n:]]
-    model = fit(train, space, ridge_lambda=args.ridge_lambda, space_ref=space_ref)
+    model = fit(train, space, args.ridge_lambda, space_id(space, space_ref))
     if holdout:
         model.holdout_r2 = r2(model, holdout)
     save_model(model, args.out, meta=_meta_dict(args.seed))
@@ -397,7 +403,7 @@ def _add_oracle_args(parser: argparse.ArgumentParser) -> None:
 
 def cmd_search_run(args) -> int:
     space, _ = _resolve_space(args)
-    source = _resolve_source(args)
+    source = _resolve_source(args, space)
     oracle = _make_oracle(args, space, args.seed)
     cfg = SearchConfig(
         steps=args.steps,
@@ -449,7 +455,7 @@ def cmd_search_ablation(args) -> int:
 
 def cmd_search_exhaustive(args) -> int:
     space, cap = _resolve_space(args)
-    source = _resolve_source(args)
+    source = _resolve_source(args, space)
     oracle = _make_oracle(args, space, args.seed)
     budget = args.budget if args.budget else resolve_budget(space, source, args.seed)
     net, rew = exhaustive_best(

@@ -7,9 +7,11 @@ the gradient, Adam and entropy are each a few numpy calls over the whole
 array. The update ascends the score-function gradient of the advantage-
 weighted log-probability, with an exponential moving average of the reward
 as baseline and Adam on the logits, whose second moment is updated in place.
-One softmax pass per policy serves sampling, the gradient and entropy, and
-the policy carries the index arrays they gather with. Logits are validated
-when built; an update keeps the padding and its pass checks rows stay finite.
+A sample is its decision vector alone; the update pairs it with its reward.
+One softmax pass per policy fills its ``probs``, ``logp`` and ``exp_logp``
+fields for the gradient, sampling and entropy, and the policy carries the
+index arrays they gather with. Logits are validated when built; an update
+keeps the padding and its pass checks rows stay finite.
 """
 
 from __future__ import annotations
@@ -22,10 +24,9 @@ import numpy as np
 
 from .space import DecisionVector, SpaceSpec
 
-# Sample outcome fed to the update: (decision vector, log-probability at
-# sampling time, reward). The stored log-probability is diagnostic only; the
-# gradient recomputes probabilities from the current logits.
-SampleOutcome = tuple[DecisionVector, float, float]
+# Sample outcome fed to the update: (decision vector, reward). The gradient
+# reads probabilities from the current policy's softmax fields.
+SampleOutcome = tuple[DecisionVector, float]
 
 # TuNAS's optimizer and baseline settings. Adam runs with beta1 = 0, so its
 # first moment is the gradient itself and only the second moment is kept.
@@ -41,6 +42,7 @@ class CategoricalPolicy:
     Each row holds at least one finite logit followed by ``-inf`` padding.
     ``mask`` marks the real slots and ``last`` each row's last one; ``rows``
     is the column of decision indices and ``onehot`` an identity row per choice.
+    ``probs``, ``logp`` and ``exp_logp`` hold the softmax pass's outputs.
     """
 
     logits: np.ndarray
@@ -48,7 +50,9 @@ class CategoricalPolicy:
     last: np.ndarray = field(init=False, repr=False, compare=False)
     rows: np.ndarray = field(init=False, repr=False, compare=False)
     onehot: np.ndarray = field(init=False, repr=False, compare=False)
-    stats: tuple[np.ndarray, ...] = field(init=False, repr=False, compare=False)
+    probs: np.ndarray = field(init=False, repr=False, compare=False)
+    logp: np.ndarray = field(init=False, repr=False, compare=False)
+    exp_logp: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         logits = self.logits
@@ -63,7 +67,7 @@ class CategoricalPolicy:
         onehot = np.eye(logits.shape[1])
         self.__dict__.update(mask=mask, last=onehot[mask.sum(axis=1) - 1] == 1,
                              rows=np.arange(len(logits))[:, None], onehot=onehot)
-        self.__dict__["stats"] = _softmax_pass(logits, self)
+        self.__dict__.update(_softmax_pass(logits, self))
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "CategoricalPolicy":
@@ -81,15 +85,16 @@ class CategoricalPolicy:
     def _trusted(cls, logits: np.ndarray, like: "CategoricalPolicy") -> "CategoricalPolicy":
         """Wrap logits padded as ``like``'s, checking only that rows are finite."""
         policy = object.__new__(cls)
-        policy.__dict__.update(like.__dict__, logits=logits, stats=_softmax_pass(logits, like))
+        policy.__dict__.update(like.__dict__, logits=logits, **_softmax_pass(logits, like))
         return policy
 
 
-def _softmax_pass(logits: np.ndarray, like: CategoricalPolicy) -> tuple[np.ndarray, ...]:
-    """(exp / row sum, log-softmax, its exp): the policy's one softmax pass.
+def _softmax_pass(logits: np.ndarray, like: CategoricalPolicy) -> dict[str, np.ndarray]:
+    """The policy's one softmax pass: ``probs`` (exp / row sum), ``logp``
+    (log-softmax, ``-inf`` in padded slots) and ``exp_logp`` (its exp).
 
-    The gradient reads the first, sampling's CDF and entropy the last; the two
-    differ in the last bit. The row max is read at the argmax (cheaper than a
+    The gradient reads ``probs``, sampling's CDF and entropy ``exp_logp``; the
+    two differ in the last bit. The row max is read at the argmax (cheaper than a
     max reduction); a row whose max is not finite raises. numpy sums a vector
     sequentially below 8 elements and pairwise from 8, so a plain sum over a
     padded row would add in another order than a sum over the decision's own
@@ -104,17 +109,7 @@ def _softmax_pass(logits: np.ndarray, like: CategoricalPolicy) -> tuple[np.ndarr
     total = np.add.reduce(exp, axis=1, keepdims=True, where=like.mask)
     exp /= total
     logp = np.subtract(shifted, np.log(total, out=total), out=shifted)
-    return exp, logp, np.exp(logp)
-
-
-def softmax(policy: CategoricalPolicy) -> np.ndarray:
-    """Per-decision probabilities; padded slots hold 0."""
-    return policy.stats[0]
-
-
-def log_softmax(policy: CategoricalPolicy) -> np.ndarray:
-    """Per-decision log-probabilities; padded slots hold ``-inf``."""
-    return policy.stats[1]
+    return {"probs": exp, "logp": logp, "exp_logp": np.exp(logp)}
 
 
 @dataclass(frozen=True)
@@ -185,44 +180,28 @@ class BaselineState:
     value: float | None = None
 
 
-def sample(policy: CategoricalPolicy, rng: np.random.Generator) -> tuple[DecisionVector, float]:
-    """Independent categorical draw per decision; returns (vector, logprob).
+def sample(policy: CategoricalPolicy, rng: np.random.Generator) -> DecisionVector:
+    """Independent categorical draw per decision.
 
     One uniform per decision, drawn in decision order by ``rng.random((n, 1))``:
     the same stream as one ``rng.random()`` call per decision.
     """
-    _, logp, exp_logp = policy.stats
-    cdf = np.add.accumulate(exp_logp, axis=1)
+    cdf = np.add.accumulate(policy.exp_logp, axis=1)
     target = rng.random((len(cdf), 1)) * cdf[:, -1:]
     # inverse CDF, clamped to the last real slot for a draw that rounds up to the total
-    idx = ((cdf > target) | policy.last).argmax(axis=1, keepdims=True)
-    return tuple(idx.ravel().tolist()), float(np.add.reduce(logp[policy.rows, idx], axis=None))
-
-
-def logprob_of(policy: CategoricalPolicy, dv: DecisionVector) -> float:
-    """Log-probability of a decision vector under the current logits."""
-    return float(np.add.reduce(log_softmax(policy)[policy.rows[:, 0], list(dv)]))
-
-
-def reinforce_objective(policy: CategoricalPolicy, batch: Sequence[SampleOutcome],
-                        baseline_value: float) -> float:
-    """Mean advantage-weighted log-probability (the surrogate being ascended)."""
-    total = 0.0
-    for dv, _, rew in batch:
-        total += (rew - baseline_value) * logprob_of(policy, dv)
-    return total / len(batch)
+    return tuple(((cdf > target) | policy.last).argmax(axis=1).tolist())
 
 
 def reinforce_gradient(policy: CategoricalPolicy, batch: Sequence[SampleOutcome],
                        baseline_value: float) -> np.ndarray:
-    """Analytic score-function gradient of :func:`reinforce_objective`.
+    """Score-function gradient of the mean advantage-weighted log-probability.
 
-    Per decision, d logprob / d logits = onehot(chosen) - softmax(logits);
+    Per decision, d log p(chosen) / d logits = onehot(chosen) - probs;
     padded slots get 0. Samples are added to zeros one at a time, in batch order.
     """
-    grads, probs = np.zeros(policy.logits.shape), softmax(policy)
-    for dv, _, rew in batch:
-        grads += (policy.onehot.take(dv, axis=0) - probs) * (rew - baseline_value)
+    grads = np.zeros(policy.logits.shape)
+    for dv, rew in batch:
+        grads += (policy.onehot.take(dv, axis=0) - policy.probs) * (rew - baseline_value)
     grads /= len(batch)
     return grads
 
@@ -238,7 +217,7 @@ def reinforce_step(policy: CategoricalPolicy, batch: Sequence[SampleOutcome],
     """
     if not batch:
         raise ValueError("batch must be non-empty")
-    rewards = [rew for _, _, rew in batch]
+    rewards = [rew for _, rew in batch]
     if not all(map(math.isfinite, rewards)):
         raise ValueError(f"non-finite reward in batch: {rewards}")
     mean_reward = 0.0
@@ -265,8 +244,8 @@ def entropy(policy: CategoricalPolicy) -> float:
     differ by more than the largest float, so a real slot's log-probability
     is ``-inf``, as after a step at a huge learning rate.
     """
-    _, logp, exp_logp = policy.stats
-    value = -float(np.add.reduce(exp_logp * np.where(policy.mask, logp, 0.0), axis=None))
+    value = -float(np.add.reduce(policy.exp_logp * np.where(policy.mask, policy.logp, 0.0),
+                                 axis=None))
     if not math.isfinite(value):
         raise ValueError(f"entropy is {value}: a decision's logits differ by more than "
                          "the largest float (is lr too large?)")

@@ -32,7 +32,7 @@ from .space import DecisionVector, SpaceSpec, random_sample, decode
 
 
 # The model file layout :func:`save_model` writes and :func:`load_model` reads.
-MODEL_VERSION = 2
+MODEL_VERSION = 3
 MODEL_FIELDS = ("version", "space_ref", "buckets", "weights", "intercept", "lambda",
                 "train_r2", "holdout_r2")
 
@@ -71,11 +71,6 @@ class DeviceSimulator:
             if not (math.isfinite(value) and value >= 0):
                 raise ValueError(f"{self.name}: {field_name} must be >= 0 and finite, got {value}")
 
-    def rate(self, op_class: str) -> float:
-        if op_class not in OP_CLASSES:
-            raise ValueError(f"unknown op class {op_class!r}")
-        return getattr(self, op_class)
-
 
 # Built-in profiles. The accelerator profile charges depthwise multiply-adds
 # 21x the regular-conv rate, so a regular conv carrying 7x the MAdds of its
@@ -101,7 +96,7 @@ def simulate_groups(
     so latencies stay positive (a positive first draw is kept as it is);
     ``rng=None`` is exact.
     """
-    rates = {op_class: device.rate(op_class) for op_class in OP_CLASSES}
+    rates = {op_class: getattr(device, op_class) for op_class in OP_CLASSES}
     total = device.overhead_ms * len(groups)
     try:
         for group in groups:
@@ -387,6 +382,13 @@ def save_model(model: LatencyModel, path: str | Path, meta: dict | None = None) 
     Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
 
 
+def _as_finite(value, where: str) -> float:
+    number = _as_num(value, where)
+    if not math.isfinite(number):
+        raise ParseError(f"{where}: expected a finite number, got {number}")
+    return number
+
+
 def load_model(path: str | Path) -> LatencyModel:
     """Read a model file; a malformed one raises one line naming the file and field."""
     doc = parse_json(Path(path).read_text(encoding="utf-8"), path)
@@ -397,11 +399,11 @@ def load_model(path: str | Path) -> LatencyModel:
     holdout = doc["holdout_r2"]
     return LatencyModel(
         buckets=tuple(_as_list(doc["buckets"], f"{path}: buckets", _as_str)),
-        weights=np.array(_as_list(doc["weights"], f"{path}: weights", _as_num), dtype=np.float64),
-        intercept=_as_num(doc["intercept"], f"{path}: intercept"),
-        ridge_lambda=_as_num(doc["lambda"], f"{path}: lambda"),
-        train_r2=_as_num(doc["train_r2"], f"{path}: train_r2"),
-        holdout_r2=None if holdout is None else _as_num(holdout, f"{path}: holdout_r2"),
+        weights=np.array(_as_list(doc["weights"], f"{path}: weights", _as_finite), float),
+        intercept=_as_finite(doc["intercept"], f"{path}: intercept"),
+        ridge_lambda=_as_finite(doc["lambda"], f"{path}: lambda"),
+        train_r2=_as_finite(doc["train_r2"], f"{path}: train_r2"),
+        holdout_r2=None if holdout is None else _as_finite(holdout, f"{path}: holdout_r2"),
         space_ref=_as_str(doc["space_ref"], f"{path}: space_ref"),
     )
 
@@ -460,14 +462,23 @@ def save_benchmarks(
             writer.writerow([str(ref), f"{record.latency_ms:.9g}", vector])
 
 
-def _space_digest(space: SpaceSpec) -> str:
-    """A digest of a space's definition, which fixes how its vectors price."""
-    return hashlib.sha256(repr(space).encode()).hexdigest()[:12]
+def space_id(space: SpaceSpec, space_ref: str) -> str:
+    """``space_ref`` and a digest of the space's definition, which fixes how its
+    vectors price: the space a benchmark CSV or a model file names."""
+    return f"{space_ref} {hashlib.sha256(repr(space).encode()).hexdigest()[:12]}"
 
 
 def space_line(space: SpaceSpec, space_ref: str) -> str:
-    """The ``# space:`` comment of a benchmark CSV: ``space_ref`` and the space's digest."""
-    return f"space: {space_ref} {_space_digest(space)}"
+    """The ``# space:`` comment of a benchmark CSV."""
+    return f"space: {space_id(space, space_ref)}"
+
+
+def check_space(declared: str | None, space: SpaceSpec, space_ref: str, what: str) -> None:
+    """Raise unless ``declared`` (a :func:`space_id`) carries the digest of ``space``,
+    so the same space named another way passes and an edited one does not."""
+    expected = space_id(space, space_ref)
+    if (declared or "").rpartition(" ")[2] != expected.rpartition(" ")[2]:
+        raise ParseError(f"{what} space {declared or '(none named)'}, not {expected}")
 
 
 def load_benchmarks(
@@ -477,9 +488,8 @@ def load_benchmarks(
 
     Vector rows are priced from the unit table of ``space`` without opening
     their architecture files, and the CSV's ``# space:`` line must carry the
-    digest of ``space`` (:func:`space_line`), so the same space named
-    another way passes and an edited one does not. Rows with an empty
-    vector, and two-column files, read their architecture files.
+    digest of ``space`` (:func:`check_space`). Rows with an empty vector,
+    and two-column files, read their architecture files.
     """
     csv_path = Path(csv_path)
     declared, rows = None, []
@@ -493,16 +503,14 @@ def load_benchmarks(
     header = rows[0][1] if rows else None
     if header not in (BENCH_FIELDS[:2], BENCH_FIELDS):
         raise ValueError(f"{csv_path}: expected header arch_file,latency_ms[,vector]")
-    digest, table = _space_digest(space), space_table(space)
-    records = []
+    if any(len(row) == len(header) == 3 and row[2] for _, row in rows[1:]):
+        check_space(declared, space, space_ref, f"{csv_path}: its vectors are from")
+    table, records = space_table(space), []
     for line, row in rows[1:]:
         if len(row) != len(header):
             raise ParseError(f"{csv_path}, line {line}: expected the fields {','.join(header)}, "
                              f"got {len(row)} field(s)")
         if len(row) == 3 and row[2]:
-            if (declared or "").rpartition(" ")[2] != digest:
-                raise ParseError(f"{csv_path}: its vectors are from space "
-                                 f"{declared or '(none named)'}, not {space_ref} {digest}")
             try:
                 dv = tuple(map(int, row[2].split()))
                 net, cost = None, table.price(dv)

@@ -269,10 +269,8 @@ class _Evaluator:
         seed: int,
         noise_mode: str,
     ):
-        self.space = space
         self.oracle = oracle
         self.source = source
-        self.seed = seed
         self.noise_mode = noise_mode
         self.table = space_table(space)
         self._iid_rng = np.random.default_rng([seed, 2])
@@ -338,18 +336,18 @@ def run_search(
             batch = []
             first_eval = None
             for _ in range(cfg.samples_per_step):
-                dv, logprob = sample(policy, rng)
+                dv = sample(policy, rng)
                 quality, latency = evaluator.evaluate(dv)
                 if first_eval is None:
                     first_eval = (quality, latency)
-                batch.append((dv, logprob, reward(quality, latency, reward_cfg)))
+                batch.append((dv, reward(quality, latency, reward_cfg)))
             policy = reinforce_step(policy, batch, baseline, adam)
             policy_entropy = entropy(policy)
         except Exception as exc:
             # a batch short of samples_per_step failed while scoring the latest sample
             where = f" (decision vector {dv})" if len(batch) < cfg.samples_per_step else ""
             raise RuntimeError(f"search aborted at step {step}: {exc}{where}") from exc
-        first_dv, _, first_reward = batch[0]
+        first_dv, first_reward = batch[0]
         records.append(
             StepRecord(
                 step=step,

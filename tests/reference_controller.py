@@ -4,7 +4,9 @@ This is the controller as it was before the policy became one padded array:
 one logits vector per decision and a Python loop over decisions in every
 operation. The array-native functions in ``hwnas.controller`` must match it
 bit for bit in sampling, the REINFORCE gradient and one Adam step, and to
-1e-12 in entropy (whose sum runs in another order).
+1e-12 in entropy (whose sum runs in another order). :func:`objective` is the
+surrogate whose gradient ``reinforce_gradient`` computes, for the
+finite-difference checks.
 """
 
 from __future__ import annotations
@@ -27,20 +29,32 @@ def log_softmax(logits: np.ndarray) -> np.ndarray:
 
 def sample(rows, rng):
     indices = []
-    logprob = 0.0
     for logits in rows:
-        logp = log_softmax(logits)
-        cdf = np.cumsum(np.exp(logp))
+        cdf = np.cumsum(np.exp(log_softmax(logits)))
         idx = min(int(np.searchsorted(cdf, rng.random() * cdf[-1], side="right")),
                   logits.size - 1)
         indices.append(idx)
-        logprob += float(logp[idx])
-    return tuple(indices), logprob
+    return tuple(indices)
+
+
+def objective(logits, batch, baseline_value):
+    """Mean advantage-weighted log-probability of ``(dv, reward)`` pairs.
+
+    ``logits`` is a padded policy array; each row's ``-inf`` padding is dropped.
+    """
+    rows = [row[np.isfinite(row)] for row in logits]
+    total = 0.0
+    for dv, rew in batch:
+        logprob = 0.0
+        for row, idx in zip(rows, dv):
+            logprob += float(log_softmax(row)[idx])
+        total += (rew - baseline_value) * logprob
+    return total / len(batch)
 
 
 def reinforce_gradient(rows, batch, baseline_value):
     grads = [np.zeros_like(vec) for vec in rows]
-    for dv, _, rew in batch:
+    for dv, rew in batch:
         advantage = rew - baseline_value
         for d, idx in enumerate(dv):
             g = -softmax(rows[d])

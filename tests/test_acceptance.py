@@ -18,7 +18,6 @@ from hwnas.controller import (
     CategoricalPolicy,
     RewardConfig,
     reinforce_gradient,
-    reinforce_objective,
     sample,
 )
 from hwnas.cost import (
@@ -37,6 +36,7 @@ from hwnas.search import (
     run_search,
 )
 from hwnas.space import build_space, decode, random_sample
+import reference_controller as ref
 from bruteforce import brute_layer, brute_network
 from strategies import make_layout
 
@@ -152,8 +152,7 @@ def test_criterion_5_reinforce_gradient_check():
     )
     batch = []
     for _ in range(8):
-        dv, logprob = sample(policy, rng)
-        batch.append((dv, logprob, float(rng.uniform(-1, 1))))
+        batch.append((sample(policy, rng), float(rng.uniform(-1, 1))))
     baseline_value = 0.2
     analytic = reinforce_gradient(policy, batch, baseline_value)
     h = 1e-5
@@ -162,7 +161,7 @@ def test_criterion_5_reinforce_gradient_check():
         def objective_at(delta):
             logits = policy.logits.copy()
             logits[d, i] += delta
-            return reinforce_objective(CategoricalPolicy(logits), batch, baseline_value)
+            return ref.objective(logits, batch, baseline_value)
 
         fd = (objective_at(h) - objective_at(-h)) / (2 * h)
         worst = max(worst, abs(fd - analytic[d, i]))

@@ -22,7 +22,8 @@ from hwnas.cost import (BUILTIN_DEVICES, fit, generate_benchmarks, load_model, s
                         space_line)
 from hwnas.search import (CapacityOracle, SearchConfig, median_madds, run_search,
                           write_log)
-from hwnas.space import build_space, decode, random_sample
+from hwnas.space import (DEFAULT_COMPRESSIONS, DEFAULT_EXPANSIONS, DEFAULT_KERNELS,
+                         DEFAULT_MULTIPLIERS, build_space, decode, random_sample)
 from hwnas.tucker import save_kernel
 from strategies import make_layout
 
@@ -494,6 +495,48 @@ def test_search_run_with_fitted_model(tmp_path, capsys):
     assert meta["latency_source"].startswith("model:")
 
 
+def fit_model_on(tmp_path, capsys, space_args):
+    """Generate 60 records on ``space_args`` and fit a model; returns its path."""
+    bench, model = tmp_path / "bench.csv", tmp_path / "model.json"
+    for argv in (["bench", "generate", *space_args, "--device", "accel_sim", "-n", "60",
+                  "-o", str(bench)],
+                 ["cost", "fit", *space_args, "--bench", str(bench), "-o", str(model)]):
+        code, _, err = run(argv, capsys)
+        assert code == 0, err
+    return model
+
+
+@pytest.mark.parametrize("command", [["run", "--steps", "5", "--log", "{tmp}/run.ndjson"],
+                                     ["exhaustive"]], ids=["run", "exhaustive"])
+def test_search_rejects_a_model_fitted_on_another_space(tmp_path, capsys, command):
+    """The bucket key carries no squeeze-excite, so a cpu model would price a
+    neutral space's layers silently; the space digest tells the two apart."""
+    cpu = ["--variant", "ibn", "--adaptation", "cpu", "--layout", "toy2"]
+    model = fit_model_on(tmp_path, capsys, cpu)
+    neutral = ["--variant", "ibn", "--adaptation", "neutral", "--layout", "toy2"]
+    argv = ["search", *[a.format(tmp=tmp_path) for a in command], *neutral, "--model", str(model)]
+    code, out, err = run(argv, capsys)
+    spaces = [space_line(build_space("ibn", adaptation, toy2_layout()), f"ibn/{adaptation}/toy2")
+              for adaptation in ("cpu", "neutral")]
+    assert code == 1 and not out
+    assert err == (f"error: ParseError: {model}: it was fitted on space {spaces[0][7:]}, "
+                   f"not {spaces[1][7:]}\n")
+
+
+def test_search_accepts_a_model_of_the_same_space_named_by_a_file(tmp_path, capsys):
+    model = fit_model_on(tmp_path, capsys,
+                         ["--variant", "ibn", "--adaptation", "cpu", "--layout", "toy2"])
+    doc = {"variant": "ibn", "adaptation": "cpu", "layout_ref": "toy2",
+           "multiplier_menu": list(DEFAULT_MULTIPLIERS), "kernel_menu": list(DEFAULT_KERNELS),
+           "expansion_menu": list(DEFAULT_EXPANSIONS),
+           "compression_menu": list(DEFAULT_COMPRESSIONS), "enumeration_cap": 1000}
+    space_path = tmp_path / "space.json"
+    space_path.write_text(json.dumps(doc))
+    code, _, err = run(["search", "run", "--space", str(space_path), "--model", str(model),
+                        "--steps", "5", "--log", str(tmp_path / "run.ndjson")], capsys)
+    assert code == 0, err
+
+
 def test_search_run_deterministic(tmp_path, capsys):
     logs = []
     for name in ("l1.ndjson", "l2.ndjson"):
@@ -578,6 +621,24 @@ def test_file_that_is_not_json_is_named(tmp_path, capsys, flag, argv):
                    "Expecting value\n")
 
 
+@pytest.mark.parametrize("command", [["analyze"], ["export", "dot", "-o", "{tmp}/a.dot"]],
+                         ids=["analyze", "dot"])
+@pytest.mark.parametrize("field", ["multiplier", "expansion"])
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_non_finite_width_or_ratio_is_a_violation(tmp_path, capsys, command, field, value):
+    path = tmp_path / "arch.json"
+    save_file(toy2_layout(), path)  # IBN layers: both fields present
+    doc = json.loads(path.read_text())
+    block = doc["blocks"][0]
+    (block if field == "multiplier" else block["layers"][0])[field] = value
+    path.write_text(json.dumps(doc))
+    argv = [a.format(tmp=tmp_path) for a in command] + ["--arch", str(path)]
+    code, _, err = run(argv, capsys)
+    assert code == 1
+    assert err.startswith(f"error: InvalidArchitectureError: {path}: block 0")
+    assert field in err and err.count("\n") == 1
+
+
 def test_corrupt_arch_file_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"input_resolution": 32}')
@@ -590,6 +651,7 @@ def test_corrupt_arch_file_error(tmp_path, capsys):
     {"channel_bands": False},  # a file written before the version field
     {"version": 1},
     {"version": "2"},
+    {"version": 2},  # a file whose space_ref lacks the space's digest
 ])
 def test_cost_eval_rejects_a_model_file_of_another_version(tmp_path, capsys, stale):
     space = build_space("ibn_fused_tucker", "neutral", toy2_layout())
@@ -604,4 +666,4 @@ def test_cost_eval_rejects_a_model_file_of_another_version(tmp_path, capsys, sta
                          capsys)
     assert code == 1 and not out
     assert err == (f"error: ValueError: {model_path}: model file version "
-                   f"{stale.get('version')!r}, expected 2; refit it with 'hwnas cost fit'\n")
+                   f"{stale.get('version')!r}, expected 3; refit it with 'hwnas cost fit'\n")

@@ -17,15 +17,11 @@ from hwnas.controller import (
     CategoricalPolicy,
     RewardConfig,
     entropy,
-    log_softmax,
-    logprob_of,
     most_likely,
     reinforce_gradient,
-    reinforce_objective,
     reinforce_step,
     reward,
     sample,
-    softmax,
 )
 
 
@@ -35,36 +31,29 @@ def policy_of(*logit_rows):
 
 def test_sample_uniform_logprob():
     policy = policy_of([0.0, 0.0, 0.0, 0.0])
-    dv, logprob = sample(policy, np.random.default_rng(0))
+    dv = sample(policy, np.random.default_rng(0))
     assert dv[0] in range(4)
-    assert logprob == pytest.approx(math.log(0.25))
 
 
 def test_sample_saturated_logits():
     policy = policy_of([10.0, -10.0, -10.0, -10.0])
     rng = np.random.default_rng(1)
-    draws = [sample(policy, rng)[0][0] for _ in range(2000)]
+    draws = [sample(policy, rng)[0] for _ in range(2000)]
     assert all(d == 0 for d in draws)
 
 
 def test_sample_frequencies_match_softmax():
     logits = np.array([0.3, -0.5, 1.1, 0.0])
     policy = policy_of(logits)
-    p = softmax(policy)[0]
+    p = policy.probs[0]
     rng = np.random.default_rng(123)
     n = 100_000
     counts = np.zeros(4)
     for _ in range(n):
-        counts[sample(policy, rng)[0][0]] += 1
+        counts[sample(policy, rng)[0]] += 1
     freq = counts / n
     sigma = np.sqrt(p * (1 - p) / n)
     assert np.all(np.abs(freq - p) <= 3 * sigma)
-
-
-def test_logprob_of_matches_sample():
-    policy = policy_of([0.2, -0.1, 0.4], [1.0, 0.0])
-    dv, logprob = sample(policy, np.random.default_rng(5))
-    assert logprob_of(policy, dv) == pytest.approx(logprob)
 
 
 def test_reward_at_budget_is_quality():
@@ -114,7 +103,7 @@ def test_zero_update_when_reward_equals_baseline():
     policy = policy_of([0.1, -0.2, 0.3])
     adam = AdamState.for_policy(policy)
     baseline = BaselineState(value=0.5)
-    updated = reinforce_step(policy, [((1,), -1.0, 0.5)], baseline, adam)
+    updated = reinforce_step(policy, [((1,), 0.5)], baseline, adam)
     assert np.array_equal(updated.logits, policy.logits)
 
 
@@ -122,7 +111,7 @@ def test_first_batch_initializes_baseline():
     policy = policy_of([0.0, 0.0])
     adam = AdamState.for_policy(policy)
     baseline = BaselineState()
-    reinforce_step(policy, [((0,), -0.7, 0.8)], baseline, adam)
+    reinforce_step(policy, [((0,), 0.8)], baseline, adam)
     # init to the batch mean, then one EMA step toward the same mean
     assert baseline.value == pytest.approx(0.8)
 
@@ -133,7 +122,7 @@ def test_batch_mean_is_summed_in_order_on_every_python():
     policy = policy_of([0.0, 0.0])
     adam = AdamState.for_policy(policy)
     baseline = BaselineState()
-    batch = [((0,), -0.7, 1e16), ((1,), -0.7, 1.0), ((0,), -0.7, -1e16)]
+    batch = [((0,), 1e16), ((1,), 1.0), ((0,), -1e16)]
     reinforce_step(policy, batch, baseline, adam)
     assert baseline.value == 0.0
 
@@ -142,7 +131,7 @@ def test_non_finite_reward_rejected():
     policy = policy_of([0.0, 0.0])
     adam = AdamState.for_policy(policy)
     with pytest.raises(ValueError, match="non-finite"):
-        reinforce_step(policy, [((0,), -0.7, float("nan"))], BaselineState(), adam)
+        reinforce_step(policy, [((0,), float("nan"))], BaselineState(), adam)
 
 
 def test_reinforce_monotone_trend():
@@ -151,12 +140,11 @@ def test_reinforce_monotone_trend():
     adam = AdamState.for_policy(policy, lr=0.02)
     baseline = BaselineState()
     rng = np.random.default_rng(0)
-    probs = [softmax(policy)[0, 0]]
+    probs = [policy.probs[0, 0]]
     for _ in range(400):
-        dv, logprob = sample(policy, rng)
-        policy = reinforce_step(policy, [(dv, logprob, 1.0 if dv[0] == 0 else 0.0)],
-                                baseline, adam)
-        probs.append(softmax(policy)[0, 0])
+        dv = sample(policy, rng)
+        policy = reinforce_step(policy, [(dv, 1.0 if dv[0] == 0 else 0.0)], baseline, adam)
+        probs.append(policy.probs[0, 0])
     assert all(b >= a - 1e-12 for a, b in zip(probs, probs[1:]))
     assert probs[-1] > 0.95
 
@@ -166,8 +154,7 @@ def test_gradient_matches_finite_differences():
     policy = policy_of(rng.standard_normal(4), rng.standard_normal(7))
     batch = []
     for _ in range(6):
-        dv, logprob = sample(policy, rng)
-        batch.append((dv, logprob, float(rng.uniform(-1, 1))))
+        batch.append((sample(policy, rng), float(rng.uniform(-1, 1))))
     baseline_value = 0.13
     analytic = reinforce_gradient(policy, batch, baseline_value)
     h = 1e-5
@@ -176,7 +163,7 @@ def test_gradient_matches_finite_differences():
         def perturbed(delta):
             logits = policy.logits.copy()
             logits[d, i] += delta
-            return reinforce_objective(CategoricalPolicy(logits), batch, baseline_value)
+            return ref.objective(logits, batch, baseline_value)
 
         fd = (perturbed(h) - perturbed(-h)) / (2 * h)
         worst = max(worst, abs(fd - analytic[d, i]))
@@ -202,11 +189,11 @@ def test_entropy_saturated():
 def test_softmax_shift_invariance():
     logits = np.array([0.5, -1.0, 2.0])
     shifted = logits + 123.4
-    assert np.allclose(softmax(policy_of(logits)), softmax(policy_of(shifted)))
+    assert np.allclose(policy_of(logits).probs, policy_of(shifted).probs)
     assert most_likely(policy_of(logits)) == most_likely(policy_of(shifted))
     a = sample(policy_of(logits), np.random.default_rng(9))
     b = sample(policy_of(shifted), np.random.default_rng(9))
-    assert a[0] == b[0]
+    assert a == b
 
 
 def test_update_direction_invariant_to_advantage_scale():
@@ -215,13 +202,11 @@ def test_update_direction_invariant_to_advantage_scale():
     policy = policy_of(rng.standard_normal(4), rng.standard_normal(5))
     batch = []
     for _ in range(4):
-        dv, logprob = sample(policy, rng)
-        batch.append((dv, logprob, float(rng.uniform(0, 1))))
+        batch.append((sample(policy, rng), float(rng.uniform(0, 1))))
     baseline_value = 0.4
 
     def step_delta(scale):
-        scaled = [(dv, lp, baseline_value + scale * (r - baseline_value))
-                  for dv, lp, r in batch]
+        scaled = [(dv, baseline_value + scale * (r - baseline_value)) for dv, r in batch]
         updated = reinforce_step(policy, scaled, BaselineState(value=baseline_value),
                                  AdamState.for_policy(policy))
         return updated.logits[policy.mask] - policy.logits[policy.mask]
@@ -244,7 +229,7 @@ def test_policy_rejects_bad_logits():
 
 def test_log_softmax_normalized():
     policy = policy_of([3.0, -1.0, 0.5], [0.2])
-    assert np.exp(log_softmax(policy)).sum(axis=1) == pytest.approx([1.0, 1.0])
+    assert np.exp(policy.logp).sum(axis=1) == pytest.approx([1.0, 1.0])
 
 
 def test_padded_slots_never_sampled_or_updated():
@@ -253,11 +238,11 @@ def test_padded_slots_never_sampled_or_updated():
     baseline = BaselineState()
     rng = np.random.default_rng(4)
     for _ in range(200):
-        dv, logprob = sample(policy, rng)
+        dv = sample(policy, rng)
         assert dv[0] in (0, 1)
-        policy = reinforce_step(policy, [(dv, logprob, float(dv[0]))], baseline, adam)
+        policy = reinforce_step(policy, [(dv, float(dv[0]))], baseline, adam)
     assert np.all(policy.logits[0, 2:] == -np.inf)
-    assert np.all(softmax(policy)[0, 2:] == 0.0)
+    assert np.all(policy.probs[0, 2:] == 0.0)
     assert most_likely(policy)[0] == 1
 
 
@@ -288,11 +273,9 @@ def test_array_policy_matches_loop_reference(rows, seed, rewards, baseline_value
     rng, rng_ref = np.random.default_rng(seed), np.random.default_rng(seed)
     batch = []
     for rew in rewards:
-        dv, logprob = sample(policy, rng)
-        dv_ref, logprob_ref = ref.sample(rows, rng_ref)
-        assert dv == dv_ref
-        assert logprob == pytest.approx(logprob_ref, rel=1e-12, abs=1e-12)
-        batch.append((dv, logprob, rew))
+        dv = sample(policy, rng)
+        assert dv == ref.sample(rows, rng_ref)
+        batch.append((dv, rew))
     assert rng.bit_generator.state == rng_ref.bit_generator.state
 
     grads = reinforce_gradient(policy, batch, baseline_value)
@@ -326,9 +309,8 @@ def test_array_trajectory_matches_loop_reference(rows, seed, steps, samples_per_
     """Several sample-update steps: the updated policy's shared softmax pass
     serves its entropy and the next step's draws and gradient.
 
-    Draws and logits are bit-identical to the loop reference; log-probabilities
-    and entropy are summed in another order there (and use ``math.log``), so
-    they agree to 1e-12.
+    Draws and logits are bit-identical to the loop reference; entropy is summed
+    in another order there (and uses ``math.log``), so it agrees to 1e-12.
     """
     policy = CategoricalPolicy.from_rows(rows)
     mask = policy.mask
@@ -340,11 +322,9 @@ def test_array_trajectory_matches_loop_reference(rows, seed, steps, samples_per_
     for step in range(1, steps + 1):
         batch, step_rewards = [], rewards[step - 1].tolist()
         for rew in step_rewards:
-            dv, logprob = sample(policy, rng)
-            dv_ref, logprob_ref = ref.sample(rows, rng_ref)
-            assert dv == dv_ref
-            assert logprob == pytest.approx(logprob_ref, rel=1e-12, abs=1e-12)
-            batch.append((dv, logprob, rew))
+            dv = sample(policy, rng)
+            assert dv == ref.sample(rows, rng_ref)
+            batch.append((dv, rew))
         assert rng.bit_generator.state == rng_ref.bit_generator.state
         used = baseline.value
         if used is None:  # the first batch's mean, as reinforce_step computes it
@@ -388,9 +368,9 @@ def test_update_to_non_finite_logits_raises(rows, seed, lr):
     policy = CategoricalPolicy.from_rows(rows)
     adam, baseline = AdamState.for_policy(policy), BaselineState(value=0.0)
     adam.lr = lr
-    dv, logprob = sample(policy, np.random.default_rng(seed))
+    dv = sample(policy, np.random.default_rng(seed))
     with np.errstate(all="ignore"), pytest.raises(ValueError, match="logits must be finite"):
-        reinforce_step(policy, [(dv, logprob, 1.0)], baseline, adam)
+        reinforce_step(policy, [(dv, 1.0)], baseline, adam)
     assert baseline.value == 0.0  # the failed update did not move the baseline
 
 
@@ -404,11 +384,11 @@ def test_sample_clamps_to_the_carried_last_slot():
 
     policy = policy_of([0.0, 1.0, 2.0], [0.5], [1.0, 0.0, 0.0, 0.0, 0.0])
     assert [np.flatnonzero(row).tolist() for row in policy.last] == [[2], [0], [4]]
-    assert sample(policy, RoundsUp())[0] == (2, 0, 4)
-    updated = reinforce_step(policy, [((0, 0, 1), 0.0, 1.0)], BaselineState(value=0.0),
+    assert sample(policy, RoundsUp()) == (2, 0, 4)
+    updated = reinforce_step(policy, [((0, 0, 1), 1.0)], BaselineState(value=0.0),
                              AdamState.for_policy(policy))
     assert updated.last is policy.last
-    assert sample(updated, RoundsUp())[0] == (2, 0, 4)
+    assert sample(updated, RoundsUp()) == (2, 0, 4)
 
 
 def test_huge_lr_overflow_is_named_by_entropy():
@@ -417,6 +397,6 @@ def test_huge_lr_overflow_is_named_by_entropy():
     policy = policy_of([0.0, 0.0], [0.0, 0.0, 0.0])
     adam, baseline = AdamState.for_policy(policy, lr=1e308), BaselineState(value=0.0)
     with np.errstate(all="ignore"):
-        updated = reinforce_step(policy, [((0, 1), 0.0, 1.0)], baseline, adam)
+        updated = reinforce_step(policy, [((0, 1), 1.0)], baseline, adam)
         with pytest.raises(ValueError, match=r"entropy is nan: .*\(is lr too large\?\)"):
             entropy(updated)

@@ -69,7 +69,7 @@ def test_dsp_profile_shares_accel_rates():
     # dsp_sim differs from accel_sim only in pairing with the kernel-5-free space
     accel, dsp = BUILTIN_DEVICES["accel_sim"], BUILTIN_DEVICES["dsp_sim"]
     for cls in ("regular_conv", "depthwise_conv", "pointwise_conv", "se_block"):
-        assert dsp.rate(cls) == accel.rate(cls)
+        assert getattr(dsp, cls) == getattr(accel, cls)
 
 
 def test_simulate_unknown_op_class_is_named():
@@ -480,6 +480,27 @@ def test_malformed_model_file_names_file_and_field(tmp_path, toy_space, edit, pa
     text = edit(doc)
     path.write_text(text if isinstance(text, str) else json.dumps(doc))
     _raises_one_line(load_model, path, *parts)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("weights", math.nan), ("intercept", math.inf), ("lambda", -math.inf),
+    ("train_r2", math.nan), ("holdout_r2", math.inf),
+])
+def test_model_file_with_a_non_finite_number_names_the_field(tmp_path, toy_space, field, value):
+    """json reads NaN and Infinity: an infinite intercept would predict inf."""
+    records = generate_benchmarks(toy_space, BUILTIN_DEVICES["cpu_sim"], 20,
+                                  np.random.default_rng(0))
+    path = tmp_path / "model.json"
+    model = fit(records, toy_space)
+    model.holdout_r2 = 0.5
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    if field == "weights":
+        doc["weights"][0], field = value, "weights[0]"
+    else:
+        doc[field] = value
+    path.write_text(json.dumps(doc))
+    _raises_one_line(load_model, path, f"{field}: expected a finite number, got {value}")
 
 
 def test_model_file_that_is_not_an_object_is_named(tmp_path):

@@ -305,6 +305,17 @@ def test_space_file_with_invalid_atoms_fails_inspect(tmp_path, capsys):
     assert "expansion must be > 1, got 0.5" in err
 
 
+@pytest.mark.parametrize("value, message", [
+    (math.nan, "atom ibn_k3_snan: expansion must be > 1, got nan"),
+    (math.inf, "atom ibn_k3_sinf: expansion must be finite, got inf"),
+    (-math.inf, "atom ibn_k3_s-inf: expansion must be > 1, got -inf"),
+])
+def test_space_file_with_non_finite_expansion_fails_inspect(tmp_path, capsys, value, message):
+    path = write_space_file(tmp_path / "space.json", expansion_menu=[value])
+    assert main(["space", "inspect", "--space", str(path)]) == 1
+    assert capsys.readouterr().err == f"error: InvalidArchitectureError: {path}: {message}\n"
+
+
 BAD_MULTIPLIERS = st.one_of(
     st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0, 1e308]),
     st.floats(max_value=0.0, allow_nan=False),
