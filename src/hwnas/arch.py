@@ -1,9 +1,11 @@
-"""Architecture IR: layers, blocks, networks, feature map sizes, serialization, DOT export.
+"""Architecture IR: layers, blocks, networks, map sizes, C4/C5 taps, serialization, DOT.
 
 Everything here is deliberately dumb data. All types are frozen dataclasses,
 hashable and safe to share across threads; all operations are pure functions.
-Semantic rules are enforced by :func:`validate`, which reports violations as
-data instead of raising so that malformed candidates can be inspected.
+Semantic rules, the width rule (:data:`MAX_WIDTH`) among them, are enforced by
+:func:`validate`, which reports violations as data instead of raising so that
+malformed candidates can be inspected. Sizes and taps follow from the strides
+(:func:`derive_shapes`, :func:`feature_taps`) and are never stored.
 """
 
 from __future__ import annotations
@@ -25,6 +27,11 @@ ACTIVATIONS = ("relu6", "hswish")
 
 # Key carried by CLI-written documents for provenance; ignored on parse.
 META_KEY = "_meta"
+
+# The width rule: the stem, every block and every internal width (before
+# rounding) has at most this many channels. Past it a width can round to
+# infinity or push a multiply-add count past float range.
+MAX_WIDTH = 1 << 20
 
 
 class ParseError(ValueError):
@@ -139,18 +146,12 @@ class BlockSpec:
 
 @dataclass(frozen=True)
 class NetworkSpec:
-    """A backbone: stem, blocks and the two feature-tap endpoints.
-
-    ``endpoint_c4``/``endpoint_c5`` are block indices (the taps consumed by a
-    detection head at output strides 16 and 32). ``-1`` marks an absent
-    endpoint, which toy layouts that never reach those strides use.
-    """
+    """A backbone: stem and blocks. Its C4/C5 taps follow from the strides
+    (:func:`feature_taps`)."""
 
     input_resolution: int
     stem_channels: int
     blocks: tuple[BlockSpec, ...]
-    endpoint_c4: int = -1
-    endpoint_c5: int = -1
 
 
 def iter_layers(net: NetworkSpec) -> Iterator[tuple[int, int, LayerSpec]]:
@@ -170,10 +171,24 @@ def functional_signature(net: NetworkSpec) -> tuple:
     return (
         net.input_resolution,
         net.stem_channels,
-        net.endpoint_c4,
-        net.endpoint_c5,
+        *feature_taps(net),
         tuple(layer for _, _, layer in iter_layers(net)),
     )
+
+
+def feature_taps(net: NetworkSpec) -> tuple[int, int]:
+    """The C4 and C5 taps: the last block at output stride 16 and the last at 32.
+
+    Strides count the stem; ``-1`` marks a stride no block ends at, as in
+    toy layouts. A detection head (SSDLite) reads its features there.
+    """
+    stride = STEM_STRIDE
+    last_at = {}
+    for bi, block in enumerate(net.blocks):
+        for layer in block.layers:
+            stride *= layer.stride
+        last_at[stride] = bi
+    return last_at.get(16, -1), last_at.get(32, -1)
 
 
 def kind_violations(kind: LayerKind, where: str) -> list[str]:
@@ -200,16 +215,15 @@ def kind_violations(kind: LayerKind, where: str) -> list[str]:
     return out
 
 
-def _block_output_strides(net: NetworkSpec) -> list[int]:
-    """Cumulative output stride after each block (stem included)."""
-    stride = STEM_STRIDE
-    out = []
-    for block in net.blocks:
-        for layer in block.layers:
-            if layer.stride in (1, 2):
-                stride *= layer.stride
-        out.append(stride)
-    return out
+def width_violations(kind: LayerKind, c_in: int, c_out: int, where: str) -> list[str]:
+    """The width rule for a layer of a valid ``kind`` from ``c_in`` to ``c_out``
+    channels: both, and the width an expansion makes of ``c_in``, are at most
+    ``MAX_WIDTH``. Tucker's compressed widths are below its ends."""
+    if max(c_in, c_out) > MAX_WIDTH:
+        return [f"{where}: channel counts must be at most {MAX_WIDTH} ({c_in} -> {c_out})"]
+    if kind.op != "tucker" and not kind.expansion * c_in <= MAX_WIDTH:
+        return [f"{where}: expansion {kind.expansion:g} widens {c_in} channels past {MAX_WIDTH}"]
+    return []
 
 
 def validate(net: NetworkSpec) -> list[str]:
@@ -221,8 +235,8 @@ def validate(net: NetworkSpec) -> list[str]:
     v: list[str] = []
     if net.input_resolution < 1:
         v.append(f"input_resolution must be >= 1, got {net.input_resolution}")
-    if net.stem_channels < 1:
-        v.append(f"stem_channels must be >= 1, got {net.stem_channels}")
+    if not 1 <= net.stem_channels <= MAX_WIDTH:
+        v.append(f"stem_channels must be in [1, {MAX_WIDTH}], got {net.stem_channels}")
 
     prev_channels = net.stem_channels
     for bi, block in enumerate(net.blocks):
@@ -235,20 +249,26 @@ def validate(net: NetworkSpec) -> list[str]:
             )
         if block.base_channels < 1:
             v.append(f"{where}: base_channels must be >= 1, got {block.base_channels}")
-        width = block.multiplier * block.base_channels
+        try:
+            width = block.multiplier * block.base_channels
+        except OverflowError:  # a base past float range
+            width = math.inf
         if not block.multiplier > 0:  # NaN fails too
             v.append(f"{where}: multiplier must be > 0, got {block.multiplier}")
-        elif not math.isfinite(width):
-            v.append(f"{where}: multiplier {block.multiplier} makes the block width overflow")
+        elif not width <= MAX_WIDTH:
+            v.append(f"{where}: multiplier {block.multiplier} puts its width past {MAX_WIDTH}")
         if block.first_stride not in (1, 2):
             v.append(f"{where}: first_stride must be 1 or 2, got {block.first_stride}")
-        want_out = round8(width) if block.base_channels >= 1 and 0 < width < math.inf else None
+        want_out = round8(width) if block.base_channels >= 1 and 0 < width <= MAX_WIDTH else None
 
         for li, layer in enumerate(block.layers):
             lw = f"block {bi} layer {li}"
-            v.extend(kind_violations(layer.kind, lw))
+            bad_kind = kind_violations(layer.kind, lw)
+            v.extend(bad_kind)
             if layer.c_in < 1 or layer.c_out < 1:
                 v.append(f"{lw}: channel counts must be >= 1 ({layer.c_in} -> {layer.c_out})")
+            elif not bad_kind:
+                v.extend(width_violations(layer.kind, layer.c_in, layer.c_out, lw))
             if layer.stride not in (1, 2):
                 v.append(f"{lw}: stride must be 1 or 2, got {layer.stride}")
             elif li == 0:
@@ -276,31 +296,6 @@ def validate(net: NetworkSpec) -> list[str]:
                     f"(expected {prev_channels})"
                 )
             prev_channels = layer.c_out
-
-    n = len(net.blocks)
-    for name, idx in (("c4", net.endpoint_c4), ("c5", net.endpoint_c5)):
-        if idx != -1 and not 0 <= idx < n:
-            v.append(f"endpoint {name} index {idx} out of range for {n} blocks")
-    # A declared endpoint must sit on the last block at its target stride;
-    # -1 marks an absent endpoint (toy layouts never reach strides 16/32).
-    strides = _block_output_strides(net)
-    last_at: dict[int, int] = {}
-    for bi, s in enumerate(strides):
-        last_at[s] = bi
-    for name, idx, target in (
-        ("c4", net.endpoint_c4, 16),
-        ("c5", net.endpoint_c5, 32),
-    ):
-        if idx == -1:
-            continue
-        want = last_at.get(target)
-        if want is None:
-            v.append(f"endpoint {name}: no block ends at output stride {target}")
-        elif idx != want:
-            v.append(
-                f"endpoint {name} must be block {want} "
-                f"(last block at output stride {target}), got {idx}"
-            )
     return v
 
 
@@ -453,7 +448,7 @@ def serialize(net: NetworkSpec, meta: dict | None = None) -> str:
             }
             for b in net.blocks
         ],
-        "endpoints": {"c4": net.endpoint_c4, "c5": net.endpoint_c5},
+        "endpoints": dict(zip(("c4", "c5"), feature_taps(net))),
     }
     if meta:
         doc[META_KEY] = meta
@@ -490,10 +485,16 @@ def deserialize(text: str) -> NetworkSpec:
         blocks=tuple(
             _block_from_doc(bd, f"document.blocks[{i}]") for i, bd in enumerate(blocks_doc)
         ),
-        endpoint_c4=_as_int(endpoints["c4"], "document.endpoints.c4"),
-        endpoint_c5=_as_int(endpoints["c5"], "document.endpoints.c5"),
     )
     violations = validate(net)
+    # A declared tap is -1 or the block the strides put it on.
+    for name, want, target in zip(("c4", "c5"), feature_taps(net), (16, 32)):
+        got = _as_int(endpoints[name], f"document.endpoints.{name}")
+        if got != -1 and want == -1:
+            violations.append(f"endpoint {name}: no block ends at output stride {target}")
+        elif got not in (-1, want):
+            violations.append(f"endpoint {name} must be block {want} "
+                              f"(last block at output stride {target}), got {got}")
     if violations:
         raise InvalidArchitectureError(violations)
     return net
@@ -521,11 +522,12 @@ def export_dot(net: NetworkSpec) -> str:
     """Render the network as a node chain in DOT.
 
     One node per layer plus stem and head markers; edges follow execution
-    order; the C4/C5 endpoint blocks carry annotations on their last layer.
+    order; the last layer of each :func:`feature_taps` block is marked C4 or C5.
     """
     violations = validate(net)
     if violations:
         raise InvalidArchitectureError(violations)
+    c4, c5 = feature_taps(net)
     lines = [
         "digraph network {",
         "  rankdir=TB;",
@@ -542,10 +544,10 @@ def export_dot(net: NetworkSpec) -> str:
                 label += " SE"
             extras = ""
             if li == len(block.layers) - 1:
-                if bi == net.endpoint_c4:
+                if bi == c4:
                     label += "\\nC4"
                     extras = ", peripheries=2"
-                if bi == net.endpoint_c5:
+                if bi == c5:
                     label += "\\nC5"
                     extras = ", peripheries=2"
             lines.append(f'  {name} [label="{label}"{extras}];')
@@ -605,13 +607,7 @@ def default_layout(input_resolution: int = 320) -> NetworkSpec:
         block = build_block(base, 1.0, stride, c_in, (ibn(3, 4),) * depth)
         blocks.append(block)
         c_in = block.layers[-1].c_out
-    return NetworkSpec(
-        input_resolution=input_resolution,
-        stem_channels=32,
-        blocks=tuple(blocks),
-        endpoint_c4=5,
-        endpoint_c5=8,
-    )
+    return NetworkSpec(input_resolution, 32, tuple(blocks))
 
 
 def toy2_layout(input_resolution: int = 32) -> NetworkSpec:
@@ -621,13 +617,7 @@ def toy2_layout(input_resolution: int = 32) -> NetworkSpec:
     not a multiple of 8 so the first layer's input width can never collide
     with any block output width.
     """
-    return NetworkSpec(
-        input_resolution=input_resolution,
-        stem_channels=40,
-        blocks=(build_block(16, 1.0, 2, 40, (ibn(3, 4),) * 2),),
-        endpoint_c4=-1,
-        endpoint_c5=-1,
-    )
+    return NetworkSpec(input_resolution, 40, (build_block(16, 1.0, 2, 40, (ibn(3, 4),) * 2),))
 
 
 BUILTIN_LAYOUTS = {

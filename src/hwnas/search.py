@@ -259,7 +259,7 @@ def _source_name(source: LatencySource) -> str:
 
 
 class _Evaluator:
-    """Shared noiseless/noisy evaluation used by every driver entry point."""
+    """Noiseless/noisy evaluation of :func:`run_search`'s samples."""
 
     def __init__(
         self,

@@ -24,6 +24,7 @@ import numpy as np
 
 from .arch import (
     BUILTIN_LAYOUTS,
+    MAX_WIDTH,
     BlockSpec,
     LayerKind,
     NetworkSpec,
@@ -40,8 +41,10 @@ from .arch import (
     kind_violations,
     load_file,
     parse_json,
+    round8,
     tucker,
     validate,
+    width_violations,
 )
 
 VARIANTS = ("ibn", "ibn_fused", "ibn_fused_tucker")
@@ -151,13 +154,14 @@ def build_space(
     multiplier decision. Atom order within a decision is canonical (kinds
     ibn < fused < tucker, then kernel, then ratios ascending; multipliers
     ascending) so indices are stable across runs. Atoms that break the kind
-    rules of :func:`~hwnas.arch.validate` raise ``InvalidArchitectureError``;
-    a multiplier that is not a finite number > 0, or that makes a block
-    width overflow, raises ``ValueError``.
+    rules of :func:`~hwnas.arch.validate`, or its width rule at the widest
+    input a layer can read, raise ``InvalidArchitectureError``; a multiplier
+    that is not a number > 0, or that puts a block width past
+    :data:`~hwnas.arch.MAX_WIDTH`, raises ``ValueError``.
 
     With the layout valid too, every decision vector of the space decodes
-    to a valid network: widths are ``round8`` of a positive finite number,
-    channels chain and strides and endpoints are the layout's. That is why
+    to a valid network: widths are ``round8`` of a positive number within
+    the width rule, channels chain and strides are the layout's. That is why
     :meth:`hwnas.analysis.SpaceTable.price` can price decision vectors
     without building or validating the network.
     """
@@ -175,6 +179,16 @@ def build_space(
     for m in mult_menu:
         if not (m > 0 and math.isfinite(m * widest)):
             raise ValueError(f"multiplier menu: {m!r} must be > 0 and keep block widths finite")
+        if m * widest > MAX_WIDTH:
+            raise ValueError(f"multiplier menu: {m!r} puts a block width past {MAX_WIDTH}")
+    # A layer reads the stem, the block before it or its own block (after its
+    # first layer): at the widest of these the width rule holds everywhere.
+    blocks = layout.blocks
+    c_in = max([layout.stem_channels] + [round8(mult_menu[-1] * b.base_channels) for bi, b
+                in enumerate(blocks) if bi + 1 < len(blocks) or b.num_layers > 1])
+    bad = [v for atom in atoms for v in width_violations(atom, c_in, c_in, f"atom {atom.atom_id}")]
+    if bad:
+        raise InvalidArchitectureError(bad)
     decisions: list[Decision] = []
     for bi, block in enumerate(layout.blocks):
         for li in range(block.num_layers):
@@ -208,13 +222,7 @@ def decode(space: SpaceSpec, dv: DecisionVector) -> NetworkSpec:
         block = space.block(bi, kinds, chosen[(bi, None)], c_in)
         blocks.append(block)
         c_in = block.layers[-1].c_out
-    return NetworkSpec(
-        input_resolution=layout.input_resolution,
-        stem_channels=layout.stem_channels,
-        blocks=tuple(blocks),
-        endpoint_c4=layout.endpoint_c4,
-        endpoint_c5=layout.endpoint_c5,
-    )
+    return NetworkSpec(layout.input_resolution, layout.stem_channels, tuple(blocks))
 
 
 def check_vector(space: SpaceSpec, dv: DecisionVector) -> None:

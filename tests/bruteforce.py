@@ -1,8 +1,8 @@
 """Independent brute-force cost counters and sampler used as test oracles.
 
 Everything here recomputes from first principles: its own width rounding,
-its own shape walk and explicit loops over output positions and kernel cells
-for each constituent convolution. Nothing is shared with the library's
+its own shape and stride walks and explicit loops over output positions and
+kernel cells for each constituent convolution. Nothing is shared with the library's
 formula-based counters beyond reading the IR dataclasses. The sampler draws
 one decision at a time, the plainest reading of a uniform draw.
 """
@@ -124,6 +124,26 @@ def brute_network(net: NetworkSpec) -> tuple[int, int]:
             h = -(-h // layer.stride)
             w = -(-w // layer.stride)
     return total_madds, total_params
+
+
+def brute_taps(net: NetworkSpec) -> tuple[int, int]:
+    """(C4, C5): scanning back from the last block, the first whose output stride
+    (the stem's 2 times every layer stride up to the block's end) is 16, then
+    32; -1 when no block ends there."""
+    def out_stride(bi: int) -> int:
+        stride = 2
+        for block in net.blocks[:bi + 1]:
+            for layer in block.layers:
+                stride *= layer.stride
+        return stride
+
+    def last_at(target: int) -> int:
+        for bi in reversed(range(len(net.blocks))):
+            if out_stride(bi) == target:
+                return bi
+        return -1
+
+    return last_at(16), last_at(32)
 
 
 def scalar_random_sample(space: SpaceSpec, rng: np.random.Generator) -> tuple[int, ...]:

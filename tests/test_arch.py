@@ -3,10 +3,12 @@
 import dataclasses
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from hwnas.arch import (
+    MAX_WIDTH,
     BlockSpec,
     InvalidArchitectureError,
     LayerSpec,
@@ -17,6 +19,7 @@ from hwnas.arch import (
     derive_shapes,
     deserialize,
     export_dot,
+    feature_taps,
     functional_signature,
     fused,
     ibn,
@@ -28,8 +31,10 @@ from hwnas.arch import (
     toy2_layout,
     tucker,
     validate,
+    width_violations,
 )
-from bruteforce import brute_network
+from hwnas.space import ADAPTATIONS, VARIANTS, build_space, decode, random_sample
+from bruteforce import brute_network, brute_taps
 from strategies import make_layout, nets
 
 
@@ -100,8 +105,10 @@ def test_channel_continuity_violation():
 
 
 def test_default_endpoints_enforced():
-    net = dataclasses.replace(default_layout(), endpoint_c4=2)
-    assert any("endpoint c4 must be block 5" in v for v in validate(net))
+    doc = json.loads(serialize(default_layout()))
+    doc["endpoints"]["c4"] = 2
+    with pytest.raises(InvalidArchitectureError, match="endpoint c4 must be block 5"):
+        deserialize(json.dumps(doc))
 
 
 def test_derive_shapes_two_halvings():
@@ -203,7 +210,11 @@ def test_save_file_with_meta_reads_back(tmp_path):
     ("{nope", "invalid JSON at line 1 column 2"),
     ('{"input_resolution": 32}', "document: missing field(s)"),
     (serialize(toy2_layout()).replace('"kernel": 3', '"kernel": 4', 1), "kernel must be odd"),
-], ids=["not_json", "missing_field", "invalid"])
+    (serialize(default_layout()).replace('"c4": 5', '"c4": 2'),
+     "endpoint c4 must be block 5 (last block at output stride 16), got 2"),
+    (serialize(toy2_layout()).replace('"c5": -1', '"c5": 0'),
+     "endpoint c5: no block ends at output stride 32"),
+], ids=["not_json", "missing_field", "invalid", "wrong_c4", "c5_on_toy2"])
 def test_load_file_names_the_file(tmp_path, text, message):
     path = tmp_path / "net.json"
     path.write_text(text)
@@ -229,12 +240,50 @@ def test_export_dot_tucker_label():
 
 def test_export_dot_endpoint_annotation():
     # three stride-2 blocks reach output stride 16 at block 2
-    net = dataclasses.replace(
-        make_layout(64, 16, [(16, 1, 2), (16, 1, 2), (24, 2, 2)]), endpoint_c4=2
-    )
+    net = make_layout(64, 16, [(16, 1, 2), (16, 1, 2), (24, 2, 2)])
     assert validate(net) == []
     lines = [line for line in export_dot(net).splitlines() if "C4" in line]
     assert len(lines) == 1 and "b2_l1" in lines[0]
+
+
+@settings(max_examples=80)
+@given(nets(max_blocks=6))
+def test_feature_taps_match_the_brute_walk_and_survive_a_round_trip(net):
+    taps = feature_taps(net)
+    assert taps == brute_taps(net)
+    text = serialize(net)
+    assert json.loads(text)["endpoints"] == {"c4": taps[0], "c5": taps[1]}
+    assert feature_taps(deserialize(text)) == taps
+
+
+@pytest.mark.parametrize("layout, taps", [(default_layout, (5, 8)), (toy2_layout, (-1, -1))])
+@pytest.mark.parametrize("variant", VARIANTS)
+@pytest.mark.parametrize("adaptation", ADAPTATIONS)
+def test_decoded_nets_tap_the_layout_blocks(layout, taps, variant, adaptation):
+    space = build_space(variant, adaptation, layout())
+    rng = np.random.default_rng(0)
+    for _ in range(5):
+        assert feature_taps(decode(space, random_sample(space, rng))) == taps
+
+
+def test_default_document_without_taps_loads_and_marks_them():
+    doc = json.loads(serialize(default_layout()))
+    doc["endpoints"] = {"c4": -1, "c5": -1}
+    net = deserialize(json.dumps(doc))
+    assert net == default_layout()
+    assert json.loads(serialize(net))["endpoints"] == {"c4": 5, "c5": 8}
+    dot = export_dot(net).splitlines()
+    assert [line.split()[0] for line in dot if "C4" in line] == ["b5_l1"]
+    assert [line.split()[0] for line in dot if "C5" in line] == ["b8_l0"]
+
+
+def test_width_rule_holds_up_to_the_limit():
+    assert width_violations(ibn(3, 2), MAX_WIDTH // 2, 8, "x") == []
+    assert width_violations(ibn(3, 2), MAX_WIDTH // 2 + 1, 8, "x") == [
+        f"x: expansion 2 widens {MAX_WIDTH // 2 + 1} channels past {MAX_WIDTH}"]
+    assert width_violations(tucker(3, 0.5, 0.5), MAX_WIDTH, MAX_WIDTH, "x") == []
+    assert width_violations(tucker(3, 0.5, 0.5), 8, MAX_WIDTH + 1, "x") == [
+        f"x: channel counts must be at most {MAX_WIDTH} (8 -> {MAX_WIDTH + 1})"]
 
 
 def test_functional_signature_ignores_multiplier_bookkeeping():

@@ -639,6 +639,44 @@ def test_non_finite_width_or_ratio_is_a_violation(tmp_path, capsys, command, fie
     assert field in err and err.count("\n") == 1
 
 
+ARCH_PAST = "InvalidArchitectureError: {path}: block 0"
+EXPANSION_PAST = ("InvalidArchitectureError: {path}: atom ibn_k3_s1e+308: expansion 1e+308 "
+                  "widens 40 channels past 1048576")
+MULTIPLIER_PAST = "ValueError: {path}: multiplier menu: 1e+200 puts a block width past 1048576"
+SEARCH_RUN = ["search", "run", "--steps", "5", "--log", "{tmp}/log.ndjson"]
+
+
+@pytest.mark.parametrize("argv, field, value, message", [
+    (["analyze"], "expansion", 1e308,
+     ARCH_PAST + " layer 0: expansion 1e+308 widens 40 channels past 1048576"),
+    (["export", "dot"], "multiplier", 1e200, ARCH_PAST + ": multiplier 1e+200 puts its width "
+     "past 1048576"),
+    (["analyze"], "base_channels", 10**400, ARCH_PAST + ": multiplier 1.0 puts its width past "
+     "1048576"),
+    (["space", "inspect"], "expansion_menu", [1e308], EXPANSION_PAST),
+    (SEARCH_RUN, "expansion_menu", [1e308], EXPANSION_PAST),
+    (["space", "inspect"], "multiplier_menu", [1e200], MULTIPLIER_PAST),
+    (SEARCH_RUN, "multiplier_menu", [1e200], MULTIPLIER_PAST),
+    (["search", "exhaustive"], "multiplier_menu", [1e200], MULTIPLIER_PAST),
+], ids=["analyze", "dot", "analyze-base", "inspect-expansion", "run-expansion",
+        "inspect-multiplier", "run-multiplier", "exhaustive-multiplier"])
+def test_a_width_past_the_limit_is_reported(tmp_path, capsys, argv, field, value, message):
+    path = tmp_path / "in.json"
+    if field.endswith("_menu"):
+        doc = {"variant": "ibn", "adaptation": "neutral", "layout_ref": "toy2",
+               "multiplier_menu": [1.0], "kernel_menu": [3], "expansion_menu": [4.0],
+               "compression_menu": [0.25], "enumeration_cap": 100, field: value}
+    else:
+        save_file(toy2_layout(), path)
+        doc = json.loads(path.read_text())
+        block = doc["blocks"][0]
+        (block["layers"][0] if field == "expansion" else block)[field] = value
+    path.write_text(json.dumps(doc))
+    flag = "--space" if field.endswith("_menu") else "--arch"
+    code, _, err = run([a.format(tmp=tmp_path) for a in argv] + [flag, str(path)], capsys)
+    assert (code, err) == (1, f"error: {message.format(path=path)}\n")
+
+
 def test_corrupt_arch_file_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"input_resolution": 32}')

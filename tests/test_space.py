@@ -345,6 +345,21 @@ def test_every_vector_of_a_built_space_decodes_to_a_valid_network(menu, picks):
     assert space_table(space).price(dv).groups == network_units(net)
 
 
+@pytest.mark.parametrize("last_layers, accepted", [(1, True), (2, False)])
+def test_build_space_applies_the_width_rule_at_the_widest_input_a_layer_reads(
+        last_layers, accepted):
+    # Expansion 30000 fits a 16-channel input, not a 48-channel one, and only
+    # a second layer in the last block reads that block's 48 channels.
+    layout = make_layout(32, 16, [(16, 1, 2), (48, last_layers, 1)])
+    if accepted:
+        space = build_space("ibn", "neutral", layout, multipliers=[1.0], expansions=[30000.0])
+        assert validate(decode(space, (0,) * len(space.decisions))) == []
+    else:
+        with pytest.raises(InvalidArchitectureError, match="atom ibn_k3_s30000: expansion "
+                           "30000 widens 48 channels past 1048576"):
+            build_space("ibn", "neutral", layout, multipliers=[1.0], expansions=[30000.0])
+
+
 def test_space_file_with_bad_multiplier_fails_inspect(tmp_path, capsys):
     path = write_space_file(tmp_path / "space.json", multiplier_menu=[-1.0, 1.0])
     assert main(["space", "inspect", "--space", str(path)]) == 1
