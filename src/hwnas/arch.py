@@ -2,9 +2,10 @@
 
 Everything here is deliberately dumb data. All types are frozen dataclasses,
 hashable and safe to share across threads; all operations are pure functions.
-Semantic rules, the width rule (:data:`MAX_WIDTH`) among them, are enforced by
-:func:`validate`, which reports violations as data instead of raising so that
-malformed candidates can be inspected. Sizes and taps follow from the strides
+Semantic rules, the width and resolution rules (:data:`MAX_WIDTH`,
+:data:`MAX_RESOLUTION`) among them, are enforced by :func:`validate`, which
+reports violations as data instead of raising so that malformed candidates
+can be inspected. Sizes and taps follow from the strides
 (:func:`derive_shapes`, :func:`feature_taps`) and are never stored.
 """
 
@@ -13,6 +14,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Any, Iterator
 
@@ -32,6 +34,10 @@ META_KEY = "_meta"
 # rounding) has at most this many channels. Past it a width can round to
 # infinity or push a multiply-add count past float range.
 MAX_WIDTH = 1 << 20
+# The resolution rule: the input image is at most this many pixels on a side.
+# With the width rule it keeps a conv's multiply-add count below 2**78 times
+# its kernel area, far inside float range.
+MAX_RESOLUTION = 1 << 20
 
 
 class ParseError(ValueError):
@@ -127,6 +133,12 @@ class LayerSpec:
     use_se: bool = False
     activation: str = "relu6"
     residual: bool = False
+
+    @cached_property
+    def _json(self) -> str:
+        """The layer's JSON object, encoded on first use; not a field, so repr, == and hash
+        skip it. Decoded networks share layers, so each is encoded once per space."""
+        return json.dumps(_layer_to_doc(self))
 
 
 @dataclass(frozen=True)
@@ -235,6 +247,8 @@ def validate(net: NetworkSpec) -> list[str]:
     v: list[str] = []
     if net.input_resolution < 1:
         v.append(f"input_resolution must be >= 1, got {net.input_resolution}")
+    elif net.input_resolution > MAX_RESOLUTION:
+        v.append(f"input_resolution must be at most {MAX_RESOLUTION}, got {net.input_resolution}")
     if not 1 <= net.stem_channels <= MAX_WIDTH:
         v.append(f"stem_channels must be in [1, {MAX_WIDTH}], got {net.stem_channels}")
 
@@ -380,6 +394,14 @@ def _layer_to_doc(layer: LayerSpec) -> dict:
     return doc
 
 
+@lru_cache(maxsize=1 << 10, typed=True)
+def _block_head(base_channels, multiplier, num_layers, first_stride) -> str:
+    """A block's object up to its layer list, cached by the field values with their types
+    (``4 == 4.0`` and ``True == 1`` dump differently)."""
+    return json.dumps({"base_channels": base_channels, "multiplier": multiplier,
+                       "num_layers": num_layers, "first_stride": first_stride})[:-1]
+
+
 def _layer_from_doc(doc: Any, where: str) -> LayerSpec:
     if not isinstance(doc, dict):
         raise ParseError(f"{where}: expected an object")
@@ -434,25 +456,25 @@ def _block_from_doc(doc: Any, where: str) -> BlockSpec:
 
 
 def serialize(net: NetworkSpec, meta: dict | None = None) -> str:
-    """Render the canonical document as one JSON line; ``meta`` goes under ``_meta``."""
-    doc = {
-        "input_resolution": net.input_resolution,
-        "stem_channels": net.stem_channels,
-        "blocks": [
-            {
-                "base_channels": b.base_channels,
-                "multiplier": b.multiplier,
-                "num_layers": b.num_layers,
-                "first_stride": b.first_stride,
-                "layers": [_layer_to_doc(layer) for layer in b.layers],
-            }
-            for b in net.blocks
-        ],
-        "endpoints": dict(zip(("c4", "c5"), feature_taps(net))),
-    }
+    """Render the canonical document as one JSON line; ``meta`` goes under ``_meta``.
+
+    Each layer's object is encoded once per :class:`LayerSpec` and each block's
+    leading keys once per distinct values (:func:`_block_head`); the top-level
+    fields, taps and ``meta`` are dumped on every call.
+    """
+    blocks = []
+    for b in net.blocks:
+        fields = (b.base_channels, b.multiplier, b.num_layers, b.first_stride)
+        # a zero skips the cache, where 0.0 and -0.0 would share a key
+        encode = _block_head.__wrapped__ if 0 in fields else _block_head
+        layers = ", ".join([layer._json for layer in b.layers])
+        blocks.append(f'{encode(*fields)}, "layers": [{layers}]}}')
+    head = json.dumps({"input_resolution": net.input_resolution,
+                       "stem_channels": net.stem_channels})
+    tail = {"endpoints": dict(zip(("c4", "c5"), feature_taps(net)))}
     if meta:
-        doc[META_KEY] = meta
-    return json.dumps(doc) + "\n"
+        tail[META_KEY] = meta
+    return f'{head[:-1]}, "blocks": [{", ".join(blocks)}], {json.dumps(tail)[1:]}\n'
 
 
 def parse_json(text: str, source: object = None) -> Any:

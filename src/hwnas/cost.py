@@ -441,10 +441,15 @@ def save_benchmarks(
     meta_lines: list[str] | None = None,
 ) -> None:
     """Write ``arch_file,latency_ms,vector`` rows (the decision vector space-separated,
-    or empty); architectures go to ``arch_dir``."""
+    or empty); architectures go to ``arch_dir``, named relative to the CSV's directory
+    when under it (worked out once for ``arch_dir``, not per row)."""
     csv_path = Path(csv_path)
     arch_dir = Path(arch_dir)
     arch_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        ref_dir = arch_dir.relative_to(csv_path.parent)
+    except ValueError:
+        ref_dir = arch_dir
     width = max(5, int(math.log10(max(len(records), 1))) + 1)
     with csv_path.open("w", newline="", encoding="utf-8") as fh:
         for line in meta_lines or []:
@@ -452,14 +457,10 @@ def save_benchmarks(
         writer = csv.writer(fh)
         writer.writerow(BENCH_FIELDS)
         for i, record in enumerate(records):
-            arch_path = arch_dir / f"arch_{i:0{width}d}.json"
-            save_file(record.net, arch_path)
-            try:
-                ref = arch_path.relative_to(csv_path.parent)
-            except ValueError:
-                ref = arch_path
+            name = f"arch_{i:0{width}d}.json"
+            save_file(record.net, arch_dir / name)
             vector = "" if record.dv is None else " ".join(map(str, record.dv))
-            writer.writerow([str(ref), f"{record.latency_ms:.9g}", vector])
+            writer.writerow([str(ref_dir / name), f"{record.latency_ms:.9g}", vector])
 
 
 def space_id(space: SpaceSpec, space_ref: str) -> str:

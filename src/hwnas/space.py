@@ -17,6 +17,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterator, Sequence
 
@@ -27,6 +28,7 @@ from .arch import (
     MAX_WIDTH,
     BlockSpec,
     LayerKind,
+    LayerSpec,
     NetworkSpec,
     InvalidArchitectureError,
     ParseError,
@@ -106,6 +108,15 @@ class SpaceSpec:
         t = self.layout.blocks[bi]
         return build_block(t.base_channels, multiplier, t.first_stride, c_in, kinds,
                            use_se, "hswish" if use_se else "relu6")
+
+    @cached_property
+    def _decoding(self) -> tuple[list, dict[tuple[int, int, int, int], LayerSpec]]:
+        """:func:`decode`'s plan (per block: its layout block, kind and multiplier positions,
+        multipliers with widths) and layer memo; not a field, so repr, == and hash skip it."""
+        at = {(d.block, d.layer): i for i, d in enumerate(self.decisions)}
+        return [(t, [at[bi, li] for li in range(t.num_layers)], at[bi, None],
+                 [(m, round8(m * t.base_channels)) for m in self.decisions[at[bi, None]].choices])
+                for bi, t in enumerate(self.layout.blocks)], {}
 
 
 def kind_atoms_for(
@@ -209,19 +220,30 @@ def build_space(
 def decode(space: SpaceSpec, dv: DecisionVector) -> NetworkSpec:
     """Map a decision vector to a concrete network.
 
-    Deterministic: each block is :meth:`SpaceSpec.block` of the chosen
-    kinds and multiplier, fed by the stem or the block before it.
+    Deterministic: each block is :meth:`SpaceSpec.block` of the chosen kinds and
+    multiplier, fed by the stem or the block before it. Networks share their layers:
+    each is built once per space, in a memo on the space keyed by (atom index, c_in,
+    c_out, stride), as ``use_se`` and the activation are fixed per space. The memo is
+    bounded by layer positions x atoms x input widths x multipliers.
     """
     check_vector(space, dv)
-    chosen = {(d.block, d.layer): d.choices[idx] for d, idx in zip(space.decisions, dv)}
-    layout = space.layout
-    blocks = []
-    c_in = layout.stem_channels
-    for bi, tblock in enumerate(layout.blocks):
-        kinds = tuple(chosen[(bi, li)] for li in range(tblock.num_layers))
-        block = space.block(bi, kinds, chosen[(bi, None)], c_in)
-        blocks.append(block)
-        c_in = block.layers[-1].c_out
+    (plan, memo), atoms, layout = space._decoding, space.kind_atoms(), space.layout
+    use_se = space.adaptation == "cpu"
+    activation = "hswish" if use_se else "relu6"
+    blocks, c_in = [], layout.stem_channels
+    for t, kinds_at, mult_at, widths in plan:
+        # build_block's chain, each layer looked up before it is built
+        (multiplier, c_out), stride, layers = widths[dv[mult_at]], t.first_stride, []
+        for at in kinds_at:
+            key = (dv[at], c_in, c_out, stride)
+            layer = memo.get(key)
+            if layer is None:
+                layer = memo[key] = LayerSpec(atoms[key[0]], c_in, c_out, stride, use_se,
+                                              activation, stride == 1 and c_in == c_out)
+            layers.append(layer)
+            c_in, stride = c_out, 1
+        blocks.append(BlockSpec(t.base_channels, multiplier, t.num_layers, t.first_stride,
+                                tuple(layers)))
     return NetworkSpec(layout.input_resolution, layout.stem_channels, tuple(blocks))
 
 

@@ -2,12 +2,16 @@
 
 import dataclasses
 import json
+import math
 
+import hypothesis.strategies as st
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from hwnas import arch
 from hwnas.arch import (
+    MAX_RESOLUTION,
     MAX_WIDTH,
     BlockSpec,
     InvalidArchitectureError,
@@ -33,7 +37,9 @@ from hwnas.arch import (
     validate,
     width_violations,
 )
+from hwnas.cost import BUILTIN_DEVICES, simulate_latency
 from hwnas.space import ADAPTATIONS, VARIANTS, build_space, decode, random_sample
+import reference_codec as ref
 from bruteforce import brute_network, brute_taps
 from strategies import make_layout, nets
 
@@ -286,6 +292,16 @@ def test_width_rule_holds_up_to_the_limit():
         f"x: channel counts must be at most {MAX_WIDTH} (8 -> {MAX_WIDTH + 1})"]
 
 
+def test_resolution_rule_holds_up_to_the_limit():
+    """At the limit, a network as wide as the width rule allows still prices finitely."""
+    assert validate(toy2_layout(MAX_RESOLUTION + 1)) == [
+        f"input_resolution must be at most {MAX_RESOLUTION}, got {MAX_RESOLUTION + 1}"]
+    widest = NetworkSpec(MAX_RESOLUTION, MAX_WIDTH, (
+        build_block(MAX_WIDTH, 1.0, 1, MAX_WIDTH, (tucker(3, 0.5, 0.5),)),))
+    assert validate(widest) == []
+    assert math.isfinite(simulate_latency(BUILTIN_DEVICES["cpu_sim"], widest))
+
+
 def test_functional_signature_ignores_multiplier_bookkeeping():
     base = make_layout(32, 16, [(16, 1, 1)])
     block = base.blocks[0]
@@ -295,6 +311,58 @@ def test_functional_signature_ignores_multiplier_bookkeeping():
     assert validate(alias) == []
     assert base != alias
     assert functional_signature(base) == functional_signature(alias)
+
+
+def twins(value) -> list:
+    """``value``, and values equal to it or to zero that dump differently."""
+    if isinstance(value, bool):
+        return [value, int(value)]
+    if isinstance(value, float):
+        return [value, *([int(value)] if value.is_integer() else []), 0.0, -0.0, math.nan]
+    return [value]
+
+
+@st.composite
+def retyped(draw, net):
+    """``net`` with some of its float and bool fields swapped for :func:`twins`."""
+    def pick(obj, *fields):
+        return dataclasses.replace(
+            obj, **{f: draw(st.sampled_from(twins(getattr(obj, f)))) for f in fields})
+
+    blocks = tuple(
+        pick(dataclasses.replace(b, layers=tuple(
+            pick(dataclasses.replace(layer, kind=pick(layer.kind, "expansion",
+                 "input_compression", "output_compression")), "use_se", "residual")
+            for layer in b.layers)), "multiplier")
+        for b in net.blocks)
+    return dataclasses.replace(net, blocks=blocks)
+
+
+@settings(max_examples=150)
+@given(nets(), st.data())
+def test_serialize_matches_the_reference(net, data):
+    """Byte for byte against the one-dump encoder, with and without ``meta``, from an
+    empty block-head cache: equal values that dump differently (4 and 4.0, True and 1,
+    0.0 and -0.0) keep their own bytes whichever is encoded first."""
+    arch._block_head.cache_clear()
+    for n in data.draw(st.permutations([net, data.draw(retyped(net))])):
+        for meta in (None, {"seed": 3}):
+            assert serialize(n, meta) == ref.serialize(n, meta)
+
+
+@pytest.mark.parametrize("twin_first", [False, True])
+def test_serialize_keeps_equal_fields_of_other_types_apart(twin_first):
+    net = decode(build_space("ibn", "cpu", toy2_layout()), (0, 1, 3))
+    block, layer = net.blocks[0], net.blocks[0].layers[0]
+    layer = dataclasses.replace(layer, kind=dataclasses.replace(layer.kind, expansion=4), use_se=1)
+    twin = dataclasses.replace(net, blocks=(dataclasses.replace(
+        block, multiplier=1, layers=(layer, *block.layers[1:])),))
+    assert twin == net  # 4 == 4.0, 1 == 1.0 and 1 == True
+    arch._block_head.cache_clear()
+    order = [twin, net] if twin_first else [net, twin]
+    assert [serialize(n) for n in order] == [ref.serialize(n) for n in order]
+    text = serialize(twin)
+    assert '"multiplier": 1,' in text and '"expansion": 4,' in text and '"se": 1,' in text
 
 
 @settings(max_examples=60)

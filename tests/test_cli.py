@@ -16,7 +16,8 @@ import pytest
 from hypothesis import given, settings
 
 from hwnas.analysis import network_cost
-from hwnas.arch import default_layout, functional_signature, load_file, save_file, toy2_layout
+from hwnas.arch import (MAX_RESOLUTION, default_layout, functional_signature, load_file,
+                        save_file, serialize, toy2_layout)
 from hwnas.cli import _enum_cap, build_parser, main
 from hwnas.cost import (BUILTIN_DEVICES, fit, generate_benchmarks, load_model, save_model,
                         space_line)
@@ -354,7 +355,8 @@ def test_bench_generate_toy2_is_pinned(tmp_path, capsys):
 
     A change to the sampling stream or to the pricing shows here, and each
     vector decodes to its row's architecture. The bytes of the architecture
-    files are deliberately not pinned; any JSON layout reads.
+    files are pinned too: ``serialize`` must keep writing them as one dump of
+    the whole document would.
     """
     bench = tmp_path / "b.csv"
     code, _, _ = run(["bench", "generate", "--layout", "toy2", "-n", "20", "--seed", "0",
@@ -376,6 +378,9 @@ def test_bench_generate_toy2_is_pinned(tmp_path, capsys):
     assert [functional_signature(decode(space, dv)) for dv in vectors] == signatures
     assert hashlib.sha256(repr(vectors).encode()).hexdigest() == (
         "2738cd3a96f216f9949aed8f3c50deaed4fe5a24dcccda198688bbd2ea0ed9a8")
+    archs = b"".join((tmp_path / row[0]).read_bytes() for row in rows[1:])
+    assert hashlib.sha256(archs).hexdigest() == (
+        "1651fbbc10870c3f54da9e82b1f49fa4aa8fbafc8b90194c6417ecc7d4de3c92")
 
 
 def test_search_run_outputs(tmp_path, capsys):
@@ -675,6 +680,24 @@ def test_a_width_past_the_limit_is_reported(tmp_path, capsys, argv, field, value
     flag = "--space" if field.endswith("_menu") else "--arch"
     code, _, err = run([a.format(tmp=tmp_path) for a in argv] + [flag, str(path)], capsys)
     assert (code, err) == (1, f"error: {message.format(path=path)}\n")
+
+
+@pytest.mark.parametrize("argv", [
+    ["space", "inspect", "--layout"],
+    ["search", "run", "--steps", "3", "--log", "{tmp}/log.ndjson", "--layout"],
+    ["search", "exhaustive", "--layout"],
+    ["bench", "generate", "-n", "3", "-o", "{tmp}/b.csv", "--layout"],
+    ["analyze", "--arch"],
+], ids=["inspect", "run", "exhaustive", "generate", "analyze"])
+def test_a_resolution_past_the_limit_is_reported(tmp_path, capsys, argv):
+    """Sizes past the limit would push multiply-add counts past float range."""
+    path = tmp_path / "layout.json"
+    doc = json.loads(serialize(toy2_layout()))
+    doc["input_resolution"] = 10**200
+    path.write_text(json.dumps(doc))
+    code, _, err = run([a.format(tmp=tmp_path) for a in argv] + [str(path)], capsys)
+    assert (code, err) == (1, f"error: InvalidArchitectureError: {path}: input_resolution "
+                              f"must be at most {MAX_RESOLUTION}, got {10**200}\n")
 
 
 def test_corrupt_arch_file_error(tmp_path, capsys):

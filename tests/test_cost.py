@@ -583,6 +583,24 @@ def test_benchmark_csv_round_trip(tmp_path, toy_space):
     )
 
 
+@pytest.mark.parametrize("csv_name, arch_dir, first", [
+    ("bench.csv", "archs", "archs/arch_00000.json"),
+    ("bench.csv", ".", "arch_00000.json"),
+    ("sub/bench.csv", "archs", "{tmp}/archs/arch_00000.json"),
+], ids=["under", "beside", "elsewhere"])
+def test_benchmark_rows_name_arch_files_relative_to_the_csv(tmp_path, toy_space, csv_name,
+                                                            arch_dir, first):
+    records = generate_benchmarks(toy_space, BUILTIN_DEVICES["cpu_sim"], 2,
+                                  np.random.default_rng(0))
+    csv_path = tmp_path / csv_name
+    csv_path.parent.mkdir(exist_ok=True)
+    save_benchmarks(records, csv_path, tmp_path / arch_dir)
+    names = [row.split(",")[0] for row in csv_path.read_text().splitlines()[1:]]
+    first = first.format(tmp=tmp_path)
+    assert names == [first, first.replace("arch_00000", "arch_00001")]
+    assert all((csv_path.parent / name).is_file() for name in names)
+
+
 def _vector_csv(tmp_path, space, rows=(), ref=TOY_REF):
     """A 3-record vector CSV of ``space``, named ``ref`` (no space line if None),
     plus ``rows``; returns its path."""

@@ -16,9 +16,11 @@ from hwnas.arch import (
     NetworkSpec,
     ParseError,
     iter_layers,
+    serialize,
     validate,
 )
 from hwnas.cli import main
+from hwnas.cost import space_id
 from hwnas.space import (
     ADAPTATIONS,
     VARIANTS,
@@ -31,6 +33,7 @@ from hwnas.space import (
     random_sample,
     space_size,
 )
+import reference_codec as ref
 from bruteforce import scalar_random_sample
 from strategies import make_layout, spaces_with_dv
 
@@ -102,6 +105,70 @@ def test_empty_layout_size_one():
     assert space_size(space) == 1
     assert list(enumerate_space(space)) == [()]
     assert decode(space, ()) == empty
+
+
+# space_id digests of the built-in spaces, ``variant/adaptation/layout``.
+BUILTIN_SPACE_DIGESTS = {
+    "ibn/neutral/toy2": "2e720a3f9bdf",
+    "ibn/cpu/toy2": "c7bc3ce4e883",
+    "ibn/dsp/toy2": "4912886dd024",
+    "ibn_fused/neutral/toy2": "a403cba35cbc",
+    "ibn_fused/cpu/toy2": "6ca268e74d10",
+    "ibn_fused/dsp/toy2": "547ba145d1b6",
+    "ibn_fused_tucker/neutral/toy2": "750e25d17201",
+    "ibn_fused_tucker/cpu/toy2": "c4f5ed2eef33",
+    "ibn_fused_tucker/dsp/toy2": "6e541dc20b0c",
+    "ibn/neutral/default": "a1b3961b7ffe",
+    "ibn/cpu/default": "f71b674b521b",
+    "ibn/dsp/default": "fd2822481469",
+    "ibn_fused/neutral/default": "14884ac8168b",
+    "ibn_fused/cpu/default": "d305f81ee726",
+    "ibn_fused/dsp/default": "7735f3f3adda",
+    "ibn_fused_tucker/neutral/default": "f33cf502000e",
+    "ibn_fused_tucker/cpu/default": "712fe6d05baa",
+    "ibn_fused_tucker/dsp/default": "9290fbe9d8bc",
+}
+
+
+def builtin_space(ref_name: str):
+    variant, adaptation, layout = ref_name.split("/")
+    return build_space(variant, adaptation, BUILTIN_LAYOUTS[layout]())
+
+
+def test_builtin_space_digests_are_pinned():
+    """Every benchmark CSV and model file names its space by this digest of its repr.
+    Decoding fills the space's layer memo, which must not enter the repr."""
+    digests = {}
+    for name in BUILTIN_SPACE_DIGESTS:
+        space = builtin_space(name)
+        decode(space, random_sample(space, np.random.default_rng(0)))
+        digests[name] = space_id(space, name).split()[1]
+    assert digests == BUILTIN_SPACE_DIGESTS
+
+
+@pytest.mark.parametrize("name", BUILTIN_SPACE_DIGESTS)
+def test_decode_matches_the_reference_on_builtin_spaces(name):
+    """300 random vectors per space: the same networks, field types included, as the
+    decoder that builds every layer, and the same documents from ``serialize`` once
+    they share layers; a repeated vector shares the first one's layers."""
+    space = builtin_space(name)
+    rng = np.random.default_rng(0)
+    for _ in range(300):
+        dv = random_sample(space, rng)
+        net = decode(space, dv)
+        assert repr(net) == repr(ref.decode(space, dv))
+        assert serialize(net, {"seed": 0}) == ref.serialize(net, {"seed": 0})
+    again = decode(space, dv)
+    assert all(a is b for (*_, a), (*_, b) in zip(iter_layers(again),
+                                                 iter_layers(decode(space, dv))))
+
+
+@settings(max_examples=100)
+@given(spaces_with_dv())
+@example((build_space("ibn", "cpu", NetworkSpec(32, 16, ())), ()))
+def test_decode_matches_the_reference(space_dv):
+    space, dv = space_dv
+    assert repr(decode(space, dv)) == repr(ref.decode(space, dv))
 
 
 def test_all_zero_decode(toy1x2):
