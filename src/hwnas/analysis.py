@@ -44,14 +44,14 @@ space a layer's cost depends only on its atom, its block's multiplier, the
 previous block's multiplier (first layer of a block only: it sets ``C1``)
 and its input size and stride, which the layout fixes per position. So
 :func:`space_table` prices each layer position as :func:`layer_cost` does,
-for every (atom, c_in choice, c_out choice), on layers built by the same
-:meth:`~hwnas.space.SpaceSpec.block` that ``decode`` uses, at the input
-sizes ``derive_shapes`` gives the layout. :meth:`SpaceTable.price` then looks
-each position up by its decision indices and returns exactly
-``network_cost(decode(space, dv))``, with no decode, validation or hashing
-of a network. That needs no validation because every decision vector of a
-built space decodes to a valid network (see
-:func:`~hwnas.space.build_space`).
+for every (atom, c_in choice, c_out choice), reading the widths, strides and
+squeeze-excite setting from the same plan that ``decode`` chains its layers
+by (``SpaceSpec._decoding``), at the input sizes ``derive_shapes`` gives the
+layout. :meth:`SpaceTable.price` then looks each position up by its decision
+indices and returns exactly ``network_cost(decode(space, dv))``, with no
+decode, validation or hashing of a network. That needs no validation
+because every decision vector of a built space decodes to a valid network
+(see :func:`~hwnas.space.build_space`).
 """
 
 from __future__ import annotations
@@ -237,49 +237,38 @@ class SpaceTable:
 
     def __init__(self, space: SpaceSpec):
         self.space = space
-        layout = space.layout
-        at = {(d.block, d.layer): i for i, d in enumerate(space.decisions)}
-        atoms = [(atom, atom.atom_id) for atom in space.kind_atoms()]
-        sizes = derive_shapes(layout)  # layer p reads a sizes[p] input
-        stem = layout.stem_channels
-        self._stem = _stem_cost(stem, sizes[0])
+        plan, _, atoms, use_se, _ = space._decoding
+        ids = [atom.atom_id for atom in atoms]
+        sizes = derive_shapes(space.layout)  # layer p reads a sizes[p] input
+        self._stem = _stem_cost(space.layout.stem_channels, sizes[0])
         self._positions: list[tuple[itemgetter, dict]] = []
         self._size = len(space.decisions)
         # Units repeat across entries (an expand conv ignores c_out): keep
         # one copy of each, which halves the table's memory.
         share = {}.setdefault
-        # Block 0 reads the stem, so its first layer has no c_in decision.
-        c_ins, cin_at, p = (stem,), (), 0
-        for bi, tblock in enumerate(layout.blocks):
-            mult_at = at[(bi, None)]
-            n = tblock.num_layers
-            template = tuple(layer.kind for layer in tblock.layers)
-            cells: list[dict] = [{} for _ in range(n)]
-            outs = []
-            for mi, mult in enumerate(space.decisions[mult_at].choices):
-                for ci, c_in in enumerate(c_ins):
-                    # Widths and strides do not depend on the kinds, so one
-                    # block gives every atom's layers; layers after the first
-                    # keep the block width, so one c_in serves them.
-                    block = space.block(bi, template[:n if ci == 0 else 1], mult, c_in)
-                    for li, layer in enumerate(block.layers):
-                        size = sizes[p + li]
-                        for ai, (atom, atom_id) in enumerate(atoms):
-                            # layer_cost of the layer with this atom as its kind; a
-                            # LayerSpec per entry would double the build time
-                            rows = _layer_table(atom, layer.c_in, layer.c_out, layer.use_se)
-                            key = (ai, ci, mi) if li == 0 and cin_at else (ai, mi)
-                            cells[li][key] = _cost(rows, size, layer.stride, atom.op,
-                                                   bucket_id(atom_id, layer.c_in, layer.c_out),
-                                                   share)
-                outs.append(block.layers[0].c_out)
-            for li, table in enumerate(cells):
-                getter = itemgetter(at[(bi, li)], *(cin_at if li == 0 else ()), mult_at)
-                self._positions.append((getter, table))
-            c_ins, cin_at, p = tuple(outs), (mult_at,), p + n
+        # Block 0's first layer reads the stem, any other block's first layer
+        # the widths of the block before it, and later layers their block's.
+        c_ins, cin_at = [space.layout.stem_channels], ()
+        for _, layers_at, mult_at, widths in plan:
+            for li, (kind_at, stride) in enumerate(layers_at):
+                reads = cin_at if li == 0 else ()
+                size = sizes[len(self._positions)]
+                cells = {}
+                for mi, (_, c_out) in enumerate(widths):
+                    for ci, c_in in enumerate(c_ins if li == 0 else [c_out]):
+                        for ai, (atom, atom_id) in enumerate(zip(atoms, ids)):
+                            # layer_cost of the layer decode builds here; a LayerSpec
+                            # per entry would double the build time
+                            rows = _layer_table(atom, c_in, c_out, use_se)
+                            cells[(ai, ci, mi) if reads else (ai, mi)] = _cost(
+                                rows, size, stride, atom.op, bucket_id(atom_id, c_in, c_out),
+                                share)
+                self._positions.append((itemgetter(kind_at, *reads, mult_at), cells))
+            c_ins, cin_at = [c_out for _, c_out in widths], (mult_at,)
 
     def price(self, dv: DecisionVector) -> ArchCost:
-        """Costs of ``decode(space, dv)``; a bad vector raises decode's ``IndexError``."""
+        """Costs of ``decode(space, dv)``; a bad vector raises decode's ``IndexError``. Trusts
+        the indices to be integers, as samplers and CSV rows give them: ``True`` prices as 1."""
         if len(dv) != self._size:
             check_vector(self.space, dv)  # raises, naming both lengths
         try:

@@ -2,10 +2,10 @@
 
 Everything here is deliberately dumb data. All types are frozen dataclasses,
 hashable and safe to share across threads; all operations are pure functions.
-Semantic rules, the width and resolution rules (:data:`MAX_WIDTH`,
-:data:`MAX_RESOLUTION`) among them, are enforced by :func:`validate`, which
-reports violations as data instead of raising so that malformed candidates
-can be inspected. Sizes and taps follow from the strides
+Semantic rules, the width, resolution and kernel rules (:data:`MAX_WIDTH`,
+:data:`MAX_RESOLUTION`, :data:`MAX_KERNEL`) among them, are enforced by
+:func:`validate`, which reports violations as data instead of raising so that
+malformed candidates can be inspected. Sizes and taps follow from the strides
 (:func:`derive_shapes`, :func:`feature_taps`) and are never stored.
 """
 
@@ -38,6 +38,10 @@ MAX_WIDTH = 1 << 20
 # With the width rule it keeps a conv's multiply-add count below 2**78 times
 # its kernel area, far inside float range.
 MAX_RESOLUTION = 1 << 20
+# The kernel rule: a kernel is at most this many pixels on a side. With the
+# width and resolution rules it keeps a conv's multiply-add count below 2**118,
+# far inside float range.
+MAX_KERNEL = 1 << 20
 
 
 class ParseError(ValueError):
@@ -210,6 +214,8 @@ def kind_violations(kind: LayerKind, where: str) -> list[str]:
         return out
     if kind.kernel < 1 or kind.kernel % 2 == 0:
         out.append(f"{where}: kernel must be odd and >= 1, got {kind.kernel}")
+    elif kind.kernel > MAX_KERNEL:
+        out.append(f"{where}: kernel must be at most {MAX_KERNEL}, got {kind.kernel}")
     if kind.op in ("ibn", "fused"):
         if kind.expansion is None or not kind.expansion > 1:  # NaN fails too
             out.append(f"{where}: expansion must be > 1, got {kind.expansion}")

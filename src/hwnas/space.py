@@ -37,7 +37,6 @@ from .arch import (
     _as_num,
     _as_str,
     _require,
-    build_block,
     fused,
     ibn,
     kind_violations,
@@ -90,33 +89,21 @@ class SpaceSpec:
     layout: NetworkSpec
     decisions: tuple[Decision, ...]
 
-    def kind_atoms(self) -> tuple[LayerKind, ...]:
-        """The per-layer atom list (shared by every layer decision)."""
-        for d in self.decisions:
-            if d.layer is not None:
-                return d.choices
-        return ()
-
-    def block(self, bi: int, kinds: tuple[LayerKind, ...], multiplier: float,
-              c_in: int) -> BlockSpec:
-        """Block ``bi`` of a decoded network.
-
-        :func:`~hwnas.arch.build_block` of the layout's block, where the
-        ``cpu`` adaptation forces squeeze-excite plus hswish on every layer.
-        """
-        use_se = self.adaptation == "cpu"
-        t = self.layout.blocks[bi]
-        return build_block(t.base_channels, multiplier, t.first_stride, c_in, kinds,
-                           use_se, "hswish" if use_se else "relu6")
-
     @cached_property
-    def _decoding(self) -> tuple[list, dict[tuple[int, int, int, int], LayerSpec]]:
-        """:func:`decode`'s plan (per block: its layout block, kind and multiplier positions,
-        multipliers with widths) and layer memo; not a field, so repr, == and hash skip it."""
+    def _decoding(self) -> tuple[list, dict[tuple, LayerSpec], tuple, bool, str]:
+        """The one chain of layers over the decisions, read by :func:`decode` and the unit
+        table: per block, its layout block, each layer's (kind position, stride) and the
+        multiplier position with each multiplier's width. Then decode's layer memo, the
+        atoms, and ``use_se`` and the activation, which ``cpu`` sets to SE plus hswish.
+        Not a field, so repr, == and hash skip it."""
         at = {(d.block, d.layer): i for i, d in enumerate(self.decisions)}
-        return [(t, [at[bi, li] for li in range(t.num_layers)], at[bi, None],
+        plan = [(t, [(at[bi, li], t.first_stride if li == 0 else 1) for li in range(t.num_layers)],
+                 at[bi, None],
                  [(m, round8(m * t.base_channels)) for m in self.decisions[at[bi, None]].choices])
-                for bi, t in enumerate(self.layout.blocks)], {}
+                for bi, t in enumerate(self.layout.blocks)]
+        atoms = next((d.choices for d in self.decisions if d.layer is not None), ())
+        use_se = self.adaptation == "cpu"
+        return plan, {}, atoms, use_se, "hswish" if use_se else "relu6"
 
 
 def kind_atoms_for(
@@ -172,9 +159,11 @@ def build_space(
 
     With the layout valid too, every decision vector of the space decodes
     to a valid network: widths are ``round8`` of a positive number within
-    the width rule, channels chain and strides are the layout's. That is why
-    :meth:`hwnas.analysis.SpaceTable.price` can price decision vectors
-    without building or validating the network.
+    the width rule, channels chain and strides are the layout's. :func:`decode`
+    and :class:`~hwnas.analysis.SpaceTable` read those widths and strides from
+    one plan (``SpaceSpec._decoding``), which is why :meth:`SpaceTable.price
+    <hwnas.analysis.SpaceTable.price>` prices a decision vector as its network
+    without building or validating it.
     """
     violations = validate(layout)
     if violations:
@@ -220,40 +209,41 @@ def build_space(
 def decode(space: SpaceSpec, dv: DecisionVector) -> NetworkSpec:
     """Map a decision vector to a concrete network.
 
-    Deterministic: each block is :meth:`SpaceSpec.block` of the chosen kinds and
-    multiplier, fed by the stem or the block before it. Networks share their layers:
-    each is built once per space, in a memo on the space keyed by (atom index, c_in,
-    c_out, stride), as ``use_se`` and the activation are fixed per space. The memo is
-    bounded by layer positions x atoms x input widths x multipliers.
+    Deterministic: the space's plan (``SpaceSpec._decoding``) gives each block's
+    kinds, multiplier, width and strides, and the stem or the block before it feeds
+    the block. Networks share their layers: each is built once per space, in a memo on
+    the space keyed by (atom index, c_in, c_out, stride), as ``use_se`` and the
+    activation are fixed per space. The memo is bounded by layer positions x atoms x
+    input widths x multipliers.
     """
     check_vector(space, dv)
-    (plan, memo), atoms, layout = space._decoding, space.kind_atoms(), space.layout
-    use_se = space.adaptation == "cpu"
-    activation = "hswish" if use_se else "relu6"
+    (plan, memo, atoms, use_se, activation), layout = space._decoding, space.layout
     blocks, c_in = [], layout.stem_channels
-    for t, kinds_at, mult_at, widths in plan:
-        # build_block's chain, each layer looked up before it is built
-        (multiplier, c_out), stride, layers = widths[dv[mult_at]], t.first_stride, []
-        for at in kinds_at:
+    for t, layers_at, mult_at, widths in plan:
+        (multiplier, c_out), layers = widths[dv[mult_at]], []
+        for at, stride in layers_at:
             key = (dv[at], c_in, c_out, stride)
             layer = memo.get(key)
             if layer is None:
                 layer = memo[key] = LayerSpec(atoms[key[0]], c_in, c_out, stride, use_se,
                                               activation, stride == 1 and c_in == c_out)
             layers.append(layer)
-            c_in, stride = c_out, 1
+            c_in = c_out
         blocks.append(BlockSpec(t.base_channels, multiplier, t.num_layers, t.first_stride,
                                 tuple(layers)))
     return NetworkSpec(layout.input_resolution, layout.stem_channels, tuple(blocks))
 
 
 def check_vector(space: SpaceSpec, dv: DecisionVector) -> None:
-    """Raise ``IndexError`` unless ``dv`` holds one in-range index per decision."""
+    """Raise ``IndexError`` unless ``dv`` holds one in-range index per decision, each a
+    Python or numpy integer: ``True`` and ``1.0`` would find index 1 in the decode memo."""
     if len(dv) != len(space.decisions):
         raise IndexError(
             f"decision vector has {len(dv)} entries, space has {len(space.decisions)} decisions"
         )
     for i, (d, idx) in enumerate(zip(space.decisions, dv)):
+        if type(idx) is not int and (isinstance(idx, bool) or not isinstance(idx, np.integer)):
+            raise IndexError(f"decision {i} ({d.name}): index {idx!r} is not an integer")
         if not 0 <= idx < len(d.choices):
             raise IndexError(
                 f"decision {i} ({d.name}): index {idx} out of range "
@@ -311,7 +301,10 @@ def load_space_file(path: str | Path) -> tuple[SpaceSpec, int]:
     cap = doc["enumeration_cap"]
     if isinstance(cap, bool) or not isinstance(cap, int) or cap < 1:
         raise ParseError(f"{path}: enumeration_cap must be an integer >= 1, got {cap!r}")
-    layout = resolve_layout(_as_str(doc["layout_ref"], f"{path}: layout_ref"), path.parent)
+    try:
+        layout = resolve_layout(_as_str(doc["layout_ref"], f"{path}: layout_ref"), path.parent)
+    except OSError as exc:  # a missing layout file: name the space file that refers to it
+        raise type(exc)(f"{path}: {exc}") from exc
     args = (_as_str(doc["variant"], f"{path}: variant"),
             _as_str(doc["adaptation"], f"{path}: adaptation"), layout)
     menus = dict(

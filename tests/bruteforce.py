@@ -4,11 +4,13 @@ Everything here recomputes from first principles: its own width rounding,
 its own shape and stride walks and explicit loops over output positions and
 kernel cells for each constituent convolution. Nothing is shared with the library's
 formula-based counters beyond reading the IR dataclasses. The sampler draws
-one decision at a time, the plainest reading of a uniform draw.
+one decision at a time, the plainest reading of a uniform draw, and
+:func:`position_vectors` walks every choice a layer position reads.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -149,3 +151,26 @@ def brute_taps(net: NetworkSpec) -> tuple[int, int]:
 def scalar_random_sample(space: SpaceSpec, rng: np.random.Generator) -> tuple[int, ...]:
     """One scalar ``rng.integers`` call per decision, in decision order."""
     return tuple(int(rng.integers(len(d.choices))) for d in space.decisions)
+
+
+def position_vectors(space: SpaceSpec) -> list[list[tuple[int, ...]]]:
+    """Per layer position, in execution order, the sorted vectors that vary only the
+    decisions shaping it: its kind, its block's multiplier and, for the first layer
+    of any block after the first, the multiplier of the block before it (its input
+    width). Every other decision is 0."""
+    index = {(d.block, d.layer): i for i, d in enumerate(space.decisions)}
+    out = []
+    for bi, block in enumerate(space.layout.blocks):
+        for li in range(block.num_layers):
+            reads = [index[bi, li], index[bi, None]]
+            if li == 0 and bi > 0:
+                reads.append(index[bi - 1, None])
+            vectors = []
+            for picks in itertools.product(*(range(len(space.decisions[i].choices))
+                                             for i in reads)):
+                dv = [0] * len(space.decisions)
+                for i, pick in zip(reads, picks):
+                    dv[i] = pick
+                vectors.append(tuple(dv))
+            out.append(sorted(vectors))
+    return out

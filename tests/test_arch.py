@@ -28,6 +28,7 @@ from hwnas.arch import (
     fused,
     ibn,
     iter_layers,
+    kind_violations,
     load_file,
     round8,
     save_file,
@@ -298,6 +299,16 @@ def test_resolution_rule_holds_up_to_the_limit():
         f"input_resolution must be at most {MAX_RESOLUTION}, got {MAX_RESOLUTION + 1}"]
     widest = NetworkSpec(MAX_RESOLUTION, MAX_WIDTH, (
         build_block(MAX_WIDTH, 1.0, 1, MAX_WIDTH, (tucker(3, 0.5, 0.5),)),))
+    assert validate(widest) == []
+    assert math.isfinite(simulate_latency(BUILTIN_DEVICES["cpu_sim"], widest))
+
+
+def test_kernel_rule_holds_up_to_the_limit():
+    """The widest kernel the rule allows, at the widest and largest maps, prices finitely."""
+    assert kind_violations(ibn(arch.MAX_KERNEL + 1, 4), "x") == [
+        f"x: kernel must be at most {arch.MAX_KERNEL}, got {arch.MAX_KERNEL + 1}"]
+    widest = NetworkSpec(MAX_RESOLUTION, MAX_WIDTH, (build_block(
+        MAX_WIDTH, 1.0, 1, MAX_WIDTH, (tucker(arch.MAX_KERNEL - 1, 0.5, 0.5),)),))
     assert validate(widest) == []
     assert math.isfinite(simulate_latency(BUILTIN_DEVICES["cpu_sim"], widest))
 

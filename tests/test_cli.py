@@ -700,6 +700,31 @@ def test_a_resolution_past_the_limit_is_reported(tmp_path, capsys, argv):
                               f"must be at most {MAX_RESOLUTION}, got {10**200}\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ["space", "inspect", "--space"],
+    ["search", "run", "--steps", "3", "--log", "{tmp}/log.ndjson", "--space"],
+    ["bench", "generate", "-n", "3", "-o", "{tmp}/b.csv", "--space"],
+    ["analyze", "--arch"],
+], ids=["inspect", "run", "generate", "analyze"])
+def test_a_kernel_past_the_limit_is_reported(tmp_path, capsys, argv):
+    """Kernels past the limit would push multiply-add counts past float range."""
+    kernel = 10**200 + 1
+    path = tmp_path / "in.json"
+    if argv[0] == "analyze":
+        doc = json.loads(serialize(toy2_layout()))
+        doc["blocks"][0]["layers"][0]["kernel"] = kernel
+        where = "block 0 layer 0"
+    else:
+        doc = {"variant": "ibn", "adaptation": "neutral", "layout_ref": "toy2",
+               "multiplier_menu": [1.0], "kernel_menu": [kernel], "expansion_menu": [4.0],
+               "compression_menu": [0.25], "enumeration_cap": 100}
+        where = f"atom ibn_k{kernel}_s4"
+    path.write_text(json.dumps(doc))
+    code, _, err = run([a.format(tmp=tmp_path) for a in argv] + [str(path)], capsys)
+    assert (code, err) == (1, f"error: InvalidArchitectureError: {path}: {where}: kernel must "
+                              f"be at most 1048576, got {kernel}\n")
+
+
 def test_corrupt_arch_file_error(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"input_resolution": 32}')

@@ -1,5 +1,6 @@
 """Search-space construction, decoding, enumeration and sampling."""
 
+import hashlib
 import json
 import math
 import re
@@ -34,7 +35,7 @@ from hwnas.space import (
     space_size,
 )
 import reference_codec as ref
-from bruteforce import scalar_random_sample
+from bruteforce import position_vectors, scalar_random_sample
 from strategies import make_layout, spaces_with_dv
 
 # Every built-in layout plus a blockless one, whose space has no decisions.
@@ -146,6 +147,38 @@ def test_builtin_space_digests_are_pinned():
     assert digests == BUILTIN_SPACE_DIGESTS
 
 
+# Per space, the first 12 hex digits of the SHA-256 of the repr of its unit table's
+# stem entry, then of every entry ``position_vectors`` reaches, position by position.
+TABLE_ENTRY_DIGESTS = {
+    "ibn/neutral/toy2": "abb2df8d6a5a",
+    "ibn/cpu/toy2": "f995c8b89d28",
+    "ibn/dsp/toy2": "d76c47575c6a",
+    "ibn_fused/neutral/toy2": "3b8f7fbee187",
+    "ibn_fused/cpu/toy2": "2e5deb5beeeb",
+    "ibn_fused/dsp/toy2": "128af5b02a34",
+    "ibn_fused_tucker/neutral/toy2": "3ab3da5c8580",
+    "ibn_fused_tucker/cpu/toy2": "48f8cb0fa2fd",
+    "ibn_fused_tucker/dsp/toy2": "6168878af6e7",
+    "ibn_fused_tucker/neutral/default": "d7483362bd23",
+    "ibn_fused_tucker/cpu/default": "759fbeb63010",
+    "ibn_fused_tucker/dsp/default": "95183c17949d",
+}
+
+
+def test_table_entries_are_pinned():
+    """What a search pays for each layer of a space; each vector reaches one entry."""
+    digests = {}
+    for name in TABLE_ENTRY_DIGESTS:
+        space = builtin_space(name)
+        table = space_table(space)
+        h = hashlib.sha256(repr(table.price((0,) * len(space.decisions)).layers[0]).encode())
+        for p, vectors in enumerate(position_vectors(space)):
+            for dv in vectors:
+                h.update(repr(table.price(dv).layers[p + 1]).encode())
+        digests[name] = h.hexdigest()[:12]
+    assert digests == TABLE_ENTRY_DIGESTS
+
+
 @pytest.mark.parametrize("name", BUILTIN_SPACE_DIGESTS)
 def test_decode_matches_the_reference_on_builtin_spaces(name):
     """300 random vectors per space: the same networks, field types included, as the
@@ -195,6 +228,17 @@ def test_decode_out_of_range(toy1x1):
         decode(space, (4, 0))
     with pytest.raises(IndexError):
         decode(space, (0,))
+
+
+@pytest.mark.parametrize("index", [True, 1.0, np.float64(1.0), np.bool_(True)],
+                         ids=["bool", "float", "numpy-float", "numpy-bool"])
+def test_decode_rejects_indices_that_are_not_integers(index):
+    space = builtin_space("ibn/neutral/toy2")
+    net = decode(space, (1, 0, 3))  # its layers now sit in the memo
+    with pytest.raises(IndexError, match=re.escape(
+            f"decision 0 (b0.l0.kind): index {index!r} is not an integer")):
+        decode(space, (index, 0, 3))
+    assert decode(space, (np.int64(1), np.int32(0), np.uint8(3))) == net
 
 
 def test_decode_always_validates(toy1x2):
@@ -349,6 +393,14 @@ def write_space_file(path, **changes):
            "compression_menu": [0.25], "enumeration_cap": 100, **changes}
     path.write_text(json.dumps(doc))
     return path
+
+
+def test_space_file_with_a_missing_layout_file_names_the_space_file(tmp_path, capsys):
+    path = write_space_file(tmp_path / "space.json", layout_ref="missing_layout.json")
+    assert main(["space", "inspect", "--space", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: FileNotFoundError: {path}: [Errno 2] No such file or directory: "
+        f"'{tmp_path / 'missing_layout.json'}'\n")
 
 
 @pytest.mark.parametrize("variant,menus,message", [

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from hwnas.analysis import network_cost, network_units, space_buckets, space_table
-from hwnas.arch import default_layout, toy2_layout
+from hwnas.analysis import layer_cost, network_cost, network_units, space_buckets, space_table
+from hwnas.arch import default_layout, derive_shapes, toy2_layout
 from hwnas.cost import BUILTIN_DEVICES, LatencyModel, simulate_latency
 from hwnas.search import CapacityOracle, LinearFeatureOracle, latency_of
 from hwnas.space import ADAPTATIONS, VARIANTS, build_space, decode
+from bruteforce import position_vectors
 from reference_oracles import capacity_score, linear_score, model_latency
 from strategies import spaces_with_dv
 
@@ -75,6 +76,28 @@ def test_table_prices_random_layouts(space_dv):
     cost = space_table(space).price(dv)
     assert cost == network_cost(net)
     assert cost.groups == network_units(net)
+
+
+@pytest.mark.parametrize("variant,adaptation,layout",
+                         [(v, a, "toy2") for v, a in itertools.product(VARIANTS, ADAPTATIONS)]
+                         + [("ibn_fused_tucker", a, "default320") for a in ADAPTATIONS])
+def test_every_table_entry_costs_the_layer_decode_builds(variant, adaptation, layout):
+    """Each entry, reached through ``price`` alone, against the layer ``decode`` builds."""
+    space = _space(variant, adaptation, layout)
+    table = space_table(space)
+    sizes = derive_shapes(space.layout)  # layer p reads a sizes[p] input
+    atoms, mults = len(space.decisions[0].choices), len(space.decisions[-1].choices)
+    where = [(bi, li) for bi, block in enumerate(space.layout.blocks)
+             for li in range(block.num_layers)]
+    for p, ((bi, li), vectors) in enumerate(zip(where, position_vectors(space), strict=True)):
+        reached = set()
+        for dv in vectors:
+            cost = table.price(dv).layers[p + 1]
+            assert cost == layer_cost(decode(space, dv).blocks[bi].layers[li], sizes[p])
+            reached.add(id(cost))
+        # atoms x input-width choices x multipliers entries, each reached by one vector
+        input_widths = mults if li == 0 and bi > 0 else 1
+        assert len(table._positions[p][1]) == atoms * input_widths * mults == len(reached)
 
 
 def test_table_is_built_once_per_space():
