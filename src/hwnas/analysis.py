@@ -246,10 +246,7 @@ class SpaceTable:
         # Units repeat across entries (an expand conv ignores c_out): keep
         # one copy of each, which halves the table's memory.
         share = {}.setdefault
-        # Block 0's first layer reads the stem, any other block's first layer
-        # the widths of the block before it, and later layers their block's.
-        c_ins, cin_at = [space.layout.stem_channels], ()
-        for _, layers_at, mult_at, widths in plan:
+        for _, layers_at, mult_at, widths, cin_at, c_ins in plan:
             for li, (kind_at, stride) in enumerate(layers_at):
                 reads = cin_at if li == 0 else ()
                 size = sizes[len(self._positions)]
@@ -264,7 +261,6 @@ class SpaceTable:
                                 rows, size, stride, atom.op, bucket_id(atom_id, c_in, c_out),
                                 share)
                 self._positions.append((itemgetter(kind_at, *reads, mult_at), cells))
-            c_ins, cin_at = [c_out for _, c_out in widths], (mult_at,)
 
     def price(self, dv: DecisionVector) -> ArchCost:
         """Costs of ``decode(space, dv)``; a bad vector raises decode's ``IndexError``. Trusts

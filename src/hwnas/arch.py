@@ -5,8 +5,9 @@ hashable and safe to share across threads; all operations are pure functions.
 Semantic rules, the width, resolution and kernel rules (:data:`MAX_WIDTH`,
 :data:`MAX_RESOLUTION`, :data:`MAX_KERNEL`) among them, are enforced by
 :func:`validate`, which reports violations as data instead of raising so that
-malformed candidates can be inspected. Sizes and taps follow from the strides
-(:func:`derive_shapes`, :func:`feature_taps`) and are never stored.
+malformed candidates can be inspected. A block's depth and stride are its
+layers' own, and sizes and taps follow from the strides (:func:`derive_shapes`,
+:func:`feature_taps`): none of them is stored, in the IR or in its document.
 """
 
 from __future__ import annotations
@@ -147,16 +148,14 @@ class LayerSpec:
 
 @dataclass(frozen=True)
 class BlockSpec:
-    """A run of layers sharing one output width.
+    """A run of one or more layers sharing one output width.
 
     Every layer's ``c_out`` equals ``round8(multiplier * base_channels)``;
-    only the first layer may stride.
+    only the first layer may stride, so its stride is the block's.
     """
 
     base_channels: int
     multiplier: float
-    num_layers: int
-    first_stride: int
     layers: tuple[LayerSpec, ...]
 
 
@@ -261,12 +260,8 @@ def validate(net: NetworkSpec) -> list[str]:
     prev_channels = net.stem_channels
     for bi, block in enumerate(net.blocks):
         where = f"block {bi}"
-        if block.num_layers < 1:
-            v.append(f"{where}: num_layers must be >= 1, got {block.num_layers}")
-        if block.num_layers != len(block.layers):
-            v.append(
-                f"{where}: num_layers {block.num_layers} != {len(block.layers)} layers present"
-            )
+        if not block.layers:
+            v.append(f"{where}: a block needs at least one layer")
         if block.base_channels < 1:
             v.append(f"{where}: base_channels must be >= 1, got {block.base_channels}")
         try:
@@ -277,8 +272,6 @@ def validate(net: NetworkSpec) -> list[str]:
             v.append(f"{where}: multiplier must be > 0, got {block.multiplier}")
         elif not width <= MAX_WIDTH:
             v.append(f"{where}: multiplier {block.multiplier} puts its width past {MAX_WIDTH}")
-        if block.first_stride not in (1, 2):
-            v.append(f"{where}: first_stride must be 1 or 2, got {block.first_stride}")
         want_out = round8(width) if block.base_channels >= 1 and 0 < width <= MAX_WIDTH else None
 
         for li, layer in enumerate(block.layers):
@@ -291,12 +284,7 @@ def validate(net: NetworkSpec) -> list[str]:
                 v.extend(width_violations(layer.kind, layer.c_in, layer.c_out, lw))
             if layer.stride not in (1, 2):
                 v.append(f"{lw}: stride must be 1 or 2, got {layer.stride}")
-            elif li == 0:
-                if layer.stride != block.first_stride:
-                    v.append(
-                        f"{lw}: stride {layer.stride} != block first_stride {block.first_stride}"
-                    )
-            elif layer.stride != 1:
+            elif li > 0 and layer.stride != 1:
                 v.append(f"{lw}: only the first layer of a block may have stride 2")
             if layer.activation not in ACTIVATIONS:
                 v.append(f"{lw}: unknown activation {layer.activation!r}")
@@ -361,7 +349,10 @@ def _as_int(value: Any, where: str) -> int:
 def _as_num(value: Any, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{where}: expected a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # an integer past float range
+        raise ParseError(f"{where}: {value} is past float range") from None
 
 
 def _as_bool(value: Any, where: str) -> bool:
@@ -401,11 +392,10 @@ def _layer_to_doc(layer: LayerSpec) -> dict:
 
 
 @lru_cache(maxsize=1 << 10, typed=True)
-def _block_head(base_channels, multiplier, num_layers, first_stride) -> str:
+def _block_head(base_channels, multiplier) -> str:
     """A block's object up to its layer list, cached by the field values with their types
     (``4 == 4.0`` and ``True == 1`` dump differently)."""
-    return json.dumps({"base_channels": base_channels, "multiplier": multiplier,
-                       "num_layers": num_layers, "first_stride": first_stride})[:-1]
+    return json.dumps({"base_channels": base_channels, "multiplier": multiplier})[:-1]
 
 
 def _layer_from_doc(doc: Any, where: str) -> LayerSpec:
@@ -445,19 +435,11 @@ def _layer_from_doc(doc: Any, where: str) -> LayerSpec:
 
 
 def _block_from_doc(doc: Any, where: str) -> BlockSpec:
-    _require(doc, ("base_channels", "multiplier", "num_layers", "first_stride", "layers"), where)
-    layers_doc = doc["layers"]
-    if not isinstance(layers_doc, list):
-        raise ParseError(f"{where}.layers: expected a list")
-    layers = tuple(
-        _layer_from_doc(ld, f"{where}.layers[{i}]") for i, ld in enumerate(layers_doc)
-    )
+    _require(doc, ("base_channels", "multiplier", "layers"), where)
     return BlockSpec(
         base_channels=_as_int(doc["base_channels"], f"{where}.base_channels"),
         multiplier=_as_num(doc["multiplier"], f"{where}.multiplier"),
-        num_layers=_as_int(doc["num_layers"], f"{where}.num_layers"),
-        first_stride=_as_int(doc["first_stride"], f"{where}.first_stride"),
-        layers=layers,
+        layers=tuple(_as_list(doc["layers"], f"{where}.layers", _layer_from_doc)),
     )
 
 
@@ -466,21 +448,19 @@ def serialize(net: NetworkSpec, meta: dict | None = None) -> str:
 
     Each layer's object is encoded once per :class:`LayerSpec` and each block's
     leading keys once per distinct values (:func:`_block_head`); the top-level
-    fields, taps and ``meta`` are dumped on every call.
+    fields and ``meta`` are dumped on every call.
     """
     blocks = []
     for b in net.blocks:
-        fields = (b.base_channels, b.multiplier, b.num_layers, b.first_stride)
+        fields = (b.base_channels, b.multiplier)
         # a zero skips the cache, where 0.0 and -0.0 would share a key
         encode = _block_head.__wrapped__ if 0 in fields else _block_head
         layers = ", ".join([layer._json for layer in b.layers])
         blocks.append(f'{encode(*fields)}, "layers": [{layers}]}}')
     head = json.dumps({"input_resolution": net.input_resolution,
                        "stem_channels": net.stem_channels})
-    tail = {"endpoints": dict(zip(("c4", "c5"), feature_taps(net)))}
-    if meta:
-        tail[META_KEY] = meta
-    return f'{head[:-1]}, "blocks": [{", ".join(blocks)}], {json.dumps(tail)[1:]}\n'
+    tail = f', {json.dumps({META_KEY: meta})[1:]}' if meta else "}"
+    return f'{head[:-1]}, "blocks": [{", ".join(blocks)}]{tail}\n'
 
 
 def parse_json(text: str, source: object = None) -> Any:
@@ -501,28 +481,13 @@ def deserialize(text: str) -> NetworkSpec:
     invariants. ``deserialize(serialize(net)) == net`` for every valid net.
     """
     doc = parse_json(text)
-    _require(doc, ("input_resolution", "stem_channels", "blocks", "endpoints"), "document")
-    blocks_doc = doc["blocks"]
-    if not isinstance(blocks_doc, list):
-        raise ParseError("document.blocks: expected a list")
-    endpoints = doc["endpoints"]
-    _require(endpoints, ("c4", "c5"), "document.endpoints")
+    _require(doc, ("input_resolution", "stem_channels", "blocks"), "document")
     net = NetworkSpec(
         input_resolution=_as_int(doc["input_resolution"], "document.input_resolution"),
         stem_channels=_as_int(doc["stem_channels"], "document.stem_channels"),
-        blocks=tuple(
-            _block_from_doc(bd, f"document.blocks[{i}]") for i, bd in enumerate(blocks_doc)
-        ),
+        blocks=tuple(_as_list(doc["blocks"], "document.blocks", _block_from_doc)),
     )
     violations = validate(net)
-    # A declared tap is -1 or the block the strides put it on.
-    for name, want, target in zip(("c4", "c5"), feature_taps(net), (16, 32)):
-        got = _as_int(endpoints[name], f"document.endpoints.{name}")
-        if got != -1 and want == -1:
-            violations.append(f"endpoint {name}: no block ends at output stride {target}")
-        elif got not in (-1, want):
-            violations.append(f"endpoint {name} must be block {want} "
-                              f"(last block at output stride {target}), got {got}")
     if violations:
         raise InvalidArchitectureError(violations)
     return net
@@ -614,7 +579,7 @@ def build_block(
         residual = stride == 1 and c_in == c_out
         layers.append(LayerSpec(kind, c_in, c_out, stride, use_se, activation, residual))
         c_in = c_out
-    return BlockSpec(base, multiplier, len(kinds), first_stride, tuple(layers))
+    return BlockSpec(base, multiplier, tuple(layers))
 
 
 def default_layout(input_resolution: int = 320) -> NetworkSpec:

@@ -91,16 +91,20 @@ class SpaceSpec:
 
     @cached_property
     def _decoding(self) -> tuple[list, dict[tuple, LayerSpec], tuple, bool, str]:
-        """The one chain of layers over the decisions, read by :func:`decode` and the unit
-        table: per block, its layout block, each layer's (kind position, stride) and the
-        multiplier position with each multiplier's width. Then decode's layer memo, the
-        atoms, and ``use_se`` and the activation, which ``cpu`` sets to SE plus hswish.
-        Not a field, so repr, == and hash skip it."""
+        """The one chain of layers over the decisions, read by :func:`decode`, the unit table
+        and :func:`build_space`'s width rule: per block, its base width, each layer's (kind
+        position, stride), its multiplier position with each multiplier's width, and what its
+        first layer reads: the stem, or the block before it (that multiplier position and its
+        widths). Then decode's layer memo, the atoms, and ``use_se`` and the activation, which
+        ``cpu`` sets to SE plus hswish. Not a field, so repr, == and hash skip it."""
         at = {(d.block, d.layer): i for i, d in enumerate(self.decisions)}
-        plan = [(t, [(at[bi, li], t.first_stride if li == 0 else 1) for li in range(t.num_layers)],
-                 at[bi, None],
-                 [(m, round8(m * t.base_channels)) for m in self.decisions[at[bi, None]].choices])
-                for bi, t in enumerate(self.layout.blocks)]
+        plan, cin_at, c_ins = [], (), [self.layout.stem_channels]
+        for bi, t in enumerate(self.layout.blocks):
+            mult_at = at[bi, None]
+            widths = [(m, round8(m * t.base_channels)) for m in self.decisions[mult_at].choices]
+            plan.append((t.base_channels, [(at[bi, li], layer.stride) for li, layer in
+                         enumerate(t.layers)], mult_at, widths, cin_at, c_ins))
+            cin_at, c_ins = (mult_at,), [c_out for _, c_out in widths]
         atoms = next((d.choices for d in self.decisions if d.layer is not None), ())
         use_se = self.adaptation == "cpu"
         return plan, {}, atoms, use_se, "hswish" if use_se else "relu6"
@@ -181,29 +185,29 @@ def build_space(
             raise ValueError(f"multiplier menu: {m!r} must be > 0 and keep block widths finite")
         if m * widest > MAX_WIDTH:
             raise ValueError(f"multiplier menu: {m!r} puts a block width past {MAX_WIDTH}")
-    # A layer reads the stem, the block before it or its own block (after its
-    # first layer): at the widest of these the width rule holds everywhere.
-    blocks = layout.blocks
-    c_in = max([layout.stem_channels] + [round8(mult_menu[-1] * b.base_channels) for bi, b
-                in enumerate(blocks) if bi + 1 < len(blocks) or b.num_layers > 1])
-    bad = [v for atom in atoms for v in width_violations(atom, c_in, c_in, f"atom {atom.atom_id}")]
-    if bad:
-        raise InvalidArchitectureError(bad)
     decisions: list[Decision] = []
     for bi, block in enumerate(layout.blocks):
-        for li in range(block.num_layers):
+        for li in range(len(block.layers)):
             decisions.append(
                 Decision(f"b{bi}.l{li}.kind", bi, li, atoms)
             )
         decisions.append(
             Decision(f"b{bi}.multiplier", bi, None, mult_menu)
         )
-    return SpaceSpec(
+    space = SpaceSpec(
         variant=variant,
         adaptation=adaptation,
         layout=layout,
         decisions=tuple(decisions),
     )
+    # At the widest input any layer reads, the width rule holds at every input.
+    c_in = max((c for _, layers_at, _, widths, _, c_ins in space._decoding[0]
+                for c in c_ins + [w for _, w in widths if len(layers_at) > 1]),
+               default=layout.stem_channels)
+    bad = [v for atom in atoms for v in width_violations(atom, c_in, c_in, f"atom {atom.atom_id}")]
+    if bad:
+        raise InvalidArchitectureError(bad)
+    return space
 
 
 def decode(space: SpaceSpec, dv: DecisionVector) -> NetworkSpec:
@@ -219,7 +223,7 @@ def decode(space: SpaceSpec, dv: DecisionVector) -> NetworkSpec:
     check_vector(space, dv)
     (plan, memo, atoms, use_se, activation), layout = space._decoding, space.layout
     blocks, c_in = [], layout.stem_channels
-    for t, layers_at, mult_at, widths in plan:
+    for base, layers_at, mult_at, widths, _, _ in plan:
         (multiplier, c_out), layers = widths[dv[mult_at]], []
         for at, stride in layers_at:
             key = (dv[at], c_in, c_out, stride)
@@ -229,8 +233,7 @@ def decode(space: SpaceSpec, dv: DecisionVector) -> NetworkSpec:
                                               activation, stride == 1 and c_in == c_out)
             layers.append(layer)
             c_in = c_out
-        blocks.append(BlockSpec(t.base_channels, multiplier, t.num_layers, t.first_stride,
-                                tuple(layers)))
+        blocks.append(BlockSpec(base, multiplier, tuple(layers)))
     return NetworkSpec(layout.input_resolution, layout.stem_channels, tuple(blocks))
 
 

@@ -161,7 +161,7 @@ def position_vectors(space: SpaceSpec) -> list[list[tuple[int, ...]]]:
     index = {(d.block, d.layer): i for i, d in enumerate(space.decisions)}
     out = []
     for bi, block in enumerate(space.layout.blocks):
-        for li in range(block.num_layers):
+        for li in range(len(block.layers)):
             reads = [index[bi, li], index[bi, None]]
             if li == 0 and bi > 0:
                 reads.append(index[bi - 1, None])

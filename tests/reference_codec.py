@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 from typing import Any
 
-from hwnas.arch import META_KEY, BlockSpec, LayerSpec, NetworkSpec, feature_taps, round8
+from hwnas.arch import META_KEY, BlockSpec, LayerSpec, NetworkSpec, round8
 from hwnas.space import SpaceSpec, check_vector
 
 
@@ -24,11 +24,11 @@ def _block(space: SpaceSpec, bi: int, kinds: tuple, multiplier: float, c_in: int
     c_out = round8(multiplier * t.base_channels)
     layers = []
     for li, kind in enumerate(kinds):
-        stride = t.first_stride if li == 0 else 1
+        stride = t.layers[0].stride if li == 0 else 1
         residual = stride == 1 and c_in == c_out
         layers.append(LayerSpec(kind, c_in, c_out, stride, use_se, activation, residual))
         c_in = c_out
-    return BlockSpec(t.base_channels, multiplier, len(kinds), t.first_stride, tuple(layers))
+    return BlockSpec(t.base_channels, multiplier, tuple(layers))
 
 
 def decode(space: SpaceSpec, dv: tuple[int, ...]) -> NetworkSpec:
@@ -38,7 +38,7 @@ def decode(space: SpaceSpec, dv: tuple[int, ...]) -> NetworkSpec:
     blocks = []
     c_in = layout.stem_channels
     for bi, tblock in enumerate(layout.blocks):
-        kinds = tuple(chosen[(bi, li)] for li in range(tblock.num_layers))
+        kinds = tuple(chosen[(bi, li)] for li in range(len(tblock.layers)))
         block = _block(space, bi, kinds, chosen[(bi, None)], c_in)
         blocks.append(block)
         c_in = block.layers[-1].c_out
@@ -70,13 +70,10 @@ def serialize(net: NetworkSpec, meta: dict | None = None) -> str:
             {
                 "base_channels": b.base_channels,
                 "multiplier": b.multiplier,
-                "num_layers": b.num_layers,
-                "first_stride": b.first_stride,
                 "layers": [_layer_to_doc(layer) for layer in b.layers],
             }
             for b in net.blocks
         ],
-        "endpoints": dict(zip(("c4", "c5"), feature_taps(net))),
     }
     if meta:
         doc[META_KEY] = meta

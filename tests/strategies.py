@@ -26,7 +26,7 @@ def make_layout(
                           residual=(stride == 1 and c_in == c_out))
             )
             c_in = c_out
-        specs.append(BlockSpec(base, 1.0, num_layers, first_stride, tuple(layers)))
+        specs.append(BlockSpec(base, 1.0, tuple(layers)))
     return NetworkSpec(input_resolution, stem_channels, tuple(specs))
 
 

@@ -111,11 +111,11 @@ def test_channel_continuity_violation():
     assert any("channel continuity" in v for v in validate(bad))
 
 
-def test_default_endpoints_enforced():
-    doc = json.loads(serialize(default_layout()))
-    doc["endpoints"]["c4"] = 2
-    with pytest.raises(InvalidArchitectureError, match="endpoint c4 must be block 5"):
-        deserialize(json.dumps(doc))
+def test_a_block_without_layers_is_a_violation():
+    net = make_layout(32, 16, [(16, 1, 1), (16, 1, 1)])
+    empty = dataclasses.replace(net.blocks[1], layers=())
+    assert validate(dataclasses.replace(net, blocks=(net.blocks[0], empty))) == [
+        "block 1: a block needs at least one layer"]
 
 
 def test_derive_shapes_two_halvings():
@@ -154,14 +154,11 @@ def test_serialize_writes_one_line_in_canonical_key_order():
     text = serialize(net)
     doc = json.loads(text)
     assert text == json.dumps(doc) + "\n"
-    assert list(doc) == ["input_resolution", "stem_channels", "blocks", "endpoints"]
-    assert list(doc["blocks"][0]) == [
-        "base_channels", "multiplier", "num_layers", "first_stride", "layers",
-    ]
+    assert list(doc) == ["input_resolution", "stem_channels", "blocks"]
+    assert list(doc["blocks"][0]) == ["base_channels", "multiplier", "layers"]
     tail = ["c_in", "c_out", "stride", "se", "activation", "residual"]
     assert list(doc["blocks"][0]["layers"][0]) == ["kind", "kernel", "compressions", *tail]
     assert list(doc["blocks"][1]["layers"][0]) == ["kind", "kernel", "expansion", *tail]
-    assert list(doc["endpoints"]) == ["c4", "c5"]
 
 
 def test_serialize_round_trip_residual_off():
@@ -174,7 +171,7 @@ def test_serialize_round_trip_residual_off():
 
 def test_deserialize_missing_blocks():
     with pytest.raises(ParseError, match="missing field.*blocks"):
-        deserialize('{"input_resolution": 32, "stem_channels": 16, "endpoints": {"c4": -1, "c5": -1}}')
+        deserialize('{"input_resolution": 32, "stem_channels": 16}')
 
 
 def test_deserialize_rejects_unknown_fields():
@@ -207,7 +204,7 @@ def test_save_file_with_meta_reads_back(tmp_path):
     text = path.read_text()
     assert text.count("\n") == 1
     assert list(json.loads(text)) == [
-        "input_resolution", "stem_channels", "blocks", "endpoints", "_meta",
+        "input_resolution", "stem_channels", "blocks", "_meta",
     ]
     assert json.loads(text)["_meta"] == {"tool": "test", "seed": 3}
     assert load_file(path) == default_layout()
@@ -217,11 +214,7 @@ def test_save_file_with_meta_reads_back(tmp_path):
     ("{nope", "invalid JSON at line 1 column 2"),
     ('{"input_resolution": 32}', "document: missing field(s)"),
     (serialize(toy2_layout()).replace('"kernel": 3', '"kernel": 4', 1), "kernel must be odd"),
-    (serialize(default_layout()).replace('"c4": 5', '"c4": 2'),
-     "endpoint c4 must be block 5 (last block at output stride 16), got 2"),
-    (serialize(toy2_layout()).replace('"c5": -1', '"c5": 0'),
-     "endpoint c5: no block ends at output stride 32"),
-], ids=["not_json", "missing_field", "invalid", "wrong_c4", "c5_on_toy2"])
+], ids=["not_json", "missing_field", "invalid"])
 def test_load_file_names_the_file(tmp_path, text, message):
     path = tmp_path / "net.json"
     path.write_text(text)
@@ -258,9 +251,7 @@ def test_export_dot_endpoint_annotation():
 def test_feature_taps_match_the_brute_walk_and_survive_a_round_trip(net):
     taps = feature_taps(net)
     assert taps == brute_taps(net)
-    text = serialize(net)
-    assert json.loads(text)["endpoints"] == {"c4": taps[0], "c5": taps[1]}
-    assert feature_taps(deserialize(text)) == taps
+    assert feature_taps(deserialize(serialize(net))) == taps
 
 
 @pytest.mark.parametrize("layout, taps", [(default_layout, (5, 8)), (toy2_layout, (-1, -1))])
@@ -274,11 +265,8 @@ def test_decoded_nets_tap_the_layout_blocks(layout, taps, variant, adaptation):
 
 
 def test_default_document_without_taps_loads_and_marks_them():
-    doc = json.loads(serialize(default_layout()))
-    doc["endpoints"] = {"c4": -1, "c5": -1}
-    net = deserialize(json.dumps(doc))
+    net = deserialize(serialize(default_layout()))
     assert net == default_layout()
-    assert json.loads(serialize(net))["endpoints"] == {"c4": 5, "c5": 8}
     dot = export_dot(net).splitlines()
     assert [line.split()[0] for line in dot if "C4" in line] == ["b5_l1"]
     assert [line.split()[0] for line in dot if "C5" in line] == ["b8_l0"]
@@ -397,9 +385,9 @@ def test_valid_nets_analyze_cleanly(net):
     from hwnas.analysis import network_cost
 
     assert validate(net) == []
-    assert len(derive_shapes(net)) == 1 + sum(b.num_layers for b in net.blocks)
+    assert len(derive_shapes(net)) == 1 + sum(len(b.layers) for b in net.blocks)
     cost = network_cost(net)
-    assert len(cost.layers) == sum(b.num_layers for b in net.blocks) + 1  # the stem first
+    assert len(cost.layers) == sum(len(b.layers) for b in net.blocks) + 1  # the stem first
     assert cost.total_madds == sum(layer.madds for layer in cost.layers)
     assert cost.total_params == sum(layer.params for layer in cost.layers)
     assert (cost.total_madds, cost.total_params) == brute_network(net)
@@ -409,7 +397,7 @@ def test_valid_nets_analyze_cleanly(net):
 def test_build_block_chains_layers():
     kinds = (ibn(3, 4), fused(5, 8), tucker(3, 0.25, 0.75))
     block = build_block(16, 1.5, 2, 40, kinds, use_se=True, activation="hswish")
-    assert (block.base_channels, block.multiplier, block.num_layers, block.first_stride) == (
+    assert (block.base_channels, block.multiplier, len(block.layers), block.layers[0].stride) == (
         16, 1.5, 3, 2)
     assert tuple(layer.kind for layer in block.layers) == kinds
     assert [(layer.c_in, layer.c_out, layer.stride, layer.residual) for layer in block.layers] == [

@@ -8,6 +8,8 @@ import json
 import math
 import os
 import shutil
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -380,7 +382,7 @@ def test_bench_generate_toy2_is_pinned(tmp_path, capsys):
         "2738cd3a96f216f9949aed8f3c50deaed4fe5a24dcccda198688bbd2ea0ed9a8")
     archs = b"".join((tmp_path / row[0]).read_bytes() for row in rows[1:])
     assert hashlib.sha256(archs).hexdigest() == (
-        "1651fbbc10870c3f54da9e82b1f49fa4aa8fbafc8b90194c6417ecc7d4de3c92")
+        "566a3260ffc8a8ce846087491a5d61e0e3af9b6701d086311adb6d0ef05b2ff1")
 
 
 def test_search_run_outputs(tmp_path, capsys):
@@ -723,6 +725,58 @@ def test_a_kernel_past_the_limit_is_reported(tmp_path, capsys, argv):
     code, _, err = run([a.format(tmp=tmp_path) for a in argv] + [str(path)], capsys)
     assert (code, err) == (1, f"error: InvalidArchitectureError: {path}: {where}: kernel must "
                               f"be at most 1048576, got {kernel}\n")
+
+
+ODD_VALUES = [0, -1, math.nan, 1e308, 10**200, 10**200 + 1, 2**63, 10**400, "ibn", [0.5, 0.5],
+              None]
+ARCH_DOCS = [json.loads(serialize(layout())) for layout in (toy2_layout, default_layout)]
+
+
+def value_paths(value, at=()):
+    """The key and index path of every value nested in a JSON value."""
+    if isinstance(value, (dict, list)):
+        for key, item in value.items() if isinstance(value, dict) else enumerate(value):
+            yield at + (key,)
+            yield from value_paths(item, at + (key,))
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_an_architecture_document_with_one_odd_field_loads_or_fails_in_one_line(data):
+    """One field of the toy2 or default document, a container or a leaf, set to an odd
+    value: ``analyze`` and ``export dot`` succeed, or exit 1 with one ``error:`` line
+    naming the file."""
+    doc = json.loads(json.dumps(data.draw(st.sampled_from(ARCH_DOCS))))
+    *parents, key = data.draw(st.sampled_from(list(value_paths(doc))))
+    field = doc
+    for parent in parents:
+        field = field[parent]
+    field[key] = data.draw(st.sampled_from(ODD_VALUES))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "arch.json"
+        path.write_text(json.dumps(doc))
+        for argv in (["analyze"], ["export", "dot"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv + ["--arch", str(path)])
+            err = err.getvalue()
+            assert (code, err) == (0, "") or (code == 1 and err.startswith("error: ")
+                                              and err.count("\n") == 1 and f"{path}: " in err)
+
+
+def test_a_document_with_the_stored_depth_stride_and_taps_is_rejected(tmp_path, capsys):
+    """Documents once stored each block's depth and first stride and the C4/C5 taps,
+    all of which follow from the layers; one such file fails naming the file and its
+    first unknown field."""
+    doc = json.loads(serialize(default_layout()))
+    for block in doc["blocks"]:
+        block.update(num_layers=len(block["layers"]), first_stride=block["layers"][0]["stride"])
+    doc["endpoints"] = {"c4": 5, "c5": 8}
+    path = tmp_path / "old.json"
+    path.write_text(json.dumps(doc))
+    code, _, err = run(["analyze", "--arch", str(path)], capsys)
+    assert (code, err) == (1, f"error: ParseError: {path}: document: unknown field(s) "
+                              "endpoints\n")
 
 
 def test_corrupt_arch_file_error(tmp_path, capsys):

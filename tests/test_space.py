@@ -110,24 +110,24 @@ def test_empty_layout_size_one():
 
 # space_id digests of the built-in spaces, ``variant/adaptation/layout``.
 BUILTIN_SPACE_DIGESTS = {
-    "ibn/neutral/toy2": "2e720a3f9bdf",
-    "ibn/cpu/toy2": "c7bc3ce4e883",
-    "ibn/dsp/toy2": "4912886dd024",
-    "ibn_fused/neutral/toy2": "a403cba35cbc",
-    "ibn_fused/cpu/toy2": "6ca268e74d10",
-    "ibn_fused/dsp/toy2": "547ba145d1b6",
-    "ibn_fused_tucker/neutral/toy2": "750e25d17201",
-    "ibn_fused_tucker/cpu/toy2": "c4f5ed2eef33",
-    "ibn_fused_tucker/dsp/toy2": "6e541dc20b0c",
-    "ibn/neutral/default": "a1b3961b7ffe",
-    "ibn/cpu/default": "f71b674b521b",
-    "ibn/dsp/default": "fd2822481469",
-    "ibn_fused/neutral/default": "14884ac8168b",
-    "ibn_fused/cpu/default": "d305f81ee726",
-    "ibn_fused/dsp/default": "7735f3f3adda",
-    "ibn_fused_tucker/neutral/default": "f33cf502000e",
-    "ibn_fused_tucker/cpu/default": "712fe6d05baa",
-    "ibn_fused_tucker/dsp/default": "9290fbe9d8bc",
+    "ibn/neutral/toy2": "2ae9c468658c",
+    "ibn/cpu/toy2": "4b5acf331ccf",
+    "ibn/dsp/toy2": "5d562db1b7e0",
+    "ibn_fused/neutral/toy2": "b087c796a7f7",
+    "ibn_fused/cpu/toy2": "17a3b15e9e7d",
+    "ibn_fused/dsp/toy2": "531bef5b3187",
+    "ibn_fused_tucker/neutral/toy2": "3509dc0af2ee",
+    "ibn_fused_tucker/cpu/toy2": "3175e28fbe5d",
+    "ibn_fused_tucker/dsp/toy2": "7750d5833ece",
+    "ibn/neutral/default": "366862c4e027",
+    "ibn/cpu/default": "e7f8e92bfc66",
+    "ibn/dsp/default": "919c21973129",
+    "ibn_fused/neutral/default": "49840f34fe1f",
+    "ibn_fused/cpu/default": "7c4ca29458b2",
+    "ibn_fused/dsp/default": "bfec19b2a6cd",
+    "ibn_fused_tucker/neutral/default": "ab08e5b76ed2",
+    "ibn_fused_tucker/cpu/default": "27d8330397a7",
+    "ibn_fused_tucker/dsp/default": "fd563584e083",
 }
 
 
@@ -477,6 +477,14 @@ def test_build_space_applies_the_width_rule_at_the_widest_input_a_layer_reads(
         with pytest.raises(InvalidArchitectureError, match="atom ibn_k3_s30000: expansion "
                            "30000 widens 48 channels past 1048576"):
             build_space("ibn", "neutral", layout, multipliers=[1.0], expansions=[30000.0])
+
+
+def test_a_wide_last_block_feeds_no_layer():
+    """At multiplier 2 and expansion 8 the last block's 2**19 channels would widen past
+    the rule, but a one-layer last block feeds no layer, so the default menus are accepted;
+    a rule taking the widest block width would reject them."""
+    layout = make_layout(32, 16, [(16, 2, 2), (1 << 18, 1, 1)])
+    assert space_size(build_space("ibn", "neutral", layout)) == 4**3 * 7**2 == 3136
 
 
 def test_space_file_with_bad_multiplier_fails_inspect(tmp_path, capsys):

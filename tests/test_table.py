@@ -88,7 +88,7 @@ def test_every_table_entry_costs_the_layer_decode_builds(variant, adaptation, la
     sizes = derive_shapes(space.layout)  # layer p reads a sizes[p] input
     atoms, mults = len(space.decisions[0].choices), len(space.decisions[-1].choices)
     where = [(bi, li) for bi, block in enumerate(space.layout.blocks)
-             for li in range(block.num_layers)]
+             for li in range(len(block.layers))]
     for p, ((bi, li), vectors) in enumerate(zip(where, position_vectors(space), strict=True)):
         reached = set()
         for dv in vectors:
