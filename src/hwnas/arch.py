@@ -465,12 +465,14 @@ def serialize(net: NetworkSpec, meta: dict | None = None) -> str:
 
 def parse_json(text: str, source: object = None) -> Any:
     """``json.loads``; bad JSON raises a :class:`ParseError` naming ``source`` and where."""
+    where = "" if source is None else f"{source}: "
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
-        where = "" if source is None else f"{source}: "
         raise ParseError(f"{where}invalid JSON at line {exc.lineno} column {exc.colno}: "
                          f"{exc.msg}") from exc
+    except ValueError as exc:  # an integer literal past Python's digit limit
+        raise ParseError(f"{where}{exc}") from exc
 
 
 def deserialize(text: str) -> NetworkSpec:
@@ -563,8 +565,6 @@ def build_block(
     first_stride: int,
     c_in: int,
     kinds: tuple[LayerKind, ...],
-    use_se: bool = False,
-    activation: str = "relu6",
 ) -> BlockSpec:
     """Chain one layer per kind into a block fed ``c_in`` channels.
 
@@ -577,7 +577,7 @@ def build_block(
     for li, kind in enumerate(kinds):
         stride = first_stride if li == 0 else 1
         residual = stride == 1 and c_in == c_out
-        layers.append(LayerSpec(kind, c_in, c_out, stride, use_se, activation, residual))
+        layers.append(LayerSpec(kind, c_in, c_out, stride, residual=residual))
         c_in = c_out
     return BlockSpec(base, multiplier, tuple(layers))
 

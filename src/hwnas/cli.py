@@ -17,7 +17,6 @@ import csv
 import io
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -29,6 +28,7 @@ from .analysis import network_cost
 from .controller import RewardConfig
 from .cost import (
     BUILTIN_DEVICES,
+    UnknownBucketError,
     check_space,
     coverage,
     fit,
@@ -94,21 +94,6 @@ def _meta_dict(seed: int | None = None) -> dict:
     return meta
 
 
-def _enum_cap(file_cap: int | None = None) -> int:
-    env = os.environ.get("NAS_ENUM_CAP")
-    if env is not None:
-        try:
-            cap = int(env)
-        except ValueError:
-            cap = 0
-        if cap < 1:
-            raise ValueError(f"NAS_ENUM_CAP must be an integer >= 1, got {env!r}")
-        return cap
-    if file_cap is not None:
-        return file_cap
-    return DEFAULT_ENUM_CAP
-
-
 def _float_arg(ok, rule: str):
     """argparse type: a float for which ``ok`` holds, else a one-line error."""
 
@@ -127,7 +112,6 @@ def _float_arg(ok, rule: str):
 _budget_ms = _float_arg(lambda x: math.isfinite(x) and x > 0, "a positive number of ms")
 _holdout_frac = _float_arg(lambda x: 0 <= x < 1, "in [0, 1)")
 _nonnegative = _float_arg(lambda x: math.isfinite(x) and x >= 0, "a finite number >= 0")
-_finite = _float_arg(math.isfinite, "a finite number")
 _tau = _float_arg(lambda x: math.isfinite(x) and x <= 0, "a finite number <= 0")
 _lr = _float_arg(lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
 
@@ -146,10 +130,9 @@ def _add_space_args(parser: argparse.ArgumentParser) -> None:
 def _resolve_space(args) -> tuple:
     """Returns (space, enumeration cap)."""
     if args.space:
-        space, cap = load_space_file(args.space)
-        return space, _enum_cap(cap)
+        return load_space_file(args.space)
     layout = resolve_layout(args.layout)
-    return build_space(args.variant, args.adaptation, layout), _enum_cap()
+    return build_space(args.variant, args.adaptation, layout), DEFAULT_ENUM_CAP
 
 
 def _space_ref(args) -> str:
@@ -316,7 +299,11 @@ def cmd_cost_fit(args) -> int:
 def cmd_cost_eval(args) -> int:
     model = load_model(args.model)
     net = load_file(args.arch)
-    print(f"{predict(model, network_cost(net)):.6f}")
+    try:
+        print(f"{predict(model, network_cost(net)):.6f}")
+    except UnknownBucketError as exc:  # a layer of the network that the model never saw
+        exc.args = (f"{args.model}: {exc}",)
+        raise
     return 0
 
 
@@ -387,18 +374,12 @@ def _svg_scatter(points: list[tuple[float, float]], budget: float | None = None)
 def _make_oracle(args, space, seed: int):
     if args.oracle == "linear":
         return LinearFeatureOracle.random_for_space(space, seed, args.oracle_noise)
-    return CapacityOracle(
-        scale_madds=median_madds(space, seed),
-        early_regular_bonus=args.early_bonus,
-        noise_sigma=args.oracle_noise,
-    )
+    return CapacityOracle(scale_madds=median_madds(space, seed), noise_sigma=args.oracle_noise)
 
 
 def _add_oracle_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--oracle", choices=("capacity", "linear"), default="capacity")
     parser.add_argument("--oracle-noise", type=_nonnegative, default=0.0)
-    parser.add_argument("--early-bonus", type=_finite, default=0.0,
-                        help="capacity oracle bonus for early regular-conv layers")
 
 
 def cmd_search_run(args) -> int:
@@ -412,7 +393,6 @@ def cmd_search_run(args) -> int:
         budget_ms=args.budget,
         seed=args.seed,
         lr=args.lr,
-        noise_mode=args.noise_mode,
     )
     net, log = run_search(space, oracle, source, cfg)
     write_log(log, args.log, meta=_meta_dict(args.seed))
@@ -441,8 +421,7 @@ def cmd_search_ablation(args) -> int:
         for variant in args.variants.split(",")
     ]
     devices = [_resolve_device(d) for d in args.devices.split(",")]
-    rows = ablation_report(spaces, devices, tau=args.tau, seed=args.seed,
-                           cap=_enum_cap())
+    rows = ablation_report(spaces, devices, tau=args.tau, seed=args.seed)
     csv_rows = [
         [r.space, r.device, f"{r.reward:.6f}", f"{r.latency_ms:.6f}", r.madds,
          r.params, f"{r.frac_regular_all:.4f}", f"{r.frac_regular_early:.4f}"]
@@ -549,7 +528,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=5000)
     p.add_argument("--samples-per-step", type=int, default=1)
     p.add_argument("--lr", type=_lr, default=SearchConfig.lr, help="controller Adam step size")
-    p.add_argument("--noise-mode", choices=("hash", "iid"), default="hash")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--log", required=True, help="search log path (ndjson)")
     p.add_argument("--best", help="write the final architecture here")

@@ -68,8 +68,8 @@ class DeviceSimulator:
     def __post_init__(self):
         for field_name in OP_CLASSES + ("overhead_ms", "noise_sigma"):
             value = getattr(self, field_name)
-            if not (math.isfinite(value) and value >= 0):
-                raise ValueError(f"{self.name}: {field_name} must be >= 0 and finite, got {value}")
+            if not 0 <= value <= 1e6:  # with the size rules of arch, keeps every latency finite
+                raise ValueError(f"{self.name}: {field_name} must be in [0, 1e6], got {value}")
 
 
 # Built-in profiles. The accelerator profile charges depthwise multiply-adds
@@ -397,7 +397,7 @@ def load_model(path: str | Path) -> LatencyModel:
                          f"{MODEL_VERSION}; refit it with 'hwnas cost fit'")
     _require(doc, MODEL_FIELDS, str(path))
     holdout = doc["holdout_r2"]
-    return LatencyModel(
+    fields = dict(
         buckets=tuple(_as_list(doc["buckets"], f"{path}: buckets", _as_str)),
         weights=np.array(_as_list(doc["weights"], f"{path}: weights", _as_finite), float),
         intercept=_as_finite(doc["intercept"], f"{path}: intercept"),
@@ -406,6 +406,10 @@ def load_model(path: str | Path) -> LatencyModel:
         holdout_r2=None if holdout is None else _as_finite(holdout, f"{path}: holdout_r2"),
         space_ref=_as_str(doc["space_ref"], f"{path}: space_ref"),
     )
+    try:
+        return LatencyModel(**fields)
+    except ValueError as exc:  # weights and buckets of different lengths
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def save_device(device: DeviceSimulator, path: str | Path, meta: dict | None = None) -> None:

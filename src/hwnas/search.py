@@ -12,14 +12,13 @@ of a search and the exhaustive or random-search best. Every driver scores a
 priced architecture through one noiseless scorer and picks its best through
 one argmax, which keeps the first maximizer.
 
-Noise determinism: in the default ``hash`` mode, oracle and simulator noise
-streams are re-keyed per architecture from (run seed, digest of the decision
-vector), so identical architectures receive identical noisy estimates within
-a run and whole searches replay bit-identically. The decision vector stands
-for the architecture because a run searches one fixed space and ``decode`` is
+Noise determinism: oracle and simulator noise streams are re-keyed per
+architecture from (run seed, digest of the decision vector), so identical
+architectures receive identical noisy estimates within a run and whole
+searches replay bit-identically. The decision vector stands for the
+architecture because a run searches one fixed space and ``decode`` is
 injective on it: its atoms are distinct and the chosen width multiplier is
-kept in the decoded blocks. An ``iid`` mode draws fresh noise per evaluation
-instead.
+kept in the decoded blocks.
 """
 
 from __future__ import annotations
@@ -117,22 +116,17 @@ class LinearFeatureOracle:
 class CapacityOracle:
     """Quality rises with total multiply-adds and saturates.
 
-    ``1 - exp(-madds / scale_madds)``, optionally plus a bonus proportional
-    to the fraction of regular-conv layers (fused or tucker) in the early
-    half of the network. Encodes the premise that capacity buys quality while
-    staying hardware-agnostic.
+    ``1 - exp(-madds / scale_madds)``, optionally plus clamped Gaussian noise.
+    Encodes the premise that capacity buys quality while staying
+    hardware-agnostic; where regular convolutions go is left to the search.
     """
 
     scale_madds: float
-    early_regular_bonus: float = 0.0
     noise_sigma: float = 0.0
     descriptor: str = "capacity"
 
     def evaluate(self, cost: ArchCost, rng: np.random.Generator | None) -> float:
         score = 1.0 - math.exp(-cost.total_madds / self.scale_madds)
-        if self.early_regular_bonus:
-            _, early = _regular_fractions(cost.ops)
-            score += self.early_regular_bonus * early
         if rng is not None and self.noise_sigma > 0:
             score += rng.normal(0.0, self.noise_sigma)
         return _clamp01(score)
@@ -199,9 +193,8 @@ class SearchConfig:
     """Knobs of one controller run.
 
     ``budget_ms=None`` resolves to the latency source's noiseless median
-    latency over 256 uniform samples (:func:`resolve_budget`). ``noise_mode``
-    selects the per-architecture (``hash``) or per-evaluation (``iid``) noise
-    regime described in the module docs.
+    latency over 256 uniform samples (:func:`resolve_budget`). Noise is drawn
+    once per architecture, as the module docs describe.
     ``lr`` feeds the controller's Adam; the 5e-3 default suits long searches,
     desk-scale runs of a few thousand steps converge faster with 10x that.
     """
@@ -212,7 +205,6 @@ class SearchConfig:
     budget_ms: float | None = None
     seed: int = 0
     lr: float = 5e-3
-    noise_mode: str = "hash"
 
     def __post_init__(self):
         if self.steps < 1:
@@ -221,8 +213,6 @@ class SearchConfig:
             raise ValueError(f"samples_per_step must be >= 1, got {self.samples_per_step}")
         if not (math.isfinite(self.lr) and self.lr > 0):
             raise ValueError(f"lr must be a finite positive number, got {self.lr}")
-        if self.noise_mode not in ("hash", "iid"):
-            raise ValueError(f"noise_mode must be 'hash' or 'iid', got {self.noise_mode!r}")
 
 
 @dataclass(frozen=True)
@@ -259,7 +249,7 @@ def _source_name(source: LatencySource) -> str:
 
 
 class _Evaluator:
-    """Noiseless/noisy evaluation of :func:`run_search`'s samples."""
+    """Noisy evaluation of :func:`run_search`'s samples, memoized per architecture."""
 
     def __init__(
         self,
@@ -267,16 +257,13 @@ class _Evaluator:
         oracle: QualityOracle,
         source: LatencySource,
         seed: int,
-        noise_mode: str,
     ):
         self.oracle = oracle
         self.source = source
-        self.noise_mode = noise_mode
         self.table = space_table(space)
-        self._iid_rng = np.random.default_rng([seed, 2])
-        # Hash mode re-keys one PCG64 per architecture: its 128-bit state is
-        # (run key, arch_hash) under a per-run odd increment. Setting a state
-        # costs about a tenth of seeding a new generator on every cache miss.
+        # Re-key one PCG64 per architecture: its 128-bit state is (run key,
+        # arch_hash) under a per-run odd increment. Setting a state costs
+        # about a tenth of seeding a new generator on every cache miss.
         run_key, inc = np.random.SeedSequence([seed, 3]).generate_state(2, np.uint64)
         self._run_key, self._inc = int(run_key) << 64, int(inc) | 1
         self._arch_rng = np.random.Generator(np.random.PCG64(0))
@@ -292,19 +279,15 @@ class _Evaluator:
         return self._arch_rng
 
     def evaluate(self, dv: DecisionVector) -> tuple[float, float]:
-        """(quality, latency) with the configured noise regime."""
-        if self.noise_mode == "hash":
-            hit = self._cache.get(dv)
-            if hit is not None:
-                return hit
-            rng = self._keyed_rng(arch_hash(dv))
-        else:
-            rng = self._iid_rng
+        """(quality, latency), with the architecture's noise drawn on its first evaluation."""
+        hit = self._cache.get(dv)
+        if hit is not None:
+            return hit
+        rng = self._keyed_rng(arch_hash(dv))
         cost = self.table.price(dv)
         quality = self.oracle.evaluate(cost, rng)
         latency = latency_of(self.source, cost, rng)
-        if self.noise_mode == "hash":
-            self._cache[dv] = (quality, latency)
+        self._cache[dv] = (quality, latency)
         return quality, latency
 
 
@@ -324,7 +307,7 @@ def run_search(
     if budget is None:
         budget = resolve_budget(space, latency_source, cfg.seed)
     reward_cfg = RewardConfig(tau=cfg.tau, budget_ms=budget)
-    evaluator = _Evaluator(space, oracle, latency_source, cfg.seed, cfg.noise_mode)
+    evaluator = _Evaluator(space, oracle, latency_source, cfg.seed)
     rng = np.random.default_rng([cfg.seed, 1])
 
     policy = CategoricalPolicy.uniform(space)
@@ -384,17 +367,11 @@ def reward_iter(
     latency_source: LatencySource,
     reward_cfg: RewardConfig,
     cap: int = DEFAULT_ENUM_CAP,
-    archs: Sequence[tuple[DecisionVector, ArchCost]] | None = None,
 ) -> Iterator[tuple[DecisionVector, ArchCost, float, float, float]]:
-    """Noiseless (dv, cost, quality, latency, reward) over the whole space.
-
-    ``archs`` short-circuits pricing when the caller has already priced the
-    enumeration (ablations reuse one across devices).
-    """
-    if archs is None:
-        table = space_table(space)
-        archs = ((dv, table.price(dv)) for dv in enumerate_space(space, cap))
-    for dv, cost in archs:
+    """Noiseless (dv, cost, quality, latency, reward) over the whole space."""
+    table = space_table(space)
+    for dv in enumerate_space(space, cap):
+        cost = table.price(dv)
         yield dv, cost, *_score(oracle, latency_source, cost, reward_cfg)
 
 
@@ -457,7 +434,6 @@ def ablation_report(
     devices: Sequence[DeviceSimulator],
     tau: float = -0.3,
     seed: int = 0,
-    cap: int = DEFAULT_ENUM_CAP,
 ) -> list[AblationRow]:
     """Exhaustive best per (space, device) under a shared capacity oracle.
 
@@ -477,14 +453,14 @@ def ablation_report(
     enumerations = {}
     for name, sp in spaces:
         table = space_table(sp)
-        enumerations[name] = [(dv, table.price(dv)) for dv in enumerate_space(sp, cap)]
+        enumerations[name] = [table.price(dv) for dv in enumerate_space(sp)]
     rows = []
     for device in devices:
         budget = resolve_budget(biggest, device, seed)
         reward_cfg = RewardConfig(tau=tau, budget_ms=budget)
         for name, sp in spaces:
-            _, cost, _, latency, rew = _argmax(
-                reward_iter(sp, oracle, device, reward_cfg, archs=enumerations[name])
+            cost, _, latency, rew = _argmax(
+                (cost, *_score(oracle, device, cost, reward_cfg)) for cost in enumerations[name]
             )
             rows.append(AblationRow(name, device.name, rew, latency, cost.total_madds,
                                     cost.total_params, *_regular_fractions(cost.ops)))

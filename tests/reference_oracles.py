@@ -30,10 +30,6 @@ def _noisy01(score: float, sigma: float, rng) -> float:
 
 def capacity_score(oracle: CapacityOracle, net: NetworkSpec, rng=None) -> float:
     score = 1.0 - math.exp(-network_cost(net).total_madds / oracle.scale_madds)
-    if oracle.early_regular_bonus:
-        ops = [layer.kind.op for block in net.blocks for layer in block.layers]
-        early = ops[:-(-len(ops) // 2)]  # the first ceil(n/2) layers
-        score += oracle.early_regular_bonus * (sum(op != "ibn" for op in early) / len(early))
     return _noisy01(score, oracle.noise_sigma, rng)
 
 

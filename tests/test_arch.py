@@ -396,13 +396,13 @@ def test_valid_nets_analyze_cleanly(net):
 
 def test_build_block_chains_layers():
     kinds = (ibn(3, 4), fused(5, 8), tucker(3, 0.25, 0.75))
-    block = build_block(16, 1.5, 2, 40, kinds, use_se=True, activation="hswish")
+    block = build_block(16, 1.5, 2, 40, kinds)
     assert (block.base_channels, block.multiplier, len(block.layers), block.layers[0].stride) == (
         16, 1.5, 3, 2)
     assert tuple(layer.kind for layer in block.layers) == kinds
     assert [(layer.c_in, layer.c_out, layer.stride, layer.residual) for layer in block.layers] == [
         (40, 24, 2, False), (24, 24, 1, True), (24, 24, 1, True)]
-    assert all(layer.use_se and layer.activation == "hswish" for layer in block.layers)
+    assert all(not layer.use_se and layer.activation == "relu6" for layer in block.layers)
     assert validate(NetworkSpec(32, 40, (block,))) == []
 
 

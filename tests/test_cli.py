@@ -2,27 +2,26 @@
 
 import contextlib
 import csv
+import dataclasses
 import hashlib
 import io
 import json
 import math
-import os
 import shutil
 import tempfile
 from pathlib import Path
-from unittest import mock
 
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 
 from hwnas.analysis import network_cost
 from hwnas.arch import (MAX_RESOLUTION, default_layout, functional_signature, load_file,
                         save_file, serialize, toy2_layout)
-from hwnas.cli import _enum_cap, build_parser, main
+from hwnas.cli import build_parser, main
 from hwnas.cost import (BUILTIN_DEVICES, fit, generate_benchmarks, load_model, save_model,
-                        space_line)
+                        space_id, space_line)
 from hwnas.search import (CapacityOracle, SearchConfig, median_madds, run_search,
                           write_log)
 from hwnas.space import (DEFAULT_COMPRESSIONS, DEFAULT_EXPANSIONS, DEFAULT_KERNELS,
@@ -87,37 +86,17 @@ def test_space_enumerate(tmp_path, capsys):
     assert len(rows) == 113  # header + 112 vectors
 
 
-def test_enumerate_cap_env(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NAS_ENUM_CAP", "50")
-    code, _, err = run(["space", "enumerate", "--variant", "ibn", "--layout", "toy2",
+def test_enumerate_cap_env(tmp_path, capsys):
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps({
+        "variant": "ibn", "adaptation": "neutral", "layout_ref": "toy2",
+        "multiplier_menu": list(DEFAULT_MULTIPLIERS), "kernel_menu": list(DEFAULT_KERNELS),
+        "expansion_menu": list(DEFAULT_EXPANSIONS), "compression_menu": [0.25],
+        "enumeration_cap": 50}))
+    code, _, err = run(["space", "enumerate", "--space", str(path),
                         "-o", str(tmp_path / "x.csv")], capsys)
     assert code == 1
     assert err.startswith("error: EnumerationCapError:")
-
-
-def test_enumerate_cap_env_not_an_integer(tmp_path, capsys, monkeypatch):
-    monkeypatch.setenv("NAS_ENUM_CAP", "abc")
-    code, _, err = run(["space", "enumerate", "--variant", "ibn", "--layout", "toy2",
-                        "-o", str(tmp_path / "x.csv")], capsys)
-    assert code == 1
-    assert err == "error: ValueError: NAS_ENUM_CAP must be an integer >= 1, got 'abc'\n"
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(1, 10**12).map(str))
-def test_enum_cap_env_accepts_positive_integers(text):
-    with mock.patch.dict(os.environ, {"NAS_ENUM_CAP": text}):
-        assert _enum_cap(file_cap=7) == int(text)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.integers(max_value=0).map(str)
-       | st.from_regex(r"\A[a-zA-Z_.,]*\Z")
-       | st.floats().filter(lambda x: not x.is_integer()).map(repr))
-def test_enum_cap_env_rejects_other_values(text):
-    with mock.patch.dict(os.environ, {"NAS_ENUM_CAP": text}):
-        with pytest.raises(ValueError, match="NAS_ENUM_CAP must be an integer >= 1"):
-            _enum_cap()
 
 
 def parse_error(argv) -> str:
@@ -173,18 +152,10 @@ def test_oracle_noise_finite_nonnegative_accepted(sigma, command):
     assert args.oracle_noise == sigma
 
 
-@settings(max_examples=80, deadline=None)
-@given(text=number_texts(), command=st.sampled_from(SEARCH_COMMANDS))
-def test_early_bonus_not_finite_rejected_at_parse(text, command):
-    line = parse_error(command + [f"--early-bonus={text}"])
-    assert line.endswith(f"argument --early-bonus: must be a finite number, got {text!r}")
-
-
-@settings(max_examples=80, deadline=None)
-@given(bonus=st.floats(allow_nan=False, allow_infinity=False),
-       command=st.sampled_from(SEARCH_COMMANDS))
-def test_early_bonus_finite_accepted(bonus, command):
-    assert build_parser().parse_args(command + [f"--early-bonus={bonus!r}"]).early_bonus == bonus
+@pytest.mark.parametrize("option", [["--noise-mode", "iid"], ["--early-bonus", "0.1"]])
+def test_removed_search_options_are_unrecognized(option):
+    assert parse_error(SEARCH_COMMANDS[0] + option) == (
+        f"hwnas: error: unrecognized arguments: {' '.join(option)}")
 
 
 TAU_COMMANDS = SEARCH_COMMANDS + (["search", "ablation", "-o", "x.csv"],)
@@ -727,9 +698,34 @@ def test_a_kernel_past_the_limit_is_reported(tmp_path, capsys, argv):
                               f"be at most 1048576, got {kernel}\n")
 
 
+# An integer literal past Python's 4,300-digit limit for int-from-text conversion.
+# json.dumps cannot write one, so write_doc puts it in the file text in place of HUGE.
+HUGE = "<a 5,001-digit integer>"
 ODD_VALUES = [0, -1, math.nan, 1e308, 10**200, 10**200 + 1, 2**63, 10**400, "ibn", [0.5, 0.5],
-              None]
+              None, HUGE]
 ARCH_DOCS = [json.loads(serialize(layout())) for layout in (toy2_layout, default_layout)]
+SPACE_DOC = {"variant": "ibn_fused_tucker", "adaptation": "neutral", "layout_ref": "toy2",
+             "multiplier_menu": [0.5, 1.0], "kernel_menu": [3, 5], "expansion_menu": [3.0, 6.0],
+             "compression_menu": [0.25, 0.75], "enumeration_cap": 100}
+DEVICE_DOC = dataclasses.asdict(BUILTIN_DEVICES["accel_sim"])
+
+
+def fitted_model_doc() -> dict:
+    """A model fitted on the CLI's default space, ibn/neutral/toy2, as its file holds it."""
+    space = build_space("ibn", "neutral", toy2_layout())
+    records = generate_benchmarks(space, BUILTIN_DEVICES["cpu_sim"], 40, np.random.default_rng(0))
+    model = fit(records, space, space_ref=space_id(space, "ibn/neutral/toy2"))
+    with tempfile.TemporaryDirectory() as tmp:
+        save_model(model, Path(tmp) / "model.json")
+        return json.loads((Path(tmp) / "model.json").read_text())
+
+
+MODEL_DOC = fitted_model_doc()
+
+
+def write_doc(path: Path, doc) -> Path:
+    path.write_text(json.dumps(doc).replace(json.dumps(HUGE), "9" * 5001))
+    return path
 
 
 def value_paths(value, at=()):
@@ -740,28 +736,100 @@ def value_paths(value, at=()):
             yield from value_paths(item, at + (key,))
 
 
+def with_value(doc, at: tuple, value):
+    """A deep copy of ``doc`` with the value at path ``at`` replaced."""
+    doc = json.loads(json.dumps(doc))
+    *parents, key = at
+    field = doc
+    for parent in parents:
+        field = field[parent]
+    field[key] = value
+    return doc
+
+
+def assert_loads_or_fails_in_one_line(path: Path, commands, tmp: str) -> None:
+    """Each command, its ``{tmp}`` filled in and ``path`` appended, exits 0 silently or
+    exits 1 with one ``error:`` line naming ``path``."""
+    for command in commands:
+        argv = [a.format(tmp=tmp) for a in command] + [str(path)]
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(argv)
+        err = err.getvalue()
+        assert (code, err) == (0, "") or (code == 1 and err.startswith("error: ")
+                                          and err.count("\n") == 1 and f"{path}: " in err), (
+            argv, err)
+
+
 @settings(max_examples=120, deadline=None)
 @given(data=st.data())
 def test_an_architecture_document_with_one_odd_field_loads_or_fails_in_one_line(data):
     """One field of the toy2 or default document, a container or a leaf, set to an odd
     value: ``analyze`` and ``export dot`` succeed, or exit 1 with one ``error:`` line
     naming the file."""
-    doc = json.loads(json.dumps(data.draw(st.sampled_from(ARCH_DOCS))))
-    *parents, key = data.draw(st.sampled_from(list(value_paths(doc))))
-    field = doc
-    for parent in parents:
-        field = field[parent]
-    field[key] = data.draw(st.sampled_from(ODD_VALUES))
+    doc = data.draw(st.sampled_from(ARCH_DOCS))
+    doc = with_value(doc, data.draw(st.sampled_from(list(value_paths(doc)))),
+                     data.draw(st.sampled_from(ODD_VALUES)))
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "arch.json"
-        path.write_text(json.dumps(doc))
-        for argv in (["analyze"], ["export", "dot"]):
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-                code = main(argv + ["--arch", str(path)])
-            err = err.getvalue()
-            assert (code, err) == (0, "") or (code == 1 and err.startswith("error: ")
-                                              and err.count("\n") == 1 and f"{path}: " in err)
+        path = write_doc(Path(tmp) / "arch.json", doc)
+        assert_loads_or_fails_in_one_line(path, [["analyze", "--arch"],
+                                                 ["export", "dot", "--arch"]], tmp)
+
+
+SEARCH_TWO_STEPS = ["search", "run", "--steps", "2", "--log", "{tmp}/log.ndjson"]
+GENERATE_TWO = ["bench", "generate", "-n", "2", "-o", "{tmp}/b.csv"]
+
+
+@settings(max_examples=40, deadline=None)
+@given(at=st.sampled_from(list(value_paths(SPACE_DOC))), value=st.sampled_from(ODD_VALUES))
+@example(at=("enumeration_cap",), value=HUGE)
+def test_a_space_document_with_one_odd_field_loads_or_fails_in_one_line(at, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_doc(Path(tmp) / "space.json", with_value(SPACE_DOC, at, value))
+        assert_loads_or_fails_in_one_line(path, [["space", "inspect", "--space"],
+                                                 SEARCH_TWO_STEPS + ["--space"],
+                                                 GENERATE_TWO + ["--space"]], tmp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(at=st.sampled_from(list(value_paths(DEVICE_DOC))), value=st.sampled_from(ODD_VALUES))
+@example(at=("regular_conv",), value=HUGE)
+@example(at=("regular_conv",), value=1e308)
+def test_a_device_document_with_one_odd_field_loads_or_fails_in_one_line(at, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = write_doc(Path(tmp) / "device.json", with_value(DEVICE_DOC, at, value))
+        assert_loads_or_fails_in_one_line(path, [SEARCH_TWO_STEPS + ["--device"],
+                                                 GENERATE_TWO + ["--device"]], tmp)
+
+
+@settings(max_examples=40, deadline=None)
+@given(at=st.sampled_from(list(value_paths(MODEL_DOC))), value=st.sampled_from(ODD_VALUES))
+@example(at=("intercept",), value=HUGE)
+@example(at=("buckets", 0), value="ibn")
+@example(at=("weights",), value=[0.5, 0.5])
+def test_a_model_document_with_one_odd_field_loads_or_fails_in_one_line(at, value):
+    with tempfile.TemporaryDirectory() as tmp:
+        save_file(toy2_layout(), Path(tmp) / "arch.json")
+        path = write_doc(Path(tmp) / "model.json", with_value(MODEL_DOC, at, value))
+        assert_loads_or_fails_in_one_line(
+            path, [["cost", "eval", "--arch", "{tmp}/arch.json", "--model"]], tmp)
+
+
+@pytest.mark.parametrize("name, doc, command", [
+    ("arch.json", {**ARCH_DOCS[0], "stem_channels": HUGE}, ["analyze", "--arch"]),
+    ("space.json", {**SPACE_DOC, "enumeration_cap": HUGE}, ["space", "inspect", "--space"]),
+    ("device.json", {**DEVICE_DOC, "regular_conv": HUGE}, GENERATE_TWO + ["--device"]),
+    ("model.json", {**MODEL_DOC, "intercept": HUGE},
+     ["cost", "eval", "--arch", "{tmp}/arch.json", "--model"]),
+    ("kernel.json", {"dims": [1, 1, 1, 1], "data": [HUGE]}, ["decomp", "demo", "--kernel"]),
+], ids=["arch", "space", "device", "model", "kernel"])
+def test_an_integer_literal_past_the_digit_limit_is_reported_with_the_file(
+        tmp_path, capsys, name, doc, command):
+    save_file(toy2_layout(), tmp_path / "arch.json")
+    path = write_doc(tmp_path / name, doc)
+    code, _, err = run([a.format(tmp=tmp_path) for a in command] + [str(path)], capsys)
+    assert code == 1
+    assert err.startswith(f"error: ParseError: {path}: Exceeds the limit") and err.count("\n") == 1
 
 
 def test_a_document_with_the_stored_depth_stride_and_taps_is_rejected(tmp_path, capsys):

@@ -114,7 +114,7 @@ def test_simulate_noise_deterministic_per_seed(toy_space):
 
 
 def test_negative_rates_rejected():
-    with pytest.raises(ValueError, match="must be >= 0"):
+    with pytest.raises(ValueError, match=r"must be in \[0, 1e6\]"):
         DeviceSimulator("bad", -1.0, 1.0, 1.0, 1.0)
 
 
@@ -128,8 +128,17 @@ def test_benchmark_record_requires_positive_latency(toy_space):
 @pytest.mark.parametrize("value", [math.nan, math.inf])
 def test_device_values_must_be_finite(field_name, value):
     values = dict(regular_conv=1.0, depthwise_conv=1.0, pointwise_conv=1.0, se_block=1.0)
-    with pytest.raises(ValueError, match=f"{field_name} must be >= 0 and finite"):
+    with pytest.raises(ValueError, match=rf"{field_name} must be in \[0, 1e6\]"):
         DeviceSimulator("bad", **{**values, field_name: value})
+
+
+@pytest.mark.parametrize("field_name", OP_CLASSES + ("overhead_ms", "noise_sigma"))
+def test_device_values_are_at_most_a_million(field_name):
+    """Past the bound a finite rate could still price a latency or a budget at inf."""
+    values = dict(regular_conv=1.0, depthwise_conv=1.0, pointwise_conv=1.0, se_block=1.0)
+    DeviceSimulator("edge", **{**values, field_name: 1e6})
+    with pytest.raises(ValueError, match=rf"{field_name} must be in \[0, 1e6\], got 1e\+308"):
+        DeviceSimulator("bad", **{**values, field_name: 1e308})
 
 
 def test_nan_device_profile_fails_bench_generate(tmp_path, capsys):
@@ -140,7 +149,7 @@ def test_nan_device_profile_fails_bench_generate(tmp_path, capsys):
     code = main(["bench", "generate", "--layout", "toy2", "--device", str(profile),
                  "-n", "3", "-o", str(out)])
     assert code == 1
-    assert "depthwise_conv must be >= 0 and finite, got nan" in capsys.readouterr().err
+    assert "depthwise_conv must be in [0, 1e6], got nan" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -519,7 +528,7 @@ def test_model_file_that_is_not_an_object_is_named(tmp_path):
     ('{"name": 5, "regular_conv": 1, "depthwise_conv": 1, "pointwise_conv": 1, '
      '"se_block": 1}', ["name: expected a string"]),
     ('{"name": "d", "regular_conv": 1, "depthwise_conv": 1, "pointwise_conv": 1, '
-     '"se_block": 1, "overhead_ms": -1}', ["overhead_ms must be >= 0 and finite"]),
+     '"se_block": 1, "overhead_ms": -1}', ["overhead_ms must be in [0, 1e6]"]),
     ('[1, 2]', ["expected an object, got list"]),
     ("nope", ["invalid JSON at line 1 column 1: Expecting value"]),
     ("{", ["invalid JSON at line 1 column 2: Expecting property name"]),

@@ -59,8 +59,6 @@ def test_search_config_validation():
         SearchConfig(steps=0)
     with pytest.raises(ValueError, match="samples_per_step"):
         SearchConfig(steps=1, samples_per_step=0)
-    with pytest.raises(ValueError, match="noise_mode"):
-        SearchConfig(steps=1, noise_mode="nope")
 
 
 @settings(max_examples=40, deadline=None)
@@ -109,19 +107,8 @@ def test_pinned_trajectory_toy2(toy_space):
     assert digest == "e5c7439081e134104d244225281331a081e190c56b168301ed9e71c1141bad5d"
 
 
-def test_pinned_trajectory_default_iid():
-    """Nine-block layout with per-evaluation noise: pins the controller alone."""
-    space = build_space("ibn_fused_tucker", "neutral", BUILTIN_LAYOUTS["default"]())
-    oracle = CapacityOracle(median_madds(space, 0), noise_sigma=0.01)
-    cfg = SearchConfig(steps=300, seed=3, lr=0.05, noise_mode="iid")
-    _, log = run_search(space, oracle, ACCEL, cfg)
-    assert log.final_dv == (5, 0, 5, 6, 15, 10, 6, 15, 5, 10, 1, 7, 6,
-                            3, 4, 5, 6, 6, 14, 10, 1, 6, 14, 2, 13, 0)
-    assert log.final_reward == 0.7203041559157259
-
-
 def test_pinned_trajectory_default_hash():
-    """The search_default benchmark setting, seed 0: hash-mode noise on both sides."""
+    """The search_default benchmark setting, seed 0: per-architecture noise on both sides."""
     space = build_space("ibn_fused_tucker", "neutral", BUILTIN_LAYOUTS["default"]())
     device = dataclasses.replace(ACCEL, noise_sigma=0.01)
     oracle = CapacityOracle(median_madds(space, 0), noise_sigma=0.01)
@@ -214,28 +201,14 @@ def test_hash_mode_noise_independent_of_evaluation_order(toy_space):
     oracle = LinearFeatureOracle.random_for_space(toy_space, 0, noise_sigma=0.05)
     noisy_cpu = dataclasses.replace(CPU, noise_sigma=0.05)
     dvs = list(enumerate_space(toy_space))[:20]
-    forward = _Evaluator(toy_space, oracle, noisy_cpu, 7, "hash")
-    backward = _Evaluator(toy_space, oracle, noisy_cpu, 7, "hash")
+    forward = _Evaluator(toy_space, oracle, noisy_cpu, 7)
+    backward = _Evaluator(toy_space, oracle, noisy_cpu, 7)
     ahead = {dv: forward.evaluate(dv) for dv in dvs}
     behind = {dv: backward.evaluate(dv) for dv in reversed(dvs)}
     assert ahead == behind
     assert len({q for q, _ in ahead.values()}) == len(dvs)  # distinct noise per arch
-    other_seed = _Evaluator(toy_space, oracle, noisy_cpu, 8, "hash")
+    other_seed = _Evaluator(toy_space, oracle, noisy_cpu, 8)
     assert all(other_seed.evaluate(dv) != ahead[dv] for dv in dvs)
-
-
-def test_iid_mode_draws_fresh_noise(toy_space):
-    oracle = LinearFeatureOracle.random_for_space(toy_space, 0, noise_sigma=0.05)
-    cfg = SearchConfig(steps=200, seed=3, noise_mode="iid")
-    _, log = run_search(toy_space, oracle, CPU, cfg)
-    qualities = {}
-    fresh = False
-    for rec in log.steps:
-        if rec.dv in qualities and rec.quality != qualities[rec.dv]:
-            fresh = True
-            break
-        qualities[rec.dv] = rec.quality
-    assert fresh
 
 
 def test_search_with_fitted_model_latency_source(toy_space):
@@ -508,8 +481,7 @@ def test_write_log(tmp_path, toy_space):
 
 
 def test_capacity_oracle_properties(toy_space):
-    oracle = CapacityOracle(scale_madds=median_madds(toy_space, 0),
-                            early_regular_bonus=0.1)
+    oracle = CapacityOracle(scale_madds=median_madds(toy_space, 0))
     rng = np.random.default_rng(0)
     small = space_table(toy_space).price((0, 0, 0))
     large = space_table(toy_space).price((3, 3, 6))

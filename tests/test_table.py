@@ -34,7 +34,7 @@ def _scorers(variant, adaptation, layout):
     """Both oracles, noisy, and a latency model with random weights over every
     bucket."""
     space = _space(variant, adaptation, layout)
-    oracles = ((CapacityOracle(3e8, early_regular_bonus=0.2, noise_sigma=0.05), capacity_score),
+    oracles = ((CapacityOracle(3e8, noise_sigma=0.05), capacity_score),
                (LinearFeatureOracle.random_for_space(space, 3, noise_sigma=0.05), linear_score))
     buckets = space_buckets(space)
     model = LatencyModel(buckets, np.random.default_rng(5).uniform(size=len(buckets)), 0.5,
