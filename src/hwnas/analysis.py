@@ -51,7 +51,9 @@ layout. :meth:`SpaceTable.price` then looks each position up by its decision
 indices and returns exactly ``network_cost(decode(space, dv))``, with no
 decode, validation or hashing of a network. That needs no validation
 because every decision vector of a built space decodes to a valid network
-(see :func:`~hwnas.space.build_space`).
+(see :func:`~hwnas.space.build_space`). :meth:`SpaceTable.latencies` pairs
+each entry with the latency addends a source gives its layer, once per
+(table, source).
 """
 
 from __future__ import annotations
@@ -261,6 +263,14 @@ class SpaceTable:
                                 rows, size, stride, atom.op, bucket_id(atom_id, c_in, c_out),
                                 share)
                 self._positions.append((itemgetter(kind_at, *reads, mult_at), cells))
+
+    @lru_cache(maxsize=8)  # per (table, source): a search reads one
+    def latencies(self, source) -> tuple[tuple, list[tuple[itemgetter, dict]]]:
+        """The table with each entry as a (cost, ``source.addends(cost)``) pair: the stem's
+        pair, then each position's getter and pairs."""
+        return (self._stem, source.addends(self._stem)), [
+            (at, {key: (cost, source.addends(cost)) for key, cost in cells.items()})
+            for at, cells in self._positions]
 
     def price(self, dv: DecisionVector) -> ArchCost:
         """Costs of ``decode(space, dv)``; a bad vector raises decode's ``IndexError``. Trusts

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import __version__
 from .arch import BUILTIN_LAYOUTS, derive_shapes, export_dot, iter_layers, load_file, save_file
-from .analysis import network_cost
+from .analysis import network_cost, space_table
 from .controller import RewardConfig
 from .cost import (
     BUILTIN_DEVICES,
@@ -169,6 +169,11 @@ def _resolve_source(args, space):
         return _resolve_device(args.device)
     model = load_model(args.model)
     check_space(model.space_ref, space, _space_ref(args), f"{args.model}: it was fitted on")
+    try:  # the latency column a search reads, with a weight for every bucket of the space
+        space_table(space).latencies(model)
+    except UnknownBucketError as exc:
+        exc.args = (f"{args.model}: {exc}",)
+        raise
     return model
 
 

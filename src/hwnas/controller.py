@@ -33,6 +33,7 @@ SampleOutcome = tuple[DecisionVector, float]
 ADAM_BETA2 = 0.999
 ADAM_EPSILON = 1e-8
 BASELINE_DECAY = 0.9
+MAX_REWARD = 1e150  # keeps Adam's squared gradients, up to (2e150)^2, and v / (1 - beta2^t) finite
 
 
 @dataclass(frozen=True)
@@ -213,13 +214,15 @@ def reinforce_step(policy: CategoricalPolicy, batch: Sequence[SampleOutcome],
     The advantage uses the pre-update baseline (initialized to the first
     batch's mean reward); the baseline EMA advances after the gradient.
     Mutates ``adam`` and ``baseline``; returns the updated policy, or raises
-    ``ValueError`` if a row of its logits is not finite.
+    ``ValueError`` if a reward is not finite or exceeds :data:`MAX_REWARD` in
+    magnitude, or if a row of the updated logits is not finite.
     """
     if not batch:
         raise ValueError("batch must be non-empty")
     rewards = [rew for _, rew in batch]
-    if not all(map(math.isfinite, rewards)):
-        raise ValueError(f"non-finite reward in batch: {rewards}")
+    if not all(abs(rew) <= MAX_REWARD for rew in rewards):  # False for nan too
+        raise ValueError(f"non-finite or too large reward in batch (|reward| must be <= "
+                         f"{MAX_REWARD:g}, else Adam's second moment overflows): {rewards}")
     mean_reward = 0.0
     for rew in rewards:  # in order: sum() of floats is compensated from Python 3.12 on
         mean_reward += rew

@@ -20,14 +20,16 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
+from typing import Iterable
 
 import numpy as np
 
 from .arch import (NetworkSpec, ParseError, _as_list, _as_num, _as_str, _require, load_file,
                    parse_json, save_file)
-from .analysis import (OP_CLASSES, ArchCost, network_cost, network_units, space_buckets,
-                       space_table)
+from .analysis import (OP_CLASSES, ArchCost, LayerCost, Units, network_cost, network_units,
+                       space_buckets, space_table)
 from .space import DecisionVector, SpaceSpec, random_sample, decode
 
 
@@ -70,6 +72,25 @@ class DeviceSimulator:
             value = getattr(self, field_name)
             if not 0 <= value <= 1e6:  # with the size rules of arch, keeps every latency finite
                 raise ValueError(f"{self.name}: {field_name} must be in [0, 1e6], got {value}")
+        if not any(getattr(self, f) for f in ("regular_conv", "depthwise_conv",
+                                              "pointwise_conv", "overhead_ms")):
+            raise ValueError(f"{self.name}: regular_conv, depthwise_conv, pointwise_conv and "
+                             "overhead_ms are all 0, which prices most networks at 0 ms")
+
+    @cached_property
+    def _rates(self) -> dict[str, float]:
+        return {op_class: getattr(self, op_class) for op_class in OP_CLASSES}
+
+    def rated(self, units: Units) -> tuple[float, ...]:
+        """``rate * madds / 1e6`` of each unit, in order; an unknown op class raises."""
+        try:
+            return tuple([self._rates[op_class] * madds / 1e6 for op_class, madds in units])
+        except KeyError as exc:
+            raise ValueError(f"unknown op class {exc.args[0]!r}") from None
+
+    def addends(self, layer: LayerCost) -> tuple[float, ...]:
+        """A layer's latency addends: its units, rated."""
+        return self.rated(layer.units)
 
 
 # Built-in profiles. The accelerator profile charges depthwise multiply-adds
@@ -86,30 +107,11 @@ BUILTIN_DEVICES = {
 
 def simulate_groups(
     device: DeviceSimulator,
-    groups: tuple[tuple[tuple[str, int], ...], ...],
+    groups: tuple[Units, ...],
     rng: np.random.Generator | None = None,
 ) -> float:
-    """Price conv units grouped per layer; overhead is charged per group.
-
-    With ``rng`` given and ``noise_sigma > 0`` the total is scaled by
-    ``1 + eps``, ``eps ~ Normal(0, noise_sigma)``, redrawn while ``1 + eps <= 0``
-    so latencies stay positive (a positive first draw is kept as it is);
-    ``rng=None`` is exact.
-    """
-    rates = {op_class: getattr(device, op_class) for op_class in OP_CLASSES}
-    total = device.overhead_ms * len(groups)
-    try:
-        for group in groups:
-            for op_class, madds in group:
-                total += rates[op_class] * madds / 1e6
-    except KeyError as exc:
-        raise ValueError(f"unknown op class {exc.args[0]!r}") from None
-    if rng is not None and device.noise_sigma > 0:
-        factor = 0.0
-        while factor <= 0.0:
-            factor = 1.0 + rng.normal(0.0, device.noise_sigma)
-        total *= factor
-    return total
+    """Price conv units grouped per layer, as :func:`total_latency` does."""
+    return total_latency(device, len(groups), map(device.rated, groups), rng)
 
 
 def simulate_latency(
@@ -152,7 +154,7 @@ def generate_benchmarks(
     for _ in range(n):
         dv = random_sample(space, rng)
         cost = table.price(dv)
-        latency = simulate_groups(device, cost.groups, rng)
+        latency = latency_of(device, cost, rng)
         records.append(BenchmarkRecord(decode(space, dv), latency, cost, dv))
     return records
 
@@ -180,6 +182,42 @@ class LatencyModel:
         if len(self.weights) != len(self.buckets):
             raise ValueError(f"{len(self.weights)} weights for {len(self.buckets)} buckets")
         self._index = {b: i for i, b in enumerate(self.buckets)}
+
+    def addends(self, layer: LayerCost) -> tuple[float]:
+        """A layer's latency addend: its bucket's weight; an unknown bucket raises."""
+        col = self._index.get(layer.key)
+        if col is None:
+            raise UnknownBucketError(layer.key)
+        return (float(self.weights[col]),)
+
+
+LatencySource = DeviceSimulator | LatencyModel
+
+
+def total_latency(source: LatencySource, layers: int, addends: Iterable[tuple[float, ...]],
+                  rng: np.random.Generator | None = None) -> float:
+    """Latency in ms of ``layers`` layers: a simulator's overhead per layer or a model's
+    intercept, plus their addends in layer order. With ``rng`` a simulator then scales it
+    by ``1 + eps``, ``eps ~ Normal(0, noise_sigma)``, redrawn while ``1 + eps <= 0`` so
+    latencies stay positive (a positive first draw is kept as it is)."""
+    simulator = isinstance(source, DeviceSimulator)
+    total = source.overhead_ms * layers if simulator else source.intercept
+    for terms in addends:
+        for term in terms:
+            total += term
+    if simulator and rng is not None and source.noise_sigma > 0:
+        factor = 0.0
+        while factor <= 0.0:
+            factor = 1.0 + rng.normal(0.0, source.noise_sigma)
+        total *= factor
+    return total
+
+
+def latency_of(
+    source: LatencySource, cost: ArchCost, rng: np.random.Generator | None = None
+) -> float:
+    """Latency in ms from either a simulator (noisy) or a fitted model."""
+    return total_latency(source, len(cost.layers), map(source.addends, cost.layers), rng)
 
 
 def _design(
@@ -334,13 +372,7 @@ def coverage(model: LatencyModel, records: list[BenchmarkRecord]) -> float:
 def predict(model: LatencyModel, cost: ArchCost) -> float:
     """Predicted latency in ms: the intercept plus each layer's bucket weight, stem
     first; an unknown bucket raises, naming it."""
-    total = model.intercept
-    for layer in cost.layers:
-        col = model._index.get(layer.key)
-        if col is None:
-            raise UnknownBucketError(layer.key)
-        total += model.weights[col]
-    return float(total)
+    return latency_of(model, cost)
 
 
 def r2(model: LatencyModel, records: list[BenchmarkRecord]) -> float:

@@ -7,10 +7,14 @@ device simulator or from a fitted linear model.
 Pricing: every driver prices a sampled or enumerated decision vector from
 the space's unit table (:func:`~hwnas.analysis.space_table`), and oracles
 and latency sources read the resulting :class:`~hwnas.analysis.ArchCost`.
-``decode`` runs only for the networks a driver returns: the final network
-of a search and the exhaustive or random-search best. Every driver scores a
-priced architecture through one noiseless scorer and picks its best through
-one argmax, which keeps the first maximizer.
+A search prices a cache miss from the table's latency column for its
+source instead: one lookup per layer position gives the layer's cost and
+its latency addends, the oracle scores the costs, and the addends are
+summed in layer order as :func:`latency_of` sums them, so both give the
+same bits. ``decode`` runs only for the networks a driver returns: the
+final network of a search and the exhaustive or random-search best. Every
+driver scores a priced architecture through one noiseless scorer and picks
+its best through one argmax, which keeps the first maximizer.
 
 Noise determinism: oracle and simulator noise streams are re-keyed per
 architecture from (run seed, digest of the decision vector), so identical
@@ -27,6 +31,7 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from operator import itemgetter
 from pathlib import Path
 from typing import Iterator, Protocol, Sequence
@@ -46,7 +51,7 @@ from .controller import (
     reward,
     sample,
 )
-from .cost import DeviceSimulator, LatencyModel, predict, simulate_groups
+from .cost import DeviceSimulator, LatencySource, latency_of, total_latency
 from .space import (
     DEFAULT_ENUM_CAP,
     DecisionVector,
@@ -57,7 +62,8 @@ from .space import (
     space_size,
 )
 
-LatencySource = DeviceSimulator | LatencyModel
+
+_decimal = lru_cache(maxsize=1024)(str)  # str of a decision index, kept for reuse
 
 
 def arch_hash(dv: DecisionVector) -> int:
@@ -65,7 +71,7 @@ def arch_hash(dv: DecisionVector) -> int:
 
     Within one space it identifies the architecture ``decode`` builds.
     """
-    digest = hashlib.blake2b(",".join(map(str, dv)).encode("ascii"), digest_size=8)
+    digest = hashlib.blake2b(",".join(map(_decimal, dv)).encode("ascii"), digest_size=8)
     return int.from_bytes(digest.digest(), "big")
 
 
@@ -144,15 +150,6 @@ def _regular_fractions(ops: Sequence[str]) -> tuple[float, float]:
     overall = sum(op != "ibn" for op in ops) / len(ops)
     early = sum(op != "ibn" for op in ops[:early_n]) / early_n
     return overall, early
-
-
-def latency_of(
-    source: LatencySource, cost: ArchCost, rng: np.random.Generator | None = None
-) -> float:
-    """Latency in ms from either a simulator (noisy) or a fitted model."""
-    if isinstance(source, DeviceSimulator):
-        return simulate_groups(source, cost.groups, rng)
-    return predict(source, cost)
 
 
 def _score(
@@ -261,6 +258,7 @@ class _Evaluator:
         self.oracle = oracle
         self.source = source
         self.table = space_table(space)
+        self._stem, self._positions = self.table.latencies(source)
         # Re-key one PCG64 per architecture: its 128-bit state is (run key,
         # arch_hash) under a per-run odd increment. Setting a state costs
         # about a tenth of seeding a new generator on every cache miss.
@@ -284,9 +282,10 @@ class _Evaluator:
         if hit is not None:
             return hit
         rng = self._keyed_rng(arch_hash(dv))
-        cost = self.table.price(dv)
-        quality = self.oracle.evaluate(cost, rng)
-        latency = latency_of(self.source, cost, rng)
+        # one lookup per position gives a layer's cost and its latency addends together
+        layers, addends = zip(self._stem, *[cells[at(dv)] for at, cells in self._positions])
+        quality = self.oracle.evaluate(ArchCost(layers), rng)
+        latency = total_latency(self.source, len(layers), addends, rng)
         self._cache[dv] = (quality, latency)
         return quality, latency
 
@@ -482,12 +481,18 @@ def pareto_front(points: Sequence[tuple[float, float]]) -> list[tuple[float, flo
 # Log files (newline-delimited JSON)
 # ---------------------------------------------------------------------------
 
+# A step record as json.dumps writes {"type": "step", **vars(record)}
+_STEP_LINE = ('{"type": "step", "step": %d, "dv": [%s], "quality": %s, "latency_ms": %s, '
+              '"reward": %s, "baseline": %s, "entropy": %s}')
+
+
 def write_log(log: SearchLog, path: str | Path, meta: dict | None = None) -> None:
     """One meta record, one record per step, one final record.
 
     The meta record holds the run's settings and ``meta``; the step and final
     records hold a :class:`StepRecord`'s and the ``final_*`` fields, in
-    declaration order.
+    declaration order. Step records are formatted as ``json.dumps`` writes
+    them, which holds for finite floats: :func:`run_search` logs no other.
     """
     record = vars(log)
     head = {"type": "meta", **{k: v for k, v in record.items()
@@ -495,8 +500,11 @@ def write_log(log: SearchLog, path: str | Path, meta: dict | None = None) -> Non
     if meta:
         head.update(meta)
     lines = [json.dumps(head)]
+    number = float.__repr__  # not repr: numpy 2 writes np.float64(0.3) for a float64
     for rec in log.steps:
-        lines.append(json.dumps({"type": "step", **vars(rec)}))
+        lines.append(_STEP_LINE % (rec.step, ", ".join(map(_decimal, rec.dv)),
+                                   number(rec.quality), number(rec.latency_ms),
+                                   number(rec.reward), number(rec.baseline), number(rec.entropy)))
     final = {k.removeprefix("final_"): v for k, v in record.items() if k.startswith("final_")}
     lines.append(json.dumps({"type": "final", **final}))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -1,9 +1,10 @@
-"""The synthetic oracles' scores and a model's latency computed from a decoded network.
+"""The synthetic oracles' scores and a latency computed from a decoded network.
 
-The oracles in ``hwnas.search`` and ``hwnas.cost.predict`` read a
+The oracles in ``hwnas.search`` and ``hwnas.cost.latency_of`` read a
 table-priced architecture; these per-network formulas read ``network_cost``
 and the network's layers instead, and are the reference the table path is
-tested against.
+tested against. :func:`simulator_latency` is the unit loop the simulators
+priced with before a layer's latency addends were kept in the space table.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ import math
 
 from hwnas.analysis import STEM_BUCKET, bucket_id, network_cost
 from hwnas.arch import IMAGE_CHANNELS, NetworkSpec, iter_layers
-from hwnas.cost import LatencyModel
+from hwnas.cost import DeviceSimulator, LatencyModel
 from hwnas.search import CapacityOracle, LinearFeatureOracle
 
 
@@ -46,3 +47,16 @@ def model_latency(model: LatencyModel, net: NetworkSpec) -> float:
     for b in _buckets(net):  # in layer order
         total += model.weights[model.buckets.index(b)]
     return float(total)
+
+
+def simulator_latency(device: DeviceSimulator, net: NetworkSpec, rng=None) -> float:
+    total = device.overhead_ms * (sum(len(block.layers) for block in net.blocks) + 1)
+    for layer in network_cost(net).layers:  # in layer order, then unit order
+        for op_class, madds in layer.units:
+            total += getattr(device, op_class) * madds / 1e6
+    if rng is not None and device.noise_sigma > 0:
+        factor = 0.0
+        while factor <= 0.0:  # a factor that is not positive is redrawn
+            factor = 1.0 + rng.normal(0.0, device.noise_sigma)
+        total *= factor
+    return total

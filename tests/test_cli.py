@@ -515,6 +515,13 @@ def test_search_accepts_a_model_of_the_same_space_named_by_a_file(tmp_path, caps
     assert code == 0, err
 
 
+def test_search_run_with_a_huge_penalty_fails_naming_the_reward_bound(tmp_path, capsys):
+    code, out, err = run(["search", "run", "--variant", "ibn", "--layout", "toy2", "--steps",
+                          "3", "--tau=-1e300", "--log", str(tmp_path / "run.ndjson")], capsys)
+    assert code == 1 and not out and err.count("\n") == 1
+    assert err.startswith("error: RuntimeError: search aborted at step 0: ") and "1e+150" in err
+
+
 def test_search_run_deterministic(tmp_path, capsys):
     logs = []
     for name in ("l1.ndjson", "l2.ndjson"):
@@ -875,3 +882,26 @@ def test_cost_eval_rejects_a_model_file_of_another_version(tmp_path, capsys, sta
     assert code == 1 and not out
     assert err == (f"error: ValueError: {model_path}: model file version "
                    f"{stale.get('version')!r}, expected 3; refit it with 'hwnas cost fit'\n")
+
+
+def test_search_names_a_model_file_that_lacks_a_bucket_of_the_space(tmp_path, capsys):
+    doc = json.loads(json.dumps(MODEL_DOC))
+    missing, doc["buckets"][0] = doc["buckets"][0], "renamed|8|8"
+    path = write_doc(tmp_path / "model.json", doc)
+    for command in (["run", "--steps", "2", "--log", str(tmp_path / "run.ndjson")],
+                    ["run", "--steps", "2", "--budget", "1", "--log", str(tmp_path / "run.ndjson")],
+                    ["exhaustive"]):
+        code, out, err = run(["search", *command, "--model", str(path)], capsys)
+        assert (code, out) == (1, "")
+        assert err == f"error: UnknownBucketError: {path}: unknown feature bucket: {missing}\n"
+
+
+@pytest.mark.parametrize("command", [SEARCH_TWO_STEPS, GENERATE_TWO], ids=["search", "generate"])
+def test_a_device_that_prices_nothing_is_named(tmp_path, capsys, command):
+    zero = dict(DEVICE_DOC, regular_conv=0, depthwise_conv=0, pointwise_conv=0, overhead_ms=0)
+    path = write_doc(tmp_path / "zero.json", zero)
+    code, out, err = run([a.format(tmp=tmp_path) for a in command] + ["--device", str(path)],
+                         capsys)
+    assert (code, out) == (1, "")
+    assert err == (f"error: ParseError: {path}: accel_sim: regular_conv, depthwise_conv, "
+                   "pointwise_conv and overhead_ms are all 0, which prices most networks at 0 ms\n")

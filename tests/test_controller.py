@@ -134,6 +134,24 @@ def test_non_finite_reward_rejected():
         reinforce_step(policy, [((0,), float("nan"))], BaselineState(), adam)
 
 
+@pytest.mark.parametrize("rew", [1.0000001e150, -1e300, math.inf, math.nan])
+def test_reward_past_the_bound_rejected(rew):
+    """Past 1e150 in magnitude Adam's squared gradient can overflow to inf."""
+    policy = policy_of([0.0, 0.0])
+    adam = AdamState.for_policy(policy)
+    with pytest.raises(ValueError, match=r"\|reward\| must be <= 1e\+150"):
+        reinforce_step(policy, [((0,), 0.5), ((1,), rew)], BaselineState(), adam)
+
+
+def test_rewards_at_the_bound_keep_adam_finite():
+    policy = policy_of([0.0, 0.0])
+    adam = AdamState.for_policy(policy)
+    baseline = BaselineState()
+    for rewards in [(1e150, -1e150), (-1e150, 1e150)] * 3:
+        policy = reinforce_step(policy, [((0,), rewards[0]), ((1,), rewards[1])], baseline, adam)
+    assert np.isfinite(adam.v).all() and np.isfinite(policy.logits).all()
+
+
 def test_reinforce_monotone_trend():
     """Two arms, reward 1 for arm 0 and 0 for arm 1: p(arm 0) trends up."""
     policy = policy_of([0.0, 0.0])

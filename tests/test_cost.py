@@ -118,6 +118,14 @@ def test_negative_rates_rejected():
         DeviceSimulator("bad", -1.0, 1.0, 1.0, 1.0)
 
 
+def test_a_device_that_prices_only_squeeze_excite_is_rejected():
+    with pytest.raises(ValueError, match="se_only: regular_conv, depthwise_conv, pointwise_conv "
+                                         "and overhead_ms are all 0"):
+        DeviceSimulator("se_only", 0.0, 0.0, 0.0, 1.0)
+    DeviceSimulator("overhead_only", 0.0, 0.0, 0.0, 0.0, overhead_ms=1e-9)
+    DeviceSimulator("pointwise_only", 0.0, 0.0, 1e-9, 0.0)
+
+
 def test_benchmark_record_requires_positive_latency(toy_space):
     net = decode(toy_space, random_sample(toy_space, np.random.default_rng(0)))
     with pytest.raises(ValueError, match="positive"):

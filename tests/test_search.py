@@ -5,6 +5,8 @@ import hashlib
 import json
 import math
 import re
+import tempfile
+from pathlib import Path
 
 import hypothesis.strategies as st
 import numpy as np
@@ -20,6 +22,8 @@ from hwnas.search import (
     CapacityOracle,
     LinearFeatureOracle,
     SearchConfig,
+    SearchLog,
+    StepRecord,
     _Evaluator,
     _regular_fractions,
     ablation_report,
@@ -42,6 +46,7 @@ from hwnas.space import (
     enumerate_space,
     random_sample,
 )
+import reference_log
 from reference_oracles import linear_score
 from strategies import make_layout
 
@@ -478,6 +483,31 @@ def test_write_log(tmp_path, toy_space):
     assert [l["type"] for l in lines[1:-1]] == ["step"] * 5
     assert lines[-1]["type"] == "final"
     assert lines[-1]["reward"] == pytest.approx(log.final_reward)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+NUMBERS = FINITE | FINITE.map(np.float64)  # oracles may return numpy floats
+
+
+@st.composite
+def search_logs(draw) -> SearchLog:
+    vectors = st.lists(st.integers(0, 2**70), max_size=30).map(tuple)
+    steps = draw(st.lists(st.builds(StepRecord, st.integers(0, 10**6), vectors, *[NUMBERS] * 5),
+                          max_size=8))
+    return SearchLog(draw(st.integers(0, 2**32)), draw(FINITE), draw(FINITE), "capacity",
+                     "simulator:accel_sim", tuple(steps), draw(vectors),
+                     *[draw(FINITE) for _ in range(3)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(log=search_logs())
+def test_write_log_writes_what_the_dict_writer_wrote(log):
+    """Every line, step records included, byte for byte as json.dumps of the record's dict."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_log(log, Path(tmp) / "log.ndjson", meta={"tool": "test"})
+        reference_log.write_log(log, Path(tmp) / "reference.ndjson", meta={"tool": "test"})
+        assert (Path(tmp) / "log.ndjson").read_bytes() == (
+            Path(tmp) / "reference.ndjson").read_bytes()
 
 
 def test_capacity_oracle_properties(toy_space):

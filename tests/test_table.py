@@ -12,11 +12,11 @@ from hypothesis import given, settings
 
 from hwnas.analysis import layer_cost, network_cost, network_units, space_buckets, space_table
 from hwnas.arch import default_layout, derive_shapes, toy2_layout
-from hwnas.cost import BUILTIN_DEVICES, LatencyModel, simulate_latency
-from hwnas.search import CapacityOracle, LinearFeatureOracle, latency_of
+from hwnas.cost import BUILTIN_DEVICES, LatencyModel, fit, generate_benchmarks, simulate_latency
+from hwnas.search import CapacityOracle, LinearFeatureOracle, _Evaluator, arch_hash, latency_of
 from hwnas.space import ADAPTATIONS, VARIANTS, build_space, decode
 from bruteforce import position_vectors
-from reference_oracles import capacity_score, linear_score, model_latency
+from reference_oracles import capacity_score, linear_score, model_latency, simulator_latency
 from strategies import spaces_with_dv
 
 LAYOUTS = {"default320": default_layout(320), "default224": default_layout(224),
@@ -65,6 +65,35 @@ def test_table_prices_like_the_decoded_network(variant, adaptation, layout, data
     assert latency_of(NOISY_ACCEL, cost, np.random.default_rng(1)) == simulate_latency(
         NOISY_ACCEL, net, np.random.default_rng(1))
     assert latency_of(model, cost) == model_latency(model, net)
+
+
+@cache
+def _fitted(layout):
+    space = _space("ibn_fused_tucker", "neutral", layout)
+    records = generate_benchmarks(space, NOISY_ACCEL, 40, np.random.default_rng(0))
+    return fit(records, space, ridge_lambda=1e-3)
+
+
+@pytest.mark.parametrize("layout", ["toy2", "default320"])
+@pytest.mark.parametrize("source", ["cpu_sim", "accel_sim", "dsp_sim", "noisy_accel", "model"])
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_a_search_prices_latency_from_the_table_like_the_decoded_network(layout, source, data):
+    """A search's cache miss sums the addends of the table's latency column: exactly
+    ``latency_of`` of the decoded network, and the per-network reference, noise included."""
+    space = _space("ibn_fused_tucker", "neutral", layout)
+    source = _fitted(layout) if source == "model" else {**BUILTIN_DEVICES,
+                                                         "noisy_accel": NOISY_ACCEL}[source]
+    dv = tuple(data.draw(st.integers(0, len(d.choices) - 1)) for d in space.decisions)
+    evaluator = _Evaluator(space, CapacityOracle(3e8), source, seed=7)
+    _, latency = evaluator.evaluate(dv)
+    net = decode(space, dv)
+    # the noiseless oracle draws nothing: the latency noise is the keyed rng's first draw
+    assert latency == latency_of(source, network_cost(net), evaluator._keyed_rng(arch_hash(dv)))
+    if isinstance(source, LatencyModel):
+        assert latency == model_latency(source, net)
+    else:
+        assert latency == simulator_latency(source, net, evaluator._keyed_rng(arch_hash(dv)))
 
 
 @given(space_dv=spaces_with_dv())
