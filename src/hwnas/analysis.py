@@ -239,7 +239,7 @@ class SpaceTable:
 
     def __init__(self, space: SpaceSpec):
         self.space = space
-        plan, _, atoms, use_se, _ = space._decoding
+        plan, _, atoms, use_se = space._decoding
         ids = [atom.atom_id for atom in atoms]
         sizes = derive_shapes(space.layout)  # layer p reads a sizes[p] input
         self._stem = _stem_cost(space.layout.stem_channels, sizes[0])

@@ -26,7 +26,6 @@ STEM_STRIDE = 2
 IMAGE_CHANNELS = 3
 
 OPS = ("ibn", "fused", "tucker")
-ACTIVATIONS = ("relu6", "hswish")
 
 # Key carried by CLI-written documents for provenance; ignored on parse.
 META_KEY = "_meta"
@@ -129,15 +128,15 @@ def tucker(kernel: int, input_compression: float, output_compression: float) -> 
 
 @dataclass(frozen=True)
 class LayerSpec:
-    """One concrete layer: kind plus placement-dependent attributes."""
+    """One concrete layer: kind plus placement-dependent attributes. Two rules follow from
+    them, so nothing stores either: a stride-1 layer that keeps its width adds its input,
+    and a squeeze-excite layer runs h-swish while every other layer runs ReLU6."""
 
     kind: LayerKind
     c_in: int
     c_out: int
     stride: int
     use_se: bool = False
-    activation: str = "relu6"
-    residual: bool = False
 
     @cached_property
     def _json(self) -> str:
@@ -286,13 +285,6 @@ def validate(net: NetworkSpec) -> list[str]:
                 v.append(f"{lw}: stride must be 1 or 2, got {layer.stride}")
             elif li > 0 and layer.stride != 1:
                 v.append(f"{lw}: only the first layer of a block may have stride 2")
-            if layer.activation not in ACTIVATIONS:
-                v.append(f"{lw}: unknown activation {layer.activation!r}")
-            if layer.residual and (layer.stride != 1 or layer.c_in != layer.c_out):
-                v.append(
-                    f"{lw}: residual requires stride 1 and c_in == c_out "
-                    f"(stride {layer.stride}, {layer.c_in} -> {layer.c_out})"
-                )
             if want_out is not None and layer.c_out != want_out:
                 v.append(
                     f"{lw}: c_out {layer.c_out} != round8({block.multiplier:g} * "
@@ -380,14 +372,7 @@ def _layer_to_doc(layer: LayerSpec) -> dict:
         doc["compressions"] = [layer.kind.input_compression, layer.kind.output_compression]
     else:
         doc["expansion"] = layer.kind.expansion
-    doc.update(
-        c_in=layer.c_in,
-        c_out=layer.c_out,
-        stride=layer.stride,
-        se=layer.use_se,
-        activation=layer.activation,
-        residual=layer.residual,
-    )
+    doc.update(c_in=layer.c_in, c_out=layer.c_out, stride=layer.stride, se=layer.use_se)
     return doc
 
 
@@ -405,11 +390,7 @@ def _layer_from_doc(doc: Any, where: str) -> LayerSpec:
     if op is None:
         raise ParseError(f"{where}: missing field(s) kind")
     ratio_key = "compressions" if op == "tucker" else "expansion"
-    _require(
-        doc,
-        ("kind", "kernel", ratio_key, "c_in", "c_out", "stride", "se", "activation", "residual"),
-        where,
-    )
+    _require(doc, ("kind", "kernel", ratio_key, "c_in", "c_out", "stride", "se"), where)
     kernel = _as_int(doc["kernel"], f"{where}.kernel")
     if op == "tucker":
         ratios = doc["compressions"]
@@ -429,8 +410,6 @@ def _layer_from_doc(doc: Any, where: str) -> LayerSpec:
         c_out=_as_int(doc["c_out"], f"{where}.c_out"),
         stride=_as_int(doc["stride"], f"{where}.stride"),
         use_se=_as_bool(doc["se"], f"{where}.se"),
-        activation=_as_str(doc["activation"], f"{where}.activation"),
-        residual=_as_bool(doc["residual"], f"{where}.residual"),
     )
 
 
@@ -569,15 +548,12 @@ def build_block(
     """Chain one layer per kind into a block fed ``c_in`` channels.
 
     Every layer outputs ``round8(multiplier * base)`` channels and takes its
-    input width from the layer before it; only the first layer strides, and
-    a layer is residual exactly when it has stride 1 and keeps its width.
+    input width from the layer before it; only the first layer strides.
     """
     c_out = round8(multiplier * base)
     layers = []
     for li, kind in enumerate(kinds):
-        stride = first_stride if li == 0 else 1
-        residual = stride == 1 and c_in == c_out
-        layers.append(LayerSpec(kind, c_in, c_out, stride, residual=residual))
+        layers.append(LayerSpec(kind, c_in, c_out, first_stride if li == 0 else 1))
         c_in = c_out
     return BlockSpec(base, multiplier, tuple(layers))
 

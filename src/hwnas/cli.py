@@ -94,12 +94,12 @@ def _meta_dict(seed: int | None = None) -> dict:
     return meta
 
 
-def _float_arg(ok, rule: str):
-    """argparse type: a float for which ``ok`` holds, else a one-line error."""
+def _number_arg(ok, rule: str, kind=float):
+    """argparse type: a ``kind`` (float or int) for which ``ok`` holds, else a one-line error."""
 
-    def parse(text: str) -> float:
+    def parse(text: str) -> float | int:
         try:
-            value = float(text)
+            value = kind(text)
         except ValueError:
             value = math.nan
         if not ok(value):
@@ -109,11 +109,13 @@ def _float_arg(ok, rule: str):
     return parse
 
 
-_budget_ms = _float_arg(lambda x: math.isfinite(x) and x > 0, "a positive number of ms")
-_holdout_frac = _float_arg(lambda x: 0 <= x < 1, "in [0, 1)")
-_nonnegative = _float_arg(lambda x: math.isfinite(x) and x >= 0, "a finite number >= 0")
-_tau = _float_arg(lambda x: math.isfinite(x) and x <= 0, "a finite number <= 0")
-_lr = _float_arg(lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
+_seed = _number_arg(lambda x: x >= 0, "an integer >= 0", int)
+_count = _number_arg(lambda x: x >= 1, "an integer >= 1", int)
+_budget_ms = _number_arg(lambda x: math.isfinite(x) and x > 0, "a positive number of ms")
+_holdout_frac = _number_arg(lambda x: 0 <= x < 1, "in [0, 1)")
+_nonnegative = _number_arg(lambda x: math.isfinite(x) and x >= 0, "a finite number >= 0")
+_tau = _number_arg(lambda x: math.isfinite(x) and x <= 0, "a finite number <= 0")
+_lr = _number_arg(lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
 
 
 def _add_space_args(parser: argparse.ArgumentParser) -> None:
@@ -500,8 +502,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_space_args(p)
     p.add_argument("--device", default="cpu_sim",
                    help="built-in name or device profile file")
-    p.add_argument("-n", "--num", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("-n", "--num", type=_count, required=True)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--out", required=True, help="benchmark CSV path")
     p.add_argument("--arch-dir", help="directory for architecture files")
     p.set_defaults(func=cmd_bench_generate)
@@ -513,7 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bench", required=True, help="benchmark CSV")
     p.add_argument("--ridge-lambda", type=_nonnegative, default=1e-6)
     p.add_argument("--holdout-frac", type=_holdout_frac, default=0.2)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--out", required=True, help="model file path")
     p.set_defaults(func=cmd_cost_fit)
     p = cost_sub.add_parser("eval")
@@ -530,10 +532,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="fitted latency model (overrides --device)")
     p.add_argument("--budget", type=_budget_ms, help="latency budget in ms (default: median)")
     p.add_argument("--tau", type=_tau, default=-0.3)
-    p.add_argument("--steps", type=int, default=5000)
-    p.add_argument("--samples-per-step", type=int, default=1)
+    p.add_argument("--steps", type=_count, default=5000)
+    p.add_argument("--samples-per-step", type=_count, default=1)
     p.add_argument("--lr", type=_lr, default=SearchConfig.lr, help="controller Adam step size")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--log", required=True, help="search log path (ndjson)")
     p.add_argument("--best", help="write the final architecture here")
     p.add_argument("--dot", help="write the final architecture's DOT here")
@@ -546,7 +548,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", help="fitted latency model (overrides --device)")
     p.add_argument("--budget", type=_budget_ms)
     p.add_argument("--tau", type=_tau, default=-0.3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--best", help="write the best architecture here")
     p.set_defaults(func=cmd_search_exhaustive)
     p = search_sub.add_parser("ablation")
@@ -555,7 +557,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--variants", default="ibn,ibn_fused,ibn_fused_tucker")
     p.add_argument("--devices", default="cpu_sim,accel_sim")
     p.add_argument("--tau", type=_tau, default=-0.3)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("-o", "--out", required=True, help="report CSV path")
     p.set_defaults(func=cmd_search_ablation)
 
@@ -563,8 +565,8 @@ def build_parser() -> argparse.ArgumentParser:
     decomp_sub = p_decomp.add_subparsers(dest="subcommand", required=True)
     p = decomp_sub.add_parser("demo")
     p.add_argument("--kernel", required=True, help="kernel tensor file (.bin or .json)")
-    p.add_argument("--height", type=int, default=14)
-    p.add_argument("--width", type=int, default=14)
+    p.add_argument("--height", type=_count, default=14)
+    p.add_argument("--width", type=_count, default=14)
     p.add_argument("-o", "--out", help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_decomp_demo)
 

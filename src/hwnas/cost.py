@@ -41,6 +41,9 @@ MODEL_FIELDS = ("version", "space_ref", "buckets", "weights", "intercept", "lamb
 # Benchmark CSV columns, and the comment line naming the space the vectors are from
 BENCH_FIELDS = ["arch_file", "latency_ms", "vector"]
 SPACE_LINE = "# space:"
+# A benchmark latency is at most this many ms. No simulated latency comes near it under the
+# size rules of arch and the device bounds, and it keeps the fit's squares inside float range.
+MAX_LATENCY_MS = 1e100
 
 
 class FitError(RuntimeError):
@@ -135,8 +138,9 @@ class BenchmarkRecord:
     dv: DecisionVector | None = None
 
     def __post_init__(self):
-        if not (math.isfinite(self.latency_ms) and self.latency_ms > 0):
-            raise ValueError(f"latency must be a finite positive number, got {self.latency_ms}")
+        if not 0 < self.latency_ms <= MAX_LATENCY_MS:  # NaN fails too
+            raise ValueError(f"latency must be a finite positive number at most "
+                             f"{MAX_LATENCY_MS:g}, got {self.latency_ms}")
 
 
 def generate_benchmarks(
@@ -327,7 +331,8 @@ def fit(
     if n < d:
         rows, cols, gram = _gram_pairs(rows, cols, n, d)
         x_mean = np.bincount(cols, minlength=d) / n
-        s = np.bincount(rows, weights=x_mean[cols], minlength=n)
+        # float64 even with no entries left (every bucket constant), where bincount gives int64
+        s = np.bincount(rows, weights=x_mean[cols], minlength=n).astype(np.float64)
         gram = gram - s[:, None]  # float64 from here on
         gram -= s[None, :]
         gram += x_mean @ x_mean
@@ -399,6 +404,12 @@ def _r2(y: np.ndarray, preds: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 def save_model(model: LatencyModel, path: str | Path, meta: dict | None = None) -> None:
+    """Write a model file; a weight, intercept or r^2 that :func:`load_model` would reject
+    as not finite raises :class:`FitError` instead."""
+    for name, value in (("weights", model.weights), ("intercept", model.intercept),
+                        ("train_r2", model.train_r2), ("holdout_r2", model.holdout_r2 or 0.0)):
+        if not np.isfinite(value).all():
+            raise FitError(f"the fitted {name} is not finite; no model is written")
     doc = {
         "version": MODEL_VERSION,
         "space_ref": model.space_ref,

@@ -8,8 +8,8 @@ concrete, valid :class:`~hwnas.arch.NetworkSpec` instances.
 Three variants of increasing size are supported (``ibn``, ``ibn_fused``,
 ``ibn_fused_tucker``); the atom lists of a smaller variant are always a
 prefix of the larger ones, so decision indices transfer across variants.
-Hardware adaptations tweak the space: ``cpu`` turns on squeeze-excite and
-hswish everywhere, ``dsp`` drops 5x5 kernels.
+Hardware adaptations tweak the space: ``cpu`` turns on squeeze-excite (and
+so h-swish, :class:`~hwnas.arch.LayerSpec`) everywhere, ``dsp`` drops 5x5 kernels.
 """
 
 from __future__ import annotations
@@ -90,13 +90,13 @@ class SpaceSpec:
     decisions: tuple[Decision, ...]
 
     @cached_property
-    def _decoding(self) -> tuple[list, dict[tuple, LayerSpec], tuple, bool, str]:
+    def _decoding(self) -> tuple[list, dict[tuple, LayerSpec], tuple, bool]:
         """The one chain of layers over the decisions, read by :func:`decode`, the unit table
         and :func:`build_space`'s width rule: per block, its base width, each layer's (kind
         position, stride), its multiplier position with each multiplier's width, and what its
         first layer reads: the stem, or the block before it (that multiplier position and its
-        widths). Then decode's layer memo, the atoms, and ``use_se`` and the activation, which
-        ``cpu`` sets to SE plus hswish. Not a field, so repr, == and hash skip it."""
+        widths). Then decode's layer memo, the atoms, and ``use_se``, which ``cpu`` sets. Not a
+        field, so repr, == and hash skip it."""
         at = {(d.block, d.layer): i for i, d in enumerate(self.decisions)}
         plan, cin_at, c_ins = [], (), [self.layout.stem_channels]
         for bi, t in enumerate(self.layout.blocks):
@@ -106,8 +106,7 @@ class SpaceSpec:
                          enumerate(t.layers)], mult_at, widths, cin_at, c_ins))
             cin_at, c_ins = (mult_at,), [c_out for _, c_out in widths]
         atoms = next((d.choices for d in self.decisions if d.layer is not None), ())
-        use_se = self.adaptation == "cpu"
-        return plan, {}, atoms, use_se, "hswish" if use_se else "relu6"
+        return plan, {}, atoms, self.adaptation == "cpu"
 
 
 def kind_atoms_for(
@@ -216,12 +215,11 @@ def decode(space: SpaceSpec, dv: DecisionVector) -> NetworkSpec:
     Deterministic: the space's plan (``SpaceSpec._decoding``) gives each block's
     kinds, multiplier, width and strides, and the stem or the block before it feeds
     the block. Networks share their layers: each is built once per space, in a memo on
-    the space keyed by (atom index, c_in, c_out, stride), as ``use_se`` and the
-    activation are fixed per space. The memo is bounded by layer positions x atoms x
-    input widths x multipliers.
+    the space keyed by (atom index, c_in, c_out, stride), as ``use_se`` is fixed per
+    space. The memo is bounded by layer positions x atoms x input widths x multipliers.
     """
     check_vector(space, dv)
-    (plan, memo, atoms, use_se, activation), layout = space._decoding, space.layout
+    (plan, memo, atoms, use_se), layout = space._decoding, space.layout
     blocks, c_in = [], layout.stem_channels
     for base, layers_at, mult_at, widths, _, _ in plan:
         (multiplier, c_out), layers = widths[dv[mult_at]], []
@@ -229,8 +227,7 @@ def decode(space: SpaceSpec, dv: DecisionVector) -> NetworkSpec:
             key = (dv[at], c_in, c_out, stride)
             layer = memo.get(key)
             if layer is None:
-                layer = memo[key] = LayerSpec(atoms[key[0]], c_in, c_out, stride, use_se,
-                                              activation, stride == 1 and c_in == c_out)
+                layer = memo[key] = LayerSpec(atoms[key[0]], c_in, c_out, stride, use_se)
             layers.append(layer)
             c_in = c_out
         blocks.append(BlockSpec(base, multiplier, tuple(layers)))

@@ -168,6 +168,9 @@ def error_rank_table(
     """(rank_in, rank_out, relative error, madds ratio) over the full rank grid."""
     kernel = np.asarray(kernel, dtype=np.float64)
     k, c1, c2 = _check_kernel(kernel)
+    # an exact power of two puts the largest entry in [0.5, 1), so no norm overflows
+    # whatever the finite entries, and relative errors do not depend on scale
+    kernel = np.ldexp(kernel, -np.frexp(np.abs(kernel).max())[1])
     rows = []
     for r1 in range(1, c1 + 1):
         for r2 in range(1, c2 + 1):
@@ -221,12 +224,15 @@ def load_kernel(path: str | Path) -> np.ndarray:
         if len(raw) < 16:
             raise ValueError(f"{path}: truncated kernel file")
         dims = struct.unpack("<4I", raw[:16])
-        count = int(np.prod(dims))
+        count = math.prod(dims)
         expected = 16 + 8 * count
         if len(raw) != expected:
             raise ValueError(
                 f"{path}: expected {expected} bytes for dims {dims}, got {len(raw)}"
             )
         kernel = np.frombuffer(raw[16:], dtype="<f8").reshape(dims).copy()
-    _check_kernel(kernel)
+    try:
+        _check_kernel(kernel)
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from None
     return kernel

@@ -19,14 +19,12 @@ from hwnas.space import SpaceSpec, check_vector
 
 def _block(space: SpaceSpec, bi: int, kinds: tuple, multiplier: float, c_in: int) -> BlockSpec:
     use_se = space.adaptation == "cpu"
-    activation = "hswish" if use_se else "relu6"
     t = space.layout.blocks[bi]
     c_out = round8(multiplier * t.base_channels)
     layers = []
     for li, kind in enumerate(kinds):
         stride = t.layers[0].stride if li == 0 else 1
-        residual = stride == 1 and c_in == c_out
-        layers.append(LayerSpec(kind, c_in, c_out, stride, use_se, activation, residual))
+        layers.append(LayerSpec(kind, c_in, c_out, stride, use_se))
         c_in = c_out
     return BlockSpec(t.base_channels, multiplier, tuple(layers))
 
@@ -56,8 +54,6 @@ def _layer_to_doc(layer: LayerSpec) -> dict:
         c_out=layer.c_out,
         stride=layer.stride,
         se=layer.use_se,
-        activation=layer.activation,
-        residual=layer.residual,
     )
     return doc
 

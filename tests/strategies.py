@@ -21,10 +21,7 @@ def make_layout(
         layers = []
         for li in range(num_layers):
             stride = first_stride if li == 0 else 1
-            layers.append(
-                LayerSpec(ibn(3, 4), c_in, c_out, stride,
-                          residual=(stride == 1 and c_in == c_out))
-            )
+            layers.append(LayerSpec(ibn(3, 4), c_in, c_out, stride))
             c_in = c_out
         specs.append(BlockSpec(base, 1.0, tuple(layers)))
     return NetworkSpec(input_resolution, stem_channels, tuple(specs))

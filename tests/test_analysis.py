@@ -44,12 +44,12 @@ def test_layer_params_frozen_values(layer, expected):
 
 
 def test_stride_two_applies_after_first_pointwise():
-    layer = dataclasses.replace(IBN_LAYER, stride=2, residual=False)
+    layer = dataclasses.replace(IBN_LAYER, stride=2)
     # expand at 14x14, depthwise and project at 7x7
     expected = 14 * 14 * 16 * 64 + 7 * 7 * 9 * 64 + 7 * 7 * 64 * 16
     assert layer_cost(layer, 14).madds == expected
     assert brute_layer(layer, 14, 14)[0] == expected
-    layer = dataclasses.replace(TUCKER_LAYER, stride=2, residual=False)
+    layer = dataclasses.replace(TUCKER_LAYER, stride=2)
     # squeeze at 14x14, core and restore at 7x7
     expected = 14 * 14 * 32 * 8 + 7 * 7 * 9 * 8 * 24 + 7 * 7 * 24 * 32
     assert layer_cost(layer, 14).madds == expected

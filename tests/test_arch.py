@@ -78,15 +78,6 @@ def test_toy2_layout_is_valid():
     assert validate(toy2_layout()) == []
 
 
-def test_residual_violation_names_the_layer():
-    net = make_layout(32, 16, [(16, 1, 1), (24, 1, 1)])
-    bad = replace_layer(net, 1, 0, residual=True)  # 16 -> 24, can't skip
-    violations = validate(bad)
-    assert len(violations) == 1
-    assert "block 1 layer 0" in violations[0]
-    assert "residual" in violations[0]
-
-
 def test_rounding_violation():
     net = make_layout(32, 16, [(16, 1, 1)])
     bad = replace_layer(net, 0, 0, c_out=20)
@@ -101,13 +92,13 @@ def test_even_kernel_violation():
 
 def test_stride_only_on_first_layer():
     net = make_layout(32, 16, [(16, 2, 1)])
-    bad = replace_layer(net, 0, 1, stride=2, residual=False)
+    bad = replace_layer(net, 0, 1, stride=2)
     assert any("only the first layer" in v for v in validate(bad))
 
 
 def test_channel_continuity_violation():
     net = make_layout(32, 16, [(16, 1, 1), (16, 1, 1)])
-    bad = replace_layer(net, 1, 0, c_in=24, residual=False)
+    bad = replace_layer(net, 1, 0, c_in=24)
     assert any("channel continuity" in v for v in validate(bad))
 
 
@@ -156,17 +147,9 @@ def test_serialize_writes_one_line_in_canonical_key_order():
     assert text == json.dumps(doc) + "\n"
     assert list(doc) == ["input_resolution", "stem_channels", "blocks"]
     assert list(doc["blocks"][0]) == ["base_channels", "multiplier", "layers"]
-    tail = ["c_in", "c_out", "stride", "se", "activation", "residual"]
+    tail = ["c_in", "c_out", "stride", "se"]
     assert list(doc["blocks"][0]["layers"][0]) == ["kind", "kernel", "compressions", *tail]
     assert list(doc["blocks"][1]["layers"][0]) == ["kind", "kernel", "expansion", *tail]
-
-
-def test_serialize_round_trip_residual_off():
-    # residual=False on an eligible layer is valid and must survive the trip
-    net = make_layout(32, 16, [(16, 2, 1)])
-    assert net.blocks[0].layers[1].residual
-    off = replace_layer(net, 0, 1, residual=False)
-    assert_round_trips(off)
 
 
 def test_deserialize_missing_blocks():
@@ -331,7 +314,7 @@ def retyped(draw, net):
     blocks = tuple(
         pick(dataclasses.replace(b, layers=tuple(
             pick(dataclasses.replace(layer, kind=pick(layer.kind, "expansion",
-                 "input_compression", "output_compression")), "use_se", "residual")
+                 "input_compression", "output_compression")), "use_se")
             for layer in b.layers)), "multiplier")
         for b in net.blocks)
     return dataclasses.replace(net, blocks=blocks)
@@ -361,7 +344,7 @@ def test_serialize_keeps_equal_fields_of_other_types_apart(twin_first):
     order = [twin, net] if twin_first else [net, twin]
     assert [serialize(n) for n in order] == [ref.serialize(n) for n in order]
     text = serialize(twin)
-    assert '"multiplier": 1,' in text and '"expansion": 4,' in text and '"se": 1,' in text
+    assert '"multiplier": 1,' in text and '"expansion": 4,' in text and '"se": 1}' in text
 
 
 @settings(max_examples=60)
@@ -400,14 +383,6 @@ def test_build_block_chains_layers():
     assert (block.base_channels, block.multiplier, len(block.layers), block.layers[0].stride) == (
         16, 1.5, 3, 2)
     assert tuple(layer.kind for layer in block.layers) == kinds
-    assert [(layer.c_in, layer.c_out, layer.stride, layer.residual) for layer in block.layers] == [
-        (40, 24, 2, False), (24, 24, 1, True), (24, 24, 1, True)]
-    assert all(not layer.use_se and layer.activation == "relu6" for layer in block.layers)
+    assert [(layer.c_in, layer.c_out, layer.stride, layer.use_se) for layer in block.layers] == [
+        (40, 24, 2, False), (24, 24, 1, False), (24, 24, 1, False)]
     assert validate(NetworkSpec(32, 40, (block,))) == []
-
-
-@pytest.mark.parametrize("first_stride,c_in,residual", [(1, 16, True), (1, 24, False),
-                                                        (2, 16, False)])
-def test_build_block_residual_needs_stride_one_and_kept_width(first_stride, c_in, residual):
-    layer = build_block(16, 1.0, first_stride, c_in, (ibn(3, 4),)).layers[0]
-    assert (layer.use_se, layer.activation, layer.residual) == (False, "relu6", residual)

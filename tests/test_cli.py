@@ -8,6 +8,7 @@ import io
 import json
 import math
 import shutil
+import struct
 import tempfile
 from pathlib import Path
 
@@ -209,6 +210,30 @@ def test_lr_not_finite_positive_rejected_at_parse(text):
     assert line.endswith(f"argument --lr: must be a finite number > 0, got {text!r}")
 
 
+RUN_ARGS = ["search", "run", "--log", "x.ndjson"]
+GENERATE_ARGS = ["bench", "generate", "-n", "2", "-o", "b.csv"]
+DEMO_ARGS = ["decomp", "demo", "--kernel", "k.bin"]
+
+
+@pytest.mark.parametrize("command, flag, value, minimum", [
+    (RUN_ARGS, "--seed", "-1", 0),
+    (["search", "exhaustive"], "--seed", "-1", 0),
+    (["search", "ablation", "-o", "x.csv"], "--seed", "-1", 0),
+    (GENERATE_ARGS, "--seed", "-1", 0),
+    (FIT_ARGS, "--seed", "1.5", 0),
+    (RUN_ARGS, "--steps", "0", 1),
+    (RUN_ARGS, "--samples-per-step", "-3", 1),
+    (["bench", "generate", "-o", "b.csv"], "-n", "0", 1),
+    (["bench", "generate", "-o", "b.csv"], "--num", "abc", 1),
+    (DEMO_ARGS, "--height", "0", 1),
+    (DEMO_ARGS, "--width", "nan", 1),
+])
+def test_a_bad_integer_is_rejected_at_parse_naming_its_flag(command, flag, value, minimum):
+    name = "-n/--num" if flag in ("-n", "--num") else flag
+    assert parse_error(command + [flag, value]).endswith(
+        f"argument {name}: must be an integer >= {minimum}, got {value!r}")
+
+
 def test_lr_defaults_to_the_search_config_default():
     args = build_parser().parse_args(["search", "run", "--log", "x.ndjson"])
     assert args.lr == SearchConfig(steps=1).lr == 5e-3
@@ -346,14 +371,14 @@ def test_bench_generate_toy2_is_pinned(tmp_path, capsys):
                           ).hexdigest() == (
         "782b06cd7b431758a16dd04c116accbdc6696d8b083d95f8eabaa201f066909a")
     assert hashlib.sha256(repr(signatures).encode()).hexdigest() == (
-        "963462739fdba5baafcac26f559c02ff7652b9b46da9641a31b5e964ce93a020")
+        "770898fa26667788db5cb2c503ac0d57575835421a9154b9c87758a4e7b3f35b")
     vectors = [tuple(map(int, row[2].split())) for row in rows[1:]]
     assert [functional_signature(decode(space, dv)) for dv in vectors] == signatures
     assert hashlib.sha256(repr(vectors).encode()).hexdigest() == (
         "2738cd3a96f216f9949aed8f3c50deaed4fe5a24dcccda198688bbd2ea0ed9a8")
     archs = b"".join((tmp_path / row[0]).read_bytes() for row in rows[1:])
     assert hashlib.sha256(archs).hexdigest() == (
-        "566a3260ffc8a8ce846087491a5d61e0e3af9b6701d086311adb6d0ef05b2ff1")
+        "7cfe5286d8363608760ddd4a254bcd532fe1f179cdced5ed5038b488c41c6ad2")
 
 
 def test_search_run_outputs(tmp_path, capsys):
@@ -822,6 +847,80 @@ def test_a_model_document_with_one_odd_field_loads_or_fails_in_one_line(at, valu
             path, [["cost", "eval", "--arch", "{tmp}/arch.json", "--model"]], tmp)
 
 
+def generated_csv(tmp: Path) -> Path:
+    """Six ``toy2`` records at seed 0, with their architecture files."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["bench", "generate", "-n", "6", "-o", str(tmp / "b.csv")]) == 0
+    return tmp / "b.csv"
+
+
+with tempfile.TemporaryDirectory() as _tmp:
+    CSV_ROWS = list(csv.reader(generated_csv(Path(_tmp)).open(newline="")))
+CSV_FIELDS = [(r, c) for r, row in enumerate(CSV_ROWS) for c in range(len(row))]
+FIRST_LATENCY = (CSV_ROWS.index(["arch_file", "latency_ms", "vector"]) + 1, 1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(at=st.sampled_from(CSV_FIELDS), value=st.sampled_from(ODD_VALUES))
+@example(at=FIRST_LATENCY, value=1e200)
+def test_a_benchmark_csv_with_one_odd_field_fits_or_fails_in_one_line(at, value):
+    """One field of a benchmark CSV, a comment line included, set to an odd value:
+    ``cost fit`` writes a model that ``load_model`` reads back, or exits 1 with one
+    ``error:`` line naming the CSV. No overflow may warn on the way."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = generated_csv(Path(tmp))
+        rows = list(csv.reader(path.open(newline="")))
+        rows[at[0]][at[1]] = ("" if value is None else "9" * 5001 if value == HUGE
+                              else str(value))
+        with path.open("w", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(rows)
+        model = Path(tmp) / "m.json"
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main(["cost", "fit", "--bench", str(path), "-o", str(model)])
+        err = err.getvalue()
+        if code == 0:
+            load_model(model)
+        else:
+            assert (code == 1 and err.startswith("error: ") and err.count("\n") == 1
+                    and str(path) in err), err
+
+
+KERNEL_DOC = {"dims": [1, 1, 2, 2], "data": [0.5, -1.0, 2.0, 0.25]}
+PAST_THE_NORM = [1e160, -1e160, 1e160, 1e160]  # the sum of their squares overflows
+
+
+def write_bin_kernel(path: Path, doc) -> bool:
+    """Write ``doc`` as a binary kernel file; False when its values have no binary form."""
+    try:
+        raw = struct.pack("<4I", *doc["dims"]) + np.array(doc["data"], "<f8").tobytes()
+    except (struct.error, TypeError, ValueError, OverflowError):
+        return False
+    path.write_bytes(raw)
+    return True
+
+
+@settings(max_examples=40, deadline=None)
+@given(at=st.sampled_from(list(value_paths(KERNEL_DOC))), value=st.sampled_from(ODD_VALUES))
+@example(at=("data",), value=PAST_THE_NORM)
+@example(at=("dims",), value=[2, 2, 1, 1])
+def test_a_kernel_file_with_one_odd_field_tabulates_or_fails_in_one_line(at, value):
+    """One field of a ``.json`` kernel, and of its ``.bin`` form where it has one, set to an
+    odd value: ``decomp demo`` writes a table without ``nan``, or exits 1 with one ``error:``
+    line naming the file."""
+    doc = with_value(KERNEL_DOC, at, value)
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = [write_doc(Path(tmp) / "kernel.json", doc)]
+        if write_bin_kernel(Path(tmp) / "kernel.bin", doc):
+            paths.append(Path(tmp) / "kernel.bin")
+        for path in paths:
+            table = Path(tmp) / "table.csv"
+            table.unlink(missing_ok=True)
+            assert_loads_or_fails_in_one_line(
+                path, [["decomp", "demo", "-o", str(table), "--kernel"]], tmp)
+            assert not table.exists() or "nan" not in table.read_text()
+
+
 @pytest.mark.parametrize("name, doc, command", [
     ("arch.json", {**ARCH_DOCS[0], "stem_channels": HUGE}, ["analyze", "--arch"]),
     ("space.json", {**SPACE_DOC, "enumeration_cap": HUGE}, ["space", "inspect", "--space"]),
@@ -852,6 +951,33 @@ def test_a_document_with_the_stored_depth_stride_and_taps_is_rejected(tmp_path, 
     code, _, err = run(["analyze", "--arch", str(path)], capsys)
     assert (code, err) == (1, f"error: ParseError: {path}: document: unknown field(s) "
                               "endpoints\n")
+
+
+@pytest.mark.parametrize("command", [["analyze", "--arch", "{old}"],
+                                     ["export", "dot", "--arch", "{old}"],
+                                     ["cost", "fit", "--bench", "{csv}", "-o", "{tmp}/m.json"]],
+                         ids=["analyze", "dot", "fit"])
+@pytest.mark.parametrize("stored", [{"activation": "relu6"}, {"residual": False},
+                                    {"activation": "relu6", "residual": False}],
+                         ids=["activation", "residual", "both"])
+def test_a_document_with_a_stored_activation_or_residual_is_rejected(
+        tmp_path, capsys, command, stored):
+    """Layers once stored their activation and whether they add their input, both of
+    which follow from ``se``, the stride and the widths; such a file fails naming the
+    file and the layer's unknown fields, read directly or from a two-column CSV."""
+    doc = json.loads(serialize(toy2_layout()))
+    for block in doc["blocks"]:
+        for layer in block["layers"]:
+            layer.update(stored)
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps(doc))
+    csv_path = tmp_path / "b.csv"
+    csv_path.write_text(f"arch_file,latency_ms\n{old},1.5\n{old},2.5\n")
+    argv = [a.format(old=old, csv=csv_path, tmp=tmp_path) for a in command]
+    code, out, err = run(argv, capsys)
+    where = f"{csv_path}, line 2: {old}" if command[0] == "cost" else f"{old}"
+    assert (code, out, err) == (1, "", f"error: ParseError: {where}: document.blocks[0]."
+                                       f"layers[0]: unknown field(s) {', '.join(stored)}\n")
 
 
 def test_corrupt_arch_file_error(tmp_path, capsys):

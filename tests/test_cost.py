@@ -19,6 +19,7 @@ from hwnas.cost import (
     BUILTIN_DEVICES,
     BenchmarkRecord,
     DeviceSimulator,
+    MAX_LATENCY_MS,
     FitError,
     LatencyModel,
     UnknownBucketError,
@@ -166,6 +167,14 @@ def test_benchmark_record_rejects_non_finite_latency(toy_space, latency):
     net = decode(toy_space, random_sample(toy_space, np.random.default_rng(0)))
     with pytest.raises(ValueError, match="finite positive"):
         BenchmarkRecord(net, latency, network_cost(net))
+
+
+def test_benchmark_record_latency_is_at_most_the_bound(toy_space):
+    """Past the bound the fit's squares could overflow and write a NaN r^2."""
+    net = decode(toy_space, random_sample(toy_space, np.random.default_rng(0)))
+    BenchmarkRecord(net, MAX_LATENCY_MS, network_cost(net))
+    with pytest.raises(ValueError, match=r"at most 1e\+100, got 1e\+200"):
+        BenchmarkRecord(net, 1e200, network_cost(net))
 
 
 @pytest.mark.parametrize("layout", ["toy2", "default"])
@@ -384,6 +393,31 @@ def test_fit_needs_two_records(toy_space):
     records = generate_benchmarks(toy_space, dev, 1, np.random.default_rng(0))
     with pytest.raises(FitError, match="at least 2"):
         fit(records, toy_space)
+
+
+@pytest.mark.parametrize("n", [2, 200], ids=["dual", "primal"])
+def test_fit_on_one_repeated_architecture_predicts_the_mean(toy_space, n):
+    """Every bucket is then constant, and the dual branch once failed on integer sums."""
+    net = decode(toy_space, random_sample(toy_space, np.random.default_rng(0)))
+    records = [BenchmarkRecord(net, 1.0 + i % 2, network_cost(net)) for i in range(n)]
+    model = fit(records, toy_space)
+    assert not model.weights.any() and model.intercept == 1.5
+
+
+@pytest.mark.parametrize("field, value", [("weights", [math.inf]), ("intercept", math.nan),
+                                          ("train_r2", math.nan), ("holdout_r2", -math.inf)])
+def test_save_model_refuses_a_non_finite_number(tmp_path, toy_space, field, value):
+    """load_model would reject the file, so no file is written."""
+    records = generate_benchmarks(toy_space, BUILTIN_DEVICES["cpu_sim"], 50,
+                                  np.random.default_rng(0))
+    model = fit(records, toy_space)
+    if field == "weights":
+        model.weights[:1] = value
+    else:
+        setattr(model, field, value)
+    with pytest.raises(FitError, match=f"the fitted {field} is not finite"):
+        save_model(model, tmp_path / "model.json")
+    assert not (tmp_path / "model.json").exists()
 
 
 def test_predict_is_linear_in_counts(toy_space):

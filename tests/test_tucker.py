@@ -163,6 +163,16 @@ def test_error_rank_table_structure():
             assert table[(r1, r2 + 1)] <= err + 1e-12
 
 
+@pytest.mark.parametrize("scale", [2.0**-1000, 0.3, 2.0**600, 1e300])
+def test_error_rank_table_does_not_depend_on_scale(scale):
+    """Any finite kernel tabulates as its rescaled self would: no norm overflows."""
+    kernel = random_kernel(c1=3, c2=2)
+    rows = error_rank_table(kernel * scale)
+    expected = error_rank_table(kernel)
+    assert [r[:2] + r[3:] for r in rows] == [r[:2] + r[3:] for r in expected]
+    assert [r[2] for r in rows] == pytest.approx([r[2] for r in expected], rel=1e-12, abs=1e-15)
+
+
 @pytest.mark.parametrize("suffix", [".bin", ".json"])
 def test_kernel_file_round_trip(tmp_path, suffix):
     kernel = random_kernel(k=3, c1=4, c2=5, seed=13)
