@@ -18,13 +18,15 @@ import io
 import json
 import math
 import sys
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .arch import BUILTIN_LAYOUTS, derive_shapes, export_dot, iter_layers, load_file, save_file
-from .analysis import network_cost, space_table
+from .arch import (BUILTIN_LAYOUTS, IMAGE_CHANNELS, STEM_KERNEL, STEM_STRIDE, derive_shapes,
+                   export_dot, iter_layers, load_file, save_file)
+from .analysis import network_cost
 from .controller import RewardConfig
 from .cost import (
     BUILTIN_DEVICES,
@@ -118,15 +120,29 @@ _tau = _number_arg(lambda x: math.isfinite(x) and x <= 0, "a finite number <= 0"
 _lr = _number_arg(lambda x: math.isfinite(x) and x > 0, "a finite number > 0")
 
 
+def _path(text: str) -> str:
+    """argparse type: a file path or a name, which must not be empty."""
+    if not text:
+        raise argparse.ArgumentTypeError(f"a path or name must not be empty, got {text!r}")
+    return text
+
+
+@contextmanager
+def _naming(path: str | None, kind: type[Exception]):
+    """Prefix ``path``, when there is one, to the message of a ``kind`` error raised inside."""
+    try:
+        yield
+    except kind as exc:
+        exc.args = (f"{path}: {exc}",) if path else exc.args
+        raise
+
+
 def _add_space_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--space", help="space definition file (overrides the flags below)")
+    parser.add_argument("--space", type=_path, help="space file (overrides the flags below)")
     parser.add_argument("--variant", choices=VARIANTS, default="ibn")
     parser.add_argument("--adaptation", choices=ADAPTATIONS, default="neutral")
-    parser.add_argument(
-        "--layout",
-        default="toy2",
-        help=f"layout file or built-in name ({', '.join(BUILTIN_LAYOUTS)})",
-    )
+    parser.add_argument("--layout", type=_path, default="toy2",
+                        help=f"layout file or built-in name ({', '.join(BUILTIN_LAYOUTS)})")
 
 
 def _resolve_space(args) -> tuple:
@@ -171,11 +187,6 @@ def _resolve_source(args, space):
         return _resolve_device(args.device)
     model = load_model(args.model)
     check_space(model.space_ref, space, _space_ref(args), f"{args.model}: it was fitted on")
-    try:  # the latency column a search reads, with a weight for every bucket of the space
-        space_table(space).latencies(model)
-    except UnknownBucketError as exc:
-        exc.args = (f"{args.model}: {exc}",)
-        raise
     return model
 
 
@@ -231,7 +242,7 @@ def cmd_analyze(args) -> int:
     sizes = derive_shapes(net)
     stem = cost.layers[0]
     rows = [
-        ["stem", "", "conv", 3, "", 3, net.stem_channels, 2,
+        ["stem", "", "conv", STEM_KERNEL, "", IMAGE_CHANNELS, net.stem_channels, STEM_STRIDE,
          sizes[0], sizes[0], stem.madds, stem.params]
     ]
     for (bi, li, layer), size, priced in zip(iter_layers(net), sizes[1:], cost.layers[1:]):
@@ -306,11 +317,8 @@ def cmd_cost_fit(args) -> int:
 def cmd_cost_eval(args) -> int:
     model = load_model(args.model)
     net = load_file(args.arch)
-    try:
+    with _naming(args.model, UnknownBucketError):  # a layer the model never saw
         print(f"{predict(model, network_cost(net)):.6f}")
-    except UnknownBucketError as exc:  # a layer of the network that the model never saw
-        exc.args = (f"{args.model}: {exc}",)
-        raise
     return 0
 
 
@@ -401,7 +409,8 @@ def cmd_search_run(args) -> int:
         seed=args.seed,
         lr=args.lr,
     )
-    net, log = run_search(space, oracle, source, cfg)
+    with _naming(args.model, ValueError):  # an unknown bucket or a latency below zero
+        net, log = run_search(space, oracle, source, cfg)
     write_log(log, args.log, meta=_meta_dict(args.seed))
     if args.best:
         save_file(net, args.best, meta=_meta_dict(args.seed))
@@ -427,7 +436,7 @@ def cmd_search_ablation(args) -> int:
         (variant, build_space(variant, args.adaptation, layout))
         for variant in args.variants.split(",")
     ]
-    devices = [_resolve_device(d) for d in args.devices.split(",")]
+    devices = [_resolve_device(d) for d in args.devices]
     rows = ablation_report(spaces, devices, tau=args.tau, seed=args.seed)
     csv_rows = [
         [r.space, r.device, f"{r.reward:.6f}", f"{r.latency_ms:.6f}", r.madds,
@@ -443,10 +452,10 @@ def cmd_search_exhaustive(args) -> int:
     space, cap = _resolve_space(args)
     source = _resolve_source(args, space)
     oracle = _make_oracle(args, space, args.seed)
-    budget = args.budget if args.budget else resolve_budget(space, source, args.seed)
-    net, rew = exhaustive_best(
-        space, oracle, source, RewardConfig(tau=args.tau, budget_ms=budget), cap
-    )
+    with _naming(args.model, ValueError):  # an unknown bucket or a latency below zero
+        budget = args.budget if args.budget else resolve_budget(space, source, args.seed)
+        reward_cfg = RewardConfig(tau=args.tau, budget_ms=budget)
+        net, rew = exhaustive_best(space, oracle, source, reward_cfg, cap)
     if args.best:
         save_file(net, args.best, meta=_meta_dict(args.seed))
     print(f"best reward {rew:.6f} over {space_size(space)} architectures")
@@ -488,39 +497,39 @@ def build_parser() -> argparse.ArgumentParser:
         p = space_sub.add_parser(name)
         _add_space_args(p)
         if name == "enumerate":
-            p.add_argument("-o", "--out", help="CSV output path (default stdout)")
+            p.add_argument("-o", "--out", type=_path, help="CSV output path (default stdout)")
         p.set_defaults(func=func)
 
     p = sub.add_parser("analyze", help="per-layer madds/params table for an architecture")
-    p.add_argument("--arch", required=True)
-    p.add_argument("-o", "--out", help="CSV output path (default stdout)")
+    p.add_argument("--arch", type=_path, required=True)
+    p.add_argument("-o", "--out", type=_path, help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_analyze)
 
     p_bench = sub.add_parser("bench", help="simulated benchmark generation")
     bench_sub = p_bench.add_subparsers(dest="subcommand", required=True)
     p = bench_sub.add_parser("generate")
     _add_space_args(p)
-    p.add_argument("--device", default="cpu_sim",
+    p.add_argument("--device", type=_path, default="cpu_sim",
                    help="built-in name or device profile file")
     p.add_argument("-n", "--num", type=_count, required=True)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("-o", "--out", required=True, help="benchmark CSV path")
-    p.add_argument("--arch-dir", help="directory for architecture files")
+    p.add_argument("-o", "--out", type=_path, required=True, help="benchmark CSV path")
+    p.add_argument("--arch-dir", type=_path, help="directory for architecture files")
     p.set_defaults(func=cmd_bench_generate)
 
     p_cost = sub.add_parser("cost", help="latency model fitting and evaluation")
     cost_sub = p_cost.add_subparsers(dest="subcommand", required=True)
     p = cost_sub.add_parser("fit")
     _add_space_args(p)
-    p.add_argument("--bench", required=True, help="benchmark CSV")
+    p.add_argument("--bench", type=_path, required=True, help="benchmark CSV")
     p.add_argument("--ridge-lambda", type=_nonnegative, default=1e-6)
     p.add_argument("--holdout-frac", type=_holdout_frac, default=0.2)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("-o", "--out", required=True, help="model file path")
+    p.add_argument("-o", "--out", type=_path, required=True, help="model file path")
     p.set_defaults(func=cmd_cost_fit)
     p = cost_sub.add_parser("eval")
-    p.add_argument("--model", required=True)
-    p.add_argument("--arch", required=True)
+    p.add_argument("--model", type=_path, required=True)
+    p.add_argument("--arch", type=_path, required=True)
     p.set_defaults(func=cmd_cost_eval)
 
     p_search = sub.add_parser("search", help="controller, exhaustive and ablation runs")
@@ -528,53 +537,55 @@ def build_parser() -> argparse.ArgumentParser:
     p = search_sub.add_parser("run")
     _add_space_args(p)
     _add_oracle_args(p)
-    p.add_argument("--device", default="cpu_sim")
-    p.add_argument("--model", help="fitted latency model (overrides --device)")
+    p.add_argument("--device", type=_path, default="cpu_sim")
+    p.add_argument("--model", type=_path, help="fitted latency model (overrides --device)")
     p.add_argument("--budget", type=_budget_ms, help="latency budget in ms (default: median)")
     p.add_argument("--tau", type=_tau, default=-0.3)
     p.add_argument("--steps", type=_count, default=5000)
     p.add_argument("--samples-per-step", type=_count, default=1)
     p.add_argument("--lr", type=_lr, default=SearchConfig.lr, help="controller Adam step size")
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--log", required=True, help="search log path (ndjson)")
-    p.add_argument("--best", help="write the final architecture here")
-    p.add_argument("--dot", help="write the final architecture's DOT here")
-    p.add_argument("--svg", help="write a reward/latency scatter here")
+    p.add_argument("--log", type=_path, required=True, help="search log path (ndjson)")
+    p.add_argument("--best", type=_path, help="write the final architecture here")
+    p.add_argument("--dot", type=_path, help="write the final architecture's DOT here")
+    p.add_argument("--svg", type=_path, help="write a reward/latency scatter here")
     p.set_defaults(func=cmd_search_run)
     p = search_sub.add_parser("exhaustive")
     _add_space_args(p)
     _add_oracle_args(p)
-    p.add_argument("--device", default="cpu_sim")
-    p.add_argument("--model", help="fitted latency model (overrides --device)")
+    p.add_argument("--device", type=_path, default="cpu_sim")
+    p.add_argument("--model", type=_path, help="fitted latency model (overrides --device)")
     p.add_argument("--budget", type=_budget_ms)
     p.add_argument("--tau", type=_tau, default=-0.3)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--best", help="write the best architecture here")
+    p.add_argument("--best", type=_path, help="write the best architecture here")
     p.set_defaults(func=cmd_search_exhaustive)
     p = search_sub.add_parser("ablation")
-    p.add_argument("--layout", default="toy2")
+    p.add_argument("--layout", type=_path, default="toy2")
     p.add_argument("--adaptation", choices=ADAPTATIONS, default="neutral")
     p.add_argument("--variants", default="ibn,ibn_fused,ibn_fused_tucker")
-    p.add_argument("--devices", default="cpu_sim,accel_sim")
+    p.add_argument("--devices", type=lambda text: [_path(d) for d in text.split(",")],
+                   default="cpu_sim,accel_sim")
     p.add_argument("--tau", type=_tau, default=-0.3)
     p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("-o", "--out", required=True, help="report CSV path")
+    p.add_argument("-o", "--out", type=_path, required=True, help="report CSV path")
     p.set_defaults(func=cmd_search_ablation)
 
     p_decomp = sub.add_parser("decomp", help="kernel decomposition demo")
     decomp_sub = p_decomp.add_subparsers(dest="subcommand", required=True)
     p = decomp_sub.add_parser("demo")
-    p.add_argument("--kernel", required=True, help="kernel tensor file (.bin or .json)")
+    p.add_argument("--kernel", type=_path, required=True,
+                   help="kernel tensor file (.bin or .json)")
     p.add_argument("--height", type=_count, default=14)
     p.add_argument("--width", type=_count, default=14)
-    p.add_argument("-o", "--out", help="CSV output path (default stdout)")
+    p.add_argument("-o", "--out", type=_path, help="CSV output path (default stdout)")
     p.set_defaults(func=cmd_decomp_demo)
 
     p_export = sub.add_parser("export", help="visualization exports")
     export_sub = p_export.add_subparsers(dest="subcommand", required=True)
     p = export_sub.add_parser("dot")
-    p.add_argument("--arch", required=True)
-    p.add_argument("-o", "--out", help="output path (default stdout)")
+    p.add_argument("--arch", type=_path, required=True)
+    p.add_argument("-o", "--out", type=_path, help="output path (default stdout)")
     p.set_defaults(func=cmd_export_dot)
 
     return parser

@@ -4,17 +4,16 @@ Quality evaluation is abstracted behind an oracle interface so the driver can
 run against synthetic stand-ins at desk scale. Latency comes either from a
 device simulator or from a fitted linear model.
 
-Pricing: every driver prices a sampled or enumerated decision vector from
-the space's unit table (:func:`~hwnas.analysis.space_table`), and oracles
-and latency sources read the resulting :class:`~hwnas.analysis.ArchCost`.
-A search prices a cache miss from the table's latency column for its
-source instead: one lookup per layer position gives the layer's cost and
-its latency addends, the oracle scores the costs, and the addends are
-summed in layer order as :func:`latency_of` sums them, so both give the
-same bits. ``decode`` runs only for the networks a driver returns: the
-final network of a search and the exhaustive or random-search best. Every
-driver scores a priced architecture through one noiseless scorer and picks
-its best through one argmax, which keeps the first maximizer.
+Pricing: every driver prices a decision vector from the latency column of
+the space's unit table for its source
+(:meth:`~hwnas.analysis.SpaceTable.latencies`): one lookup per layer
+position gives the layer's cost and its latency addends, the oracle scores
+the costs, and the addends are summed in layer order as
+:func:`~hwnas.cost.latency_of` sums them, so both give the same bits. A
+search memoizes its noisy evaluations; the exhaustive and random
+baselines, the ablation, the default budget and a search's final network
+are scored noiselessly, and every best is the first maximizer of one loop.
+``decode`` runs only for the networks a driver returns.
 
 Noise determinism: oracle and simulator noise streams are re-keyed per
 architecture from (run seed, digest of the decision vector), so identical
@@ -32,9 +31,8 @@ import json
 import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from operator import itemgetter
 from pathlib import Path
-from typing import Iterator, Protocol, Sequence
+from typing import Iterable, Protocol, Sequence
 
 import numpy as np
 
@@ -51,7 +49,8 @@ from .controller import (
     reward,
     sample,
 )
-from .cost import DeviceSimulator, LatencySource, latency_of, total_latency
+# latency_of is not called here; bench/tracing.py patches it as hwnas.search.latency_of
+from .cost import DeviceSimulator, LatencySource, latency_of, total_latency  # noqa: F401
 from .space import (
     DEFAULT_ENUM_CAP,
     DecisionVector,
@@ -152,37 +151,27 @@ def _regular_fractions(ops: Sequence[str]) -> tuple[float, float]:
     return overall, early
 
 
-def _score(
-    oracle: QualityOracle, source: LatencySource, cost: ArchCost, reward_cfg: RewardConfig
-) -> tuple[float, float, float]:
-    """Noiseless (quality, latency, reward) of a priced architecture."""
-    quality = oracle.evaluate(cost, None)
-    latency = latency_of(source, cost)
-    return quality, latency, reward(quality, latency, reward_cfg)
-
-
-def _argmax(rows):
-    """The row with the highest reward, its last field; the first one among equals."""
-    return max(rows, key=itemgetter(-1))
-
-
-def _uniform_costs(space: SpaceSpec, seed: int, samples: int) -> list[ArchCost]:
-    """Costs of ``samples`` uniform draws, all from the ``[seed, 0xB0]`` stream."""
+def _uniform_draws(space: SpaceSpec, seed: int, samples: int) -> list[DecisionVector]:
+    """``samples`` uniform decision vectors, all from the ``[seed, 0xB0]`` stream."""
     rng = np.random.default_rng([seed, 0xB0])
-    table = space_table(space)
-    return [table.price(random_sample(space, rng)) for _ in range(samples)]
+    return [random_sample(space, rng) for _ in range(samples)]
 
 
-def resolve_budget(
-    space: SpaceSpec, source: LatencySource, seed: int, samples: int = 256
-) -> float:
+def resolve_budget(space: SpaceSpec, source: LatencySource, seed: int,
+                   samples: int = 256) -> float:
     """Median noiseless latency over uniform samples; the default budget."""
-    return float(np.median([latency_of(source, c) for c in _uniform_costs(space, seed, samples)]))
+    latency = _Evaluator(space, None, source).noiseless_latency
+    budget = float(np.median([latency(dv) for dv in _uniform_draws(space, seed, samples)]))
+    if not budget > 0:  # a fitted model is linear and may predict below zero
+        raise ValueError(f"{_source_name(source)}: the median latency of {samples} uniform "
+                         f"samples is {budget} ms, not a budget; give one with --budget")
+    return budget
 
 
 def median_madds(space: SpaceSpec, seed: int, samples: int = 256) -> float:
     """Median total multiply-adds over uniform samples (capacity oracle scale)."""
-    return float(np.median([c.total_madds for c in _uniform_costs(space, seed, samples)]))
+    price = space_table(space).price
+    return float(np.median([price(dv).total_madds for dv in _uniform_draws(space, seed, samples)]))
 
 
 @dataclass(frozen=True)
@@ -246,19 +235,15 @@ def _source_name(source: LatencySource) -> str:
 
 
 class _Evaluator:
-    """Noisy evaluation of :func:`run_search`'s samples, memoized per architecture."""
+    """Scores of decision vectors, priced from the table's latency column for ``source``:
+    noiseless (:meth:`score`), or noisy and memoized per architecture (:meth:`evaluate`,
+    for :func:`run_search`'s samples, with noise keyed by ``seed``)."""
 
-    def __init__(
-        self,
-        space: SpaceSpec,
-        oracle: QualityOracle,
-        source: LatencySource,
-        seed: int,
-    ):
+    def __init__(self, space: SpaceSpec, oracle: QualityOracle | None, source: LatencySource,
+                 seed: int = 0):
         self.oracle = oracle
         self.source = source
-        self.table = space_table(space)
-        self._stem, self._positions = self.table.latencies(source)
+        self._stem, self._positions = space_table(space).latencies(source)
         # Re-key one PCG64 per architecture: its 128-bit state is (run key,
         # arch_hash) under a per-run odd increment. Setting a state costs
         # about a tenth of seeding a new generator on every cache miss.
@@ -276,18 +261,46 @@ class _Evaluator:
         }
         return self._arch_rng
 
+    def _lookup(self, dv: DecisionVector) -> tuple[ArchCost, tuple]:
+        """The cost and each layer's latency addends: one lookup per position gives both."""
+        layers, addends = zip(self._stem, *[cells[at(dv)] for at, cells in self._positions])
+        return ArchCost(layers), addends
+
+    def noiseless_latency(self, dv: DecisionVector) -> float:
+        _, addends = self._lookup(dv)
+        return total_latency(self.source, len(addends), addends)
+
+    def score(self, dv: DecisionVector, reward_cfg: RewardConfig) -> tuple:
+        """The noiseless (cost, quality, latency, reward)."""
+        cost, addends = self._lookup(dv)
+        quality = self.oracle.evaluate(cost, None)
+        latency = total_latency(self.source, len(addends), addends)
+        return cost, quality, latency, reward(quality, latency, reward_cfg)
+
     def evaluate(self, dv: DecisionVector) -> tuple[float, float]:
         """(quality, latency), with the architecture's noise drawn on its first evaluation."""
         hit = self._cache.get(dv)
         if hit is not None:
             return hit
         rng = self._keyed_rng(arch_hash(dv))
-        # one lookup per position gives a layer's cost and its latency addends together
-        layers, addends = zip(self._stem, *[cells[at(dv)] for at, cells in self._positions])
-        quality = self.oracle.evaluate(ArchCost(layers), rng)
-        latency = total_latency(self.source, len(layers), addends, rng)
+        cost, addends = self._lookup(dv)
+        quality = self.oracle.evaluate(cost, rng)
+        latency = total_latency(self.source, len(addends), addends, rng)
         self._cache[dv] = (quality, latency)
         return quality, latency
+
+
+def _best(pricer: _Evaluator, reward_cfg: RewardConfig, vectors: Iterable) -> tuple:
+    """(dv, cost, quality, latency, reward) of the first maximizer of the noiseless reward."""
+    best = None
+    for dv in vectors:
+        try:
+            row = (dv, *pricer.score(dv, reward_cfg))
+        except ValueError as exc:  # a latency the reward rejects
+            raise ValueError(f"{exc} (decision vector {dv})") from exc
+        if best is None or row[-1] > best[-1]:
+            best = row
+    return best
 
 
 def run_search(
@@ -341,10 +354,8 @@ def run_search(
                 entropy=policy_entropy,
             )
         )
-    final_dv = most_likely(policy)
-    final_quality, final_latency, final_reward = _score(
-        oracle, latency_source, evaluator.table.price(final_dv), reward_cfg
-    )
+    final_dv, _, final_quality, final_latency, final_reward = _best(
+        evaluator, reward_cfg, [most_likely(policy)])
     log = SearchLog(
         seed=cfg.seed,
         budget_ms=budget,
@@ -360,20 +371,6 @@ def run_search(
     return decode(space, final_dv), log
 
 
-def reward_iter(
-    space: SpaceSpec,
-    oracle: QualityOracle,
-    latency_source: LatencySource,
-    reward_cfg: RewardConfig,
-    cap: int = DEFAULT_ENUM_CAP,
-) -> Iterator[tuple[DecisionVector, ArchCost, float, float, float]]:
-    """Noiseless (dv, cost, quality, latency, reward) over the whole space."""
-    table = space_table(space)
-    for dv in enumerate_space(space, cap):
-        cost = table.price(dv)
-        yield dv, cost, *_score(oracle, latency_source, cost, reward_cfg)
-
-
 def exhaustive_best(
     space: SpaceSpec,
     oracle: QualityOracle,
@@ -386,7 +383,8 @@ def exhaustive_best(
     Ties break lexicographically (the first enumerated maximizer wins).
     Raises :class:`~hwnas.space.EnumerationCapError` above the cap.
     """
-    dv, *_, rew = _argmax(reward_iter(space, oracle, latency_source, reward_cfg, cap))
+    dv, *_, rew = _best(_Evaluator(space, oracle, latency_source), reward_cfg,
+                        enumerate_space(space, cap))
     return decode(space, dv), rew
 
 
@@ -401,11 +399,8 @@ def random_search_baseline(
     """Best of ``n`` uniform samples under the noiseless reward; the first among equals."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    table = space_table(space)
     draws = (random_sample(space, rng) for _ in range(n))
-    dv, *_, rew = _argmax(
-        (dv, *_score(oracle, latency_source, table.price(dv), reward_cfg)) for dv in draws
-    )
+    dv, *_, rew = _best(_Evaluator(space, oracle, latency_source), reward_cfg, draws)
     return decode(space, dv), rew
 
 
@@ -448,19 +443,12 @@ def ablation_report(
         raise ValueError("ablation spaces must share one layout")
     biggest = max((s for _, s in spaces), key=space_size)
     oracle = CapacityOracle(scale_madds=median_madds(biggest, seed))
-    # Price each enumeration once; the devices differ only in their rates.
-    enumerations = {}
-    for name, sp in spaces:
-        table = space_table(sp)
-        enumerations[name] = [table.price(dv) for dv in enumerate_space(sp)]
     rows = []
     for device in devices:
-        budget = resolve_budget(biggest, device, seed)
-        reward_cfg = RewardConfig(tau=tau, budget_ms=budget)
+        reward_cfg = RewardConfig(tau=tau, budget_ms=resolve_budget(biggest, device, seed))
         for name, sp in spaces:
-            cost, _, latency, rew = _argmax(
-                (cost, *_score(oracle, device, cost, reward_cfg)) for cost in enumerations[name]
-            )
+            _, cost, _, latency, rew = _best(_Evaluator(sp, oracle, device), reward_cfg,
+                                             enumerate_space(sp))
             rows.append(AblationRow(name, device.name, rew, latency, cost.total_madds,
                                     cost.total_params, *_regular_fractions(cost.ops)))
     return rows

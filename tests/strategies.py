@@ -5,7 +5,8 @@ from __future__ import annotations
 import hypothesis.strategies as st
 
 from hwnas.arch import BlockSpec, LayerSpec, NetworkSpec, ibn, round8
-from hwnas.space import ADAPTATIONS, VARIANTS, SpaceSpec, build_space, decode
+from hwnas.space import (ADAPTATIONS, DEFAULT_COMPRESSIONS, DEFAULT_EXPANSIONS, DEFAULT_KERNELS,
+                         DEFAULT_MULTIPLIERS, VARIANTS, SpaceSpec, build_space, decode)
 
 
 def make_layout(
@@ -43,10 +44,26 @@ def layouts(draw, max_blocks: int = 3, max_layers: int = 2) -> NetworkSpec:
     return make_layout(resolution, stem, blocks)
 
 
+def _subset(menu, min_size: int = 1):
+    """Up to two entries of a menu, in menu order."""
+    return st.lists(st.sampled_from(menu), min_size=min_size, max_size=2, unique=True).map(sorted)
+
+
 @st.composite
-def spaces(draw, variants=VARIANTS, adaptations=ADAPTATIONS, **layout_kwargs) -> SpaceSpec:
+def spaces(draw, variants=VARIANTS, adaptations=ADAPTATIONS, small_menus=False,
+           **layout_kwargs) -> SpaceSpec:
+    """A space on a random layout; ``small_menus`` keeps up to two entries of each default
+    menu (two multipliers, and kernel 3, which every adaptation allows) so that spaces of
+    several blocks stay small enough to enumerate."""
     layout = draw(layouts(**layout_kwargs))
-    return build_space(draw(st.sampled_from(variants)), draw(st.sampled_from(adaptations)), layout)
+    menus = {}
+    if small_menus:
+        menus = {"multipliers": draw(_subset(DEFAULT_MULTIPLIERS, 2)),
+                 "kernels": draw(st.sampled_from([(3,), DEFAULT_KERNELS])),
+                 "expansions": draw(_subset(DEFAULT_EXPANSIONS)),
+                 "compressions": draw(_subset(DEFAULT_COMPRESSIONS))}
+    return build_space(draw(st.sampled_from(variants)), draw(st.sampled_from(adaptations)), layout,
+                       **menus)
 
 
 @st.composite

@@ -7,6 +7,7 @@ import hashlib
 import io
 import json
 import math
+import re
 import shutil
 import struct
 import tempfile
@@ -232,6 +233,48 @@ def test_a_bad_integer_is_rejected_at_parse_naming_its_flag(command, flag, value
     name = "-n/--num" if flag in ("-n", "--num") else flag
     assert parse_error(command + [flag, value]).endswith(
         f"argument {name}: must be an integer >= {minimum}, got {value!r}")
+
+
+ABLATION_ARGS = ["search", "ablation", "-o", "x.csv"]
+
+
+@pytest.mark.parametrize("command, flag, value", [
+    (["space", "size"], "--space", ""),
+    (["space", "inspect"], "--layout", ""),
+    (["space", "enumerate"], "-o", ""),
+    (["analyze"], "--arch", ""),
+    (["analyze", "--arch", "a.json"], "--out", ""),
+    (["export", "dot"], "--arch", ""),
+    (["export", "dot", "--arch", "a.json"], "-o", ""),
+    (GENERATE_ARGS, "--device", ""),
+    (GENERATE_ARGS, "--arch-dir", ""),
+    (["bench", "generate", "-n", "2"], "--out", ""),
+    (["cost", "fit", "-o", "m.json"], "--bench", ""),
+    (["cost", "fit", "--bench", "b.csv"], "-o", ""),
+    (["cost", "eval", "--arch", "a.json"], "--model", ""),
+    (["cost", "eval", "--model", "m.json"], "--arch", ""),
+    (RUN_ARGS, "--model", ""),
+    (RUN_ARGS, "--device", ""),
+    (RUN_ARGS, "--space", ""),
+    (RUN_ARGS, "--best", ""),
+    (RUN_ARGS, "--dot", ""),
+    (RUN_ARGS, "--svg", ""),
+    (["search", "run"], "--log", ""),
+    (["search", "exhaustive"], "--model", ""),
+    (["search", "exhaustive"], "--device", ""),
+    (["search", "exhaustive"], "--best", ""),
+    (ABLATION_ARGS, "--layout", ""),
+    (ABLATION_ARGS, "--devices", ""),
+    (ABLATION_ARGS, "--devices", "cpu_sim,"),
+    (ABLATION_ARGS, "--devices", "cpu_sim,,accel_sim"),
+    (["search", "ablation"], "-o", ""),
+    (DEMO_ARGS[:2], "--kernel", ""),
+    (DEMO_ARGS, "-o", ""),
+])
+def test_an_empty_path_or_name_is_rejected_at_parse_naming_its_flag(command, flag, value):
+    name = "-o/--out" if flag in ("-o", "--out") else flag
+    assert parse_error(command + [flag, value]).endswith(
+        f"argument {name}: a path or name must not be empty, got ''")
 
 
 def test_lr_defaults_to_the_search_config_default():
@@ -1020,6 +1063,26 @@ def test_search_names_a_model_file_that_lacks_a_bucket_of_the_space(tmp_path, ca
         code, out, err = run(["search", *command, "--model", str(path)], capsys)
         assert (code, out) == (1, "")
         assert err == f"error: UnknownBucketError: {path}: unknown feature bucket: {missing}\n"
+
+
+@pytest.mark.parametrize("command, says", [
+    (["run", "--steps", "2", "--log", "{tmp}/run.ndjson"], "the median latency of 256"),
+    (["exhaustive"], "the median latency of 256"),
+    (["exhaustive", "--budget", "5"], "latency must be positive"),
+], ids=["run", "exhaustive", "exhaustive-budget"])
+def test_a_model_that_prices_below_zero_is_named(tmp_path, capsys, command, says):
+    """A model whose intercept puts every latency below zero: the default budget names the
+    model and asks for --budget, and with a budget the first network it prices is named."""
+    doc = dict(MODEL_DOC, intercept=MODEL_DOC["intercept"] - 1e4)
+    path = write_doc(tmp_path / "neg.json", doc)
+    code, out, err = run(["search", *[a.format(tmp=tmp_path) for a in command],
+                          "--model", str(path)], capsys)
+    assert (code, out) == (1, "") and err.count("\n") == 1
+    assert err.startswith(f"error: ValueError: {path}: ") and says in err
+    if "--budget" in command:
+        assert re.search(r" \(decision vector \(\d+, \d+, \d+\)\)$", err.strip())
+    else:
+        assert "model:ibn/neutral/toy2 " in err and err.strip().endswith("with --budget")
 
 
 @pytest.mark.parametrize("command", [SEARCH_TWO_STEPS, GENERATE_TWO], ids=["search", "generate"])

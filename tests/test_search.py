@@ -11,12 +11,12 @@ from pathlib import Path
 import hypothesis.strategies as st
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 
 from hwnas.analysis import network_cost, space_buckets, space_table
 from hwnas.arch import BUILTIN_LAYOUTS, functional_signature, iter_layers, toy2_layout
 from hwnas.controller import RewardConfig, reward
-from hwnas.cost import BUILTIN_DEVICES, simulate_latency
+from hwnas.cost import BUILTIN_DEVICES, LatencyModel, fit, generate_benchmarks, simulate_latency
 from hwnas.search import (
     AblationRow,
     CapacityOracle,
@@ -33,7 +33,6 @@ from hwnas.search import (
     pareto_front,
     random_search_baseline,
     resolve_budget,
-    reward_iter,
     run_search,
     write_log,
 )
@@ -45,10 +44,11 @@ from hwnas.space import (
     decode,
     enumerate_space,
     random_sample,
+    space_size,
 )
 import reference_log
-from reference_oracles import linear_score
-from strategies import make_layout
+from reference_oracles import capacity_score, linear_score, model_latency, simulator_latency
+from strategies import make_layout, spaces
 
 CPU = BUILTIN_DEVICES["cpu_sim"]
 ACCEL = BUILTIN_DEVICES["accel_sim"]
@@ -57,6 +57,38 @@ ACCEL = BUILTIN_DEVICES["accel_sim"]
 @pytest.fixture
 def toy_space():
     return build_space("ibn", "neutral", toy2_layout())
+
+
+def reference_qualities(space, oracle) -> dict:
+    """Every vector's noiseless quality, from its decoded network by ``reference_oracles``."""
+    score = capacity_score if isinstance(oracle, CapacityOracle) else linear_score
+    return {dv: score(oracle, decode(space, dv)) for dv in enumerate_space(space)}
+
+
+def reference_latencies(space, source) -> dict:
+    """Every vector's noiseless latency, from its decoded network by ``reference_oracles``."""
+    latency = model_latency if isinstance(source, LatencyModel) else simulator_latency
+    return {dv: latency(source, decode(space, dv)) for dv in enumerate_space(space)}
+
+
+def reference_reward(quality, latency, rcfg):
+    return quality + rcfg.tau * abs(latency / rcfg.budget_ms - 1.0)
+
+
+def reference_rows(space, oracle, source, rcfg):
+    """(dv, quality, latency, reward) of every vector, in enumeration order."""
+    qualities, latencies = reference_qualities(space, oracle), reference_latencies(space, source)
+    return [(dv, qualities[dv], lat, reference_reward(qualities[dv], lat, rcfg))
+            for dv, lat in latencies.items()]
+
+
+def first_best(rows):
+    """The first row of the highest reward, its last field."""
+    best = rows[0]
+    for row in rows:
+        if row[-1] > best[-1]:
+            best = row
+    return best
 
 
 def test_search_config_validation():
@@ -290,12 +322,10 @@ def test_exhaustive_best_single_decision():
     budget = resolve_budget(space, CPU, 0)
     rcfg = RewardConfig(tau=-0.3, budget_ms=budget)
     best_net, best_reward = exhaustive_best(space, oracle, CPU, rcfg)
-    rewards = {
-        dv: rew for dv, _, _, _, rew in reward_iter(space, oracle, CPU, rcfg)
-    }
-    assert best_reward == max(rewards.values())
+    rows = reference_rows(space, oracle, CPU, rcfg)
+    assert best_reward == max(rew for *_, rew in rows)
     # lexicographic tie-break: the first enumerated maximizer wins
-    first_argmax = next(dv for dv in enumerate_space(space) if rewards[dv] == best_reward)
+    first_argmax = next(dv for dv, *_, rew in rows if rew == best_reward)
     assert decode(space, first_argmax) == best_net
 
 
@@ -303,7 +333,7 @@ def test_drivers_keep_the_first_of_tied_rewards(toy_space):
     """Equal weights and no penalty tie every architecture at reward 0.5."""
     oracle = LinearFeatureOracle({b: 0.5 for b in space_buckets(toy_space)})
     rcfg = RewardConfig(tau=0.0, budget_ms=1.0)
-    assert {rew for *_, rew in reward_iter(toy_space, oracle, CPU, rcfg)} == {0.5}
+    assert {rew for *_, rew in reference_rows(toy_space, oracle, CPU, rcfg)} == {0.5}
     net, rew = exhaustive_best(toy_space, oracle, CPU, rcfg)
     assert (net, rew) == (decode(toy_space, (0, 0, 0)), 0.5)
     first_draw = random_sample(toy_space, np.random.default_rng(3))
@@ -319,27 +349,63 @@ def test_exhaustive_dominant_penalty_returns_budget_exact(toy_space):
     budget = simulate_latency(CPU, target)
     rcfg = RewardConfig(tau=-1e6, budget_ms=budget)
     best_net, _ = exhaustive_best(toy_space, oracle, CPU, rcfg)
-    deviations = [
-        abs(lat / budget - 1.0)
-        for _, _, _, lat, _ in reward_iter(toy_space, oracle, CPU, rcfg)
-    ]
+    deviations = [abs(lat / budget - 1.0)
+                  for _, _, lat, _ in reference_rows(toy_space, oracle, CPU, rcfg)]
     assert abs(simulate_latency(CPU, best_net) / budget - 1.0) == pytest.approx(
         min(deviations), abs=1e-12
     )
 
 
 def test_reward_table_spot_checks(toy_space):
+    """The noiseless score of every vector: the table's cost, and the reference's quality,
+    latency and reward of the decoded network."""
     oracle = LinearFeatureOracle.random_for_space(toy_space, 2)
     budget = resolve_budget(toy_space, CPU, 2)
     rcfg = RewardConfig(tau=-0.3, budget_ms=budget)
-    rows = list(reward_iter(toy_space, oracle, CPU, rcfg))
+    rows = reference_rows(toy_space, oracle, CPU, rcfg)
     assert len(rows) == 112
-    for dv, cost, quality, latency, rew in rows[:: len(rows) // 5][:5]:
-        net = decode(toy_space, dv)
-        assert cost == space_table(toy_space).price(dv)
-        assert quality == oracle.evaluate(cost, None) == linear_score(oracle, net)
-        assert latency == simulate_latency(CPU, net)
-        assert rew == pytest.approx(quality - 0.3 * abs(latency / budget - 1.0))
+    scorer = _Evaluator(toy_space, oracle, CPU)
+    for dv, quality, latency, rew in rows:
+        cost = space_table(toy_space).price(dv)
+        assert scorer.score(dv, rcfg) == (cost, quality, latency, rew)
+        assert latency == simulate_latency(CPU, decode(toy_space, dv))
+        assert rew == reward(quality, latency, rcfg)
+
+
+NOISY_ACCEL = dataclasses.replace(ACCEL, noise_sigma=0.05)
+
+
+@settings(max_examples=40, deadline=None)
+@given(space=spaces(small_menus=True, max_blocks=3), seed=st.integers(0, 2**16))
+def test_noiseless_drivers_pick_what_the_per_network_reference_picks(space, seed):
+    """The exhaustive and random-search bests and the default budget, priced from the
+    table's latency column, against the reference scores of the decoded networks. With
+    more than one block, first layers read ``c_in``-multiplier cells, which toy2 lacks."""
+    assume(space_size(space) <= 1000)  # each vector is scored 6 times by reference, 8 exhaustively
+    records = generate_benchmarks(space, NOISY_ACCEL, 40, np.random.default_rng(seed))
+    model = fit(records, space, ridge_lambda=1e-3)
+    oracles = (CapacityOracle(median_madds(space, seed)),
+               LinearFeatureOracle.random_for_space(space, seed))
+    qualities = [reference_qualities(space, oracle) for oracle in oracles]
+    for source in (CPU, ACCEL, NOISY_ACCEL, model):
+        latencies = reference_latencies(space, source)
+        assume(min(latencies.values()) > 0)  # a fitted model may predict below zero
+        rng = np.random.default_rng([seed, 0xB0])  # the stream resolve_budget draws from
+        budget = float(np.median([latencies[random_sample(space, rng)] for _ in range(16)]))
+        assert resolve_budget(space, source, seed, samples=16) == budget
+        rcfg = RewardConfig(tau=-0.3, budget_ms=budget)
+        rng = np.random.default_rng(seed)
+        draws = [random_sample(space, rng) for _ in range(len(latencies) // 4 + 1)]
+        for oracle, quality in zip(oracles, qualities):
+            def best(vectors):
+                rows = [(dv, reference_reward(quality[dv], latencies[dv], rcfg))
+                        for dv in vectors]
+                dv, rew = first_best(rows)
+                return decode(space, dv), rew
+
+            assert exhaustive_best(space, oracle, source, rcfg) == best(latencies)
+            assert random_search_baseline(space, oracle, source, rcfg, len(draws),
+                                          np.random.default_rng(seed)) == best(draws)
 
 
 def test_exhaustive_cap(toy_space):
