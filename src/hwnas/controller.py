@@ -6,7 +6,8 @@ max_choices)`` array: row ``d`` holds decision ``d``'s logits followed by
 the gradient, Adam and entropy are each a few numpy calls over the whole
 array. The update ascends the score-function gradient of the advantage-
 weighted log-probability, with an exponential moving average of the reward
-as baseline and Adam on the logits, whose second moment is updated in place.
+as baseline and Adam on the logits. The gradient is built in place in a copy
+of its first sample's one-hot rows, and Adam's second moment in place too.
 A sample is its decision vector alone; the update pairs it with its reward.
 One softmax pass per policy fills its ``probs``, ``logp`` and ``exp_logp``
 fields for the gradient, sampling and entropy, and the policy carries the
@@ -198,12 +199,19 @@ def reinforce_gradient(policy: CategoricalPolicy, batch: Sequence[SampleOutcome]
     """Score-function gradient of the mean advantage-weighted log-probability.
 
     Per decision, d log p(chosen) / d logits = onehot(chosen) - probs;
-    padded slots get 0. Samples are added to zeros one at a time, in batch order.
+    padded slots get 0. The sum starts as the first sample's term, built in
+    the copy ``take`` returns (unlike ``0 + term`` it keeps a zero's sign,
+    which moves no logit but a ``-0.0``), adds later samples in batch order
+    and is divided only for a batch of several.
     """
-    grads = np.zeros(policy.logits.shape)
-    for dv, rew in batch:
+    (dv, rew), *rest = batch
+    grads = policy.onehot.take(dv, axis=0)
+    grads -= policy.probs
+    grads *= rew - baseline_value
+    for dv, rew in rest:
         grads += (policy.onehot.take(dv, axis=0) - policy.probs) * (rew - baseline_value)
-    grads /= len(batch)
+    if rest:
+        grads /= len(batch)
     return grads
 
 
@@ -247,8 +255,9 @@ def entropy(policy: CategoricalPolicy) -> float:
     differ by more than the largest float, so a real slot's log-probability
     is ``-inf``, as after a step at a huge learning rate.
     """
-    value = -float(np.add.reduce(policy.exp_logp * np.where(policy.mask, policy.logp, 0.0),
-                                 axis=None))
+    terms = np.multiply(policy.exp_logp, policy.logp, out=np.zeros(policy.logp.shape),
+                        where=policy.mask)
+    value = -float(np.add.reduce(terms, axis=None))
     if not math.isfinite(value):
         raise ValueError(f"entropy is {value}: a decision's logits differ by more than "
                          "the largest float (is lr too large?)")

@@ -32,7 +32,7 @@ import math
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Iterable, NamedTuple, Protocol, Sequence
 
 import numpy as np
 
@@ -201,8 +201,10 @@ class SearchConfig:
             raise ValueError(f"lr must be a finite positive number, got {self.lr}")
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
+    """A step's first sample and its reward, then the baseline and the
+    entropy after the update: a plain tuple, one per step of :func:`run_search`."""
+
     step: int
     dv: DecisionVector
     quality: float
@@ -327,8 +329,8 @@ def run_search(
     baseline = BaselineState()
     records = []
     for step in range(cfg.steps):
+        batch, dv = [], None
         try:
-            batch = []
             first_eval = None
             for _ in range(cfg.samples_per_step):
                 dv = sample(policy, rng)
@@ -339,21 +341,13 @@ def run_search(
             policy = reinforce_step(policy, batch, baseline, adam)
             policy_entropy = entropy(policy)
         except Exception as exc:
-            # a batch short of samples_per_step failed while scoring the latest sample
-            where = f" (decision vector {dv})" if len(batch) < cfg.samples_per_step else ""
+            # name the vector drawn in this step only if it failed while being scored
+            unscored = dv is not None and not (batch and batch[-1][0] is dv)
+            where = f" (decision vector {dv})" if unscored else ""
             raise RuntimeError(f"search aborted at step {step}: {exc}{where}") from exc
         first_dv, first_reward = batch[0]
-        records.append(
-            StepRecord(
-                step=step,
-                dv=first_dv,
-                quality=first_eval[0],
-                latency_ms=first_eval[1],
-                reward=first_reward,
-                baseline=baseline.value,
-                entropy=policy_entropy,
-            )
-        )
+        records.append(StepRecord(step, first_dv, *first_eval, first_reward,
+                                  baseline.value, policy_entropy))
     final_dv, _, final_quality, final_latency, final_reward = _best(
         evaluator, reward_cfg, [most_likely(policy)])
     log = SearchLog(
@@ -469,30 +463,37 @@ def pareto_front(points: Sequence[tuple[float, float]]) -> list[tuple[float, flo
 # Log files (newline-delimited JSON)
 # ---------------------------------------------------------------------------
 
-# A step record as json.dumps writes {"type": "step", **vars(record)}
-_STEP_LINE = ('{"type": "step", "step": %d, "dv": [%s], "quality": %s, "latency_ms": %s, '
-              '"reward": %s, "baseline": %s, "entropy": %s}')
+# A step record as json.dumps writes {"type": "step", **record._asdict()}: the
+# fragment holds the sample's fields, the line the step, baseline and entropy.
+_SAMPLE_FRAGMENT = '"dv": [%s], "quality": %s, "latency_ms": %s, "reward": %s'
+_STEP_LINE = '{"type": "step", "step": %d, %s, "baseline": %s, "entropy": %s}\n'
 
 
 def write_log(log: SearchLog, path: str | Path, meta: dict | None = None) -> None:
-    """One meta record, one record per step, one final record.
+    """One meta record, one record per step, one final record, streamed to ``path``.
 
     The meta record holds the run's settings and ``meta``; the step and final
     records hold a :class:`StepRecord`'s and the ``final_*`` fields, in
     declaration order. Step records are formatted as ``json.dumps`` writes
     them, which holds for finite floats: :func:`run_search` logs no other.
+    Each distinct sample fragment is formatted once, except one that holds a
+    zero: ``0.0 == -0.0`` as a dict key, but the two are written differently.
     """
     record = vars(log)
     head = {"type": "meta", **{k: v for k, v in record.items()
                                if k != "steps" and not k.startswith("final_")}}
     if meta:
         head.update(meta)
-    lines = [json.dumps(head)]
-    number = float.__repr__  # not repr: numpy 2 writes np.float64(0.3) for a float64
-    for rec in log.steps:
-        lines.append(_STEP_LINE % (rec.step, ", ".join(map(_decimal, rec.dv)),
-                                   number(rec.quality), number(rec.latency_ms),
-                                   number(rec.reward), number(rec.baseline), number(rec.entropy)))
     final = {k.removeprefix("final_"): v for k, v in record.items() if k.startswith("final_")}
-    lines.append(json.dumps({"type": "final", **final}))
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    number = float.__repr__  # not repr: numpy 2 writes np.float64(0.3) for a float64
+    fragments = {}
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(json.dumps(head) + "\n")
+        for step, dv, quality, latency, rew, base, ent in log.steps:
+            key = (dv, quality, latency, rew)
+            fragment = fragments.get(key)
+            if fragment is None or not (quality and latency and rew):
+                fragment = fragments[key] = _SAMPLE_FRAGMENT % (
+                    ", ".join(map(_decimal, dv)), number(quality), number(latency), number(rew))
+            out.write(_STEP_LINE % (step, fragment, number(base), number(ent)))
+        out.write(json.dumps({"type": "final", **final}) + "\n")

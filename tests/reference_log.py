@@ -23,7 +23,7 @@ def write_log(log: SearchLog, path: str | Path, meta: dict | None = None) -> Non
         head.update(meta)
     lines = [json.dumps(head)]
     for rec in log.steps:
-        lines.append(json.dumps({"type": "step", **vars(rec)}))
+        lines.append(json.dumps({"type": "step", **rec._asdict()}))
     final = {k.removeprefix("final_"): v for k, v in record.items() if k.startswith("final_")}
     lines.append(json.dumps({"type": "final", **final}))
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")

@@ -264,6 +264,23 @@ def test_padded_slots_never_sampled_or_updated():
     assert most_likely(policy)[0] == 1
 
 
+@pytest.mark.parametrize("samples", [1, 3])
+def test_update_leaves_its_input_policy_unchanged(samples):
+    """The gradient is built in place in the rows ``onehot.take`` returns, which
+    are a copy: the policy an update reads keeps its logits, its softmax pass
+    and the one-hot rows it shares with the updated policy."""
+    policy = policy_of([0.3, -0.5, 1.1], [0.0, 0.2], [-1.0, 0.0, 0.5, 2.0])
+    rng = np.random.default_rng(5)
+    batch = [(sample(policy, rng), 0.5 * k) for k in range(1, samples + 1)]
+    fields = ("logits", "probs", "logp", "exp_logp", "onehot")
+    before = {name: getattr(policy, name).copy() for name in fields}
+    updated = reinforce_step(policy, batch, BaselineState(value=-1.0),
+                             AdamState.for_policy(policy, lr=0.5))
+    assert not np.array_equal(updated.logits, policy.logits)
+    for name in fields:
+        assert np.array_equal(getattr(policy, name), before[name]), name
+
+
 # ---------------------------------------------------------------------------
 # Array policy against the per-decision loop reference (tests/reference_controller.py)
 # ---------------------------------------------------------------------------

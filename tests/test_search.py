@@ -15,7 +15,7 @@ from hypothesis import assume, example, given, settings
 
 from hwnas.analysis import network_cost, space_buckets, space_table
 from hwnas.arch import BUILTIN_LAYOUTS, functional_signature, iter_layers, toy2_layout
-from hwnas.controller import RewardConfig, reward
+from hwnas.controller import RewardConfig, reward, sample
 from hwnas.cost import BUILTIN_DEVICES, LatencyModel, fit, generate_benchmarks, simulate_latency
 from hwnas.search import (
     AblationRow,
@@ -131,9 +131,16 @@ def test_search_reproducible(toy_space):
     assert log_a == log_b
 
 
-def test_pinned_trajectory_toy2(toy_space):
-    """Criterion-4 landscape, seed 0: the final architecture and reward and
-    every step (entropy included) are pinned."""
+def _log_file_digest(log: SearchLog, tmp_path: Path) -> str:
+    """sha256 of the file :func:`write_log` writes for ``log``."""
+    path = tmp_path / "search.ndjson"
+    write_log(log, path)
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def test_pinned_trajectory_toy2(toy_space, tmp_path):
+    """Criterion-4 landscape, seed 0: the final architecture and reward,
+    every step (entropy included) and the bytes of its log file are pinned."""
     oracle = LinearFeatureOracle.random_for_space(toy_space, seed=1)
     budget = resolve_budget(toy_space, CPU, seed=1)
     cfg = SearchConfig(steps=5000, tau=-2.0, budget_ms=budget, seed=0, lr=0.02)
@@ -142,10 +149,13 @@ def test_pinned_trajectory_toy2(toy_space):
     assert log.final_reward == 0.8259119835933514
     digest = hashlib.sha256(repr(log.steps).encode()).hexdigest()
     assert digest == "e5c7439081e134104d244225281331a081e190c56b168301ed9e71c1141bad5d"
+    assert _log_file_digest(log, tmp_path) == (
+        "8eb74651d141632c65bd0efafb21b824c3703c4c66eb614958f5943a169a1f72")
 
 
-def test_pinned_trajectory_default_hash():
-    """The search_default benchmark setting, seed 0: per-architecture noise on both sides."""
+def test_pinned_trajectory_default_hash(tmp_path):
+    """The search_default benchmark setting, seed 0: per-architecture noise on both
+    sides; the steps and the bytes of the log file are pinned."""
     space = build_space("ibn_fused_tucker", "neutral", BUILTIN_LAYOUTS["default"]())
     device = dataclasses.replace(ACCEL, noise_sigma=0.01)
     oracle = CapacityOracle(median_madds(space, 0), noise_sigma=0.01)
@@ -157,6 +167,8 @@ def test_pinned_trajectory_default_hash():
     assert log.final_reward == -0.06426783665271796
     digest = hashlib.sha256(repr(log.steps).encode()).hexdigest()
     assert digest == "bd129a63697b19018f07a62059ab992449d83c481e9f16c844081f00d7d07246"
+    assert _log_file_digest(log, tmp_path) == (
+        "e95de2107cf2352684a57c8786ac426a019c6ac87b9ea13ba4747aec11268103")
 
 
 def test_pinned_trajectory_default_heavy_simulator_noise():
@@ -295,6 +307,28 @@ def test_search_aborts_with_step_index(toy_space):
         named = re.search(r" \(decision vector \(([\d, ]+)\)\)$", str(err.value))
         dv = tuple(int(i) for i in named.group(1).split(","))
         assert space_table(toy_space).price(dv) == oracle.failed_on
+
+
+@pytest.mark.parametrize("failing_step", [0, 2])
+def test_search_abort_in_sample_names_no_vector(toy_space, monkeypatch, failing_step):
+    """A draw that fails has no vector to name, not even the previous step's."""
+    import hwnas.search as search_module
+
+    draws = 0
+
+    def failing_sample(policy, rng):
+        nonlocal draws
+        draws += 1
+        if draws > failing_step:
+            raise ValueError("sampler down")
+        return sample(policy, rng)
+
+    monkeypatch.setattr(search_module, "sample", failing_sample)
+    cfg = SearchConfig(steps=5, seed=0, budget_ms=1.0)
+    oracle = CapacityOracle(scale_madds=median_madds(toy_space, 0))
+    with pytest.raises(RuntimeError) as err:
+        run_search(toy_space, oracle, CPU, cfg)
+    assert str(err.value) == f"search aborted at step {failing_step}: sampler down"
 
 
 def test_search_with_huge_lr_aborts_naming_the_cause(toy_space):
@@ -553,27 +587,48 @@ def test_write_log(tmp_path, toy_space):
 
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 NUMBERS = FINITE | FINITE.map(np.float64)  # oracles may return numpy floats
+SIGNED_ZEROS = [0.0, -0.0, np.float64(0.0), np.float64(-0.0)]  # equal as keys, not as text
 
 
 @st.composite
 def search_logs(draw) -> SearchLog:
+    """Logs whose steps repeat samples: vectors come from a pool of three and
+    numbers from a few drawn values and the signed zeros, so ``write_log``'s
+    fragment memo both hits and meets zeros of either sign under one key."""
     vectors = st.lists(st.integers(0, 2**70), max_size=30).map(tuple)
-    steps = draw(st.lists(st.builds(StepRecord, st.integers(0, 10**6), vectors, *[NUMBERS] * 5),
-                          max_size=8))
+    pool = st.sampled_from(draw(st.lists(vectors, min_size=3, max_size=3)))
+    numbers = st.sampled_from(draw(st.lists(NUMBERS, min_size=1, max_size=3)) + SIGNED_ZEROS)
+    steps = draw(st.lists(st.builds(StepRecord, st.integers(0, 10**6), pool, *[numbers] * 5),
+                          max_size=12))
     return SearchLog(draw(st.integers(0, 2**32)), draw(FINITE), draw(FINITE), "capacity",
                      "simulator:accel_sim", tuple(steps), draw(vectors),
                      *[draw(FINITE) for _ in range(3)])
+
+
+def _assert_writes_as_reference(log: SearchLog) -> list[str]:
+    """``write_log`` and the dict writer write the same bytes; returns the lines."""
+    with tempfile.TemporaryDirectory() as tmp:
+        write_log(log, Path(tmp) / "log.ndjson", meta={"tool": "test"})
+        reference_log.write_log(log, Path(tmp) / "reference.ndjson", meta={"tool": "test"})
+        written = (Path(tmp) / "log.ndjson").read_text(encoding="utf-8")
+        assert written == (Path(tmp) / "reference.ndjson").read_text(encoding="utf-8")
+    return written.splitlines()
 
 
 @settings(max_examples=300, deadline=None)
 @given(log=search_logs())
 def test_write_log_writes_what_the_dict_writer_wrote(log):
     """Every line, step records included, byte for byte as json.dumps of the record's dict."""
-    with tempfile.TemporaryDirectory() as tmp:
-        write_log(log, Path(tmp) / "log.ndjson", meta={"tool": "test"})
-        reference_log.write_log(log, Path(tmp) / "reference.ndjson", meta={"tool": "test"})
-        assert (Path(tmp) / "log.ndjson").read_bytes() == (
-            Path(tmp) / "reference.ndjson").read_bytes()
+    _assert_writes_as_reference(log)
+
+
+def test_write_log_keeps_the_sign_of_a_repeated_zero():
+    """One vector logged with quality 0.0, then -0.0: the keys are equal, the lines are not."""
+    steps = (StepRecord(0, (1, 2), 0.0, 1.5, 0.25, 0.5, 1.0),
+             StepRecord(1, (1, 2), -0.0, 1.5, 0.25, 0.5, 1.0))
+    log = SearchLog(0, 2.0, -0.3, "capacity", "simulator:accel_sim", steps, (1, 2), 0.5, 1.5, 0.25)
+    lines = _assert_writes_as_reference(log)
+    assert '"quality": 0.0,' in lines[1] and '"quality": -0.0,' in lines[2]
 
 
 def test_capacity_oracle_properties(toy_space):
