@@ -51,9 +51,10 @@ layout. :meth:`SpaceTable.price` then looks each position up by its decision
 indices and returns exactly ``network_cost(decode(space, dv))``, with no
 decode, validation or hashing of a network. That needs no validation
 because every decision vector of a built space decodes to a valid network
-(see :func:`~hwnas.space.build_space`). :meth:`SpaceTable.latencies` pairs
-each entry with the latency addends a source gives its layer, once per
-(table, source).
+(see :func:`~hwnas.space.build_space`). :meth:`SpaceTable.latencies` is the
+one lookup that prices a decision vector for a source, from each entry stored
+with its layer's latency addends once per (table, source); no other module
+reads the table's cells.
 """
 
 from __future__ import annotations
@@ -62,7 +63,7 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from operator import itemgetter
-from typing import NamedTuple
+from typing import Callable, NamedTuple
 
 from .arch import (
     IMAGE_CHANNELS,
@@ -265,12 +266,17 @@ class SpaceTable:
                 self._positions.append((itemgetter(kind_at, *reads, mult_at), cells))
 
     @lru_cache(maxsize=8)  # per (table, source): a search reads one
-    def latencies(self, source) -> tuple[tuple, list[tuple[itemgetter, dict]]]:
-        """The table with each entry as a (cost, ``source.addends(cost)``) pair: the stem's
-        pair, then each position's getter and pairs."""
-        return (self._stem, source.addends(self._stem)), [
-            (at, {key: (cost, source.addends(cost)) for key, cost in cells.items()})
-            for at, cells in self._positions]
+    def latencies(self, source) -> Callable[[DecisionVector], tuple[ArchCost, tuple]]:
+        """The latency column for ``source``: a lookup from a valid decision vector to its
+        costs and each layer's ``source.addends``, stem first, one lookup per position."""
+        stem = (self._stem, source.addends(self._stem))
+        positions = [(at, {key: (cost, source.addends(cost)) for key, cost in cells.items()})
+                     for at, cells in self._positions]
+
+        def lookup(dv: DecisionVector) -> tuple[ArchCost, tuple]:
+            layers, addends = zip(stem, *[cells[at(dv)] for at, cells in positions])
+            return ArchCost(layers), addends
+        return lookup
 
     def price(self, dv: DecisionVector) -> ArchCost:
         """Costs of ``decode(space, dv)``; a bad vector raises decode's ``IndexError``. Trusts

@@ -175,7 +175,7 @@ def _write_csv(path: str | None, header: list[str], rows: list[list],
     buf = io.StringIO()
     for line in _meta_lines(seed):
         buf.write(f"# {line}\n")
-    writer = csv.writer(buf)
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(header)
     writer.writerows(rows)
     Path(path).write_text(buf.getvalue(), encoding="utf-8")
@@ -392,15 +392,27 @@ def _make_oracle(args, space, seed: int):
     return CapacityOracle(scale_madds=median_madds(space, seed), noise_sigma=args.oracle_noise)
 
 
-def _add_oracle_args(parser: argparse.ArgumentParser) -> None:
+def _add_search_args(parser: argparse.ArgumentParser) -> None:
+    """The space, oracle and latency flags ``search run`` and ``search exhaustive`` share."""
+    _add_space_args(parser)
     parser.add_argument("--oracle", choices=("capacity", "linear"), default="capacity")
     parser.add_argument("--oracle-noise", type=_nonnegative, default=0.0)
+    parser.add_argument("--device", type=_path, default="cpu_sim")
+    parser.add_argument("--model", type=_path, help="fitted latency model (overrides --device)")
+    parser.add_argument("--budget", type=_budget_ms, help="latency budget in ms (default: median)")
+    parser.add_argument("--tau", type=_tau, default=-0.3)
+    parser.add_argument("--seed", type=_seed, default=0)
+    parser.add_argument("--best", type=_path, help="write the architecture found here")
+
+
+def _resolve_search(args) -> tuple:
+    """(space, enumeration cap, latency source, oracle) of a search command."""
+    space, cap = _resolve_space(args)
+    return space, cap, _resolve_source(args, space), _make_oracle(args, space, args.seed)
 
 
 def cmd_search_run(args) -> int:
-    space, _ = _resolve_space(args)
-    source = _resolve_source(args, space)
-    oracle = _make_oracle(args, space, args.seed)
+    space, _, source, oracle = _resolve_search(args)
     cfg = SearchConfig(
         steps=args.steps,
         samples_per_step=args.samples_per_step,
@@ -449,9 +461,7 @@ def cmd_search_ablation(args) -> int:
 
 
 def cmd_search_exhaustive(args) -> int:
-    space, cap = _resolve_space(args)
-    source = _resolve_source(args, space)
-    oracle = _make_oracle(args, space, args.seed)
+    space, cap, source, oracle = _resolve_search(args)
     with _naming(args.model, ValueError):  # an unknown bucket or a latency below zero
         budget = args.budget if args.budget else resolve_budget(space, source, args.seed)
         reward_cfg = RewardConfig(tau=args.tau, budget_ms=budget)
@@ -535,30 +545,16 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser("search", help="controller, exhaustive and ablation runs")
     search_sub = p_search.add_subparsers(dest="subcommand", required=True)
     p = search_sub.add_parser("run")
-    _add_space_args(p)
-    _add_oracle_args(p)
-    p.add_argument("--device", type=_path, default="cpu_sim")
-    p.add_argument("--model", type=_path, help="fitted latency model (overrides --device)")
-    p.add_argument("--budget", type=_budget_ms, help="latency budget in ms (default: median)")
-    p.add_argument("--tau", type=_tau, default=-0.3)
+    _add_search_args(p)
     p.add_argument("--steps", type=_count, default=5000)
     p.add_argument("--samples-per-step", type=_count, default=1)
     p.add_argument("--lr", type=_lr, default=SearchConfig.lr, help="controller Adam step size")
-    p.add_argument("--seed", type=_seed, default=0)
     p.add_argument("--log", type=_path, required=True, help="search log path (ndjson)")
-    p.add_argument("--best", type=_path, help="write the final architecture here")
     p.add_argument("--dot", type=_path, help="write the final architecture's DOT here")
     p.add_argument("--svg", type=_path, help="write a reward/latency scatter here")
     p.set_defaults(func=cmd_search_run)
     p = search_sub.add_parser("exhaustive")
-    _add_space_args(p)
-    _add_oracle_args(p)
-    p.add_argument("--device", type=_path, default="cpu_sim")
-    p.add_argument("--model", type=_path, help="fitted latency model (overrides --device)")
-    p.add_argument("--budget", type=_budget_ms)
-    p.add_argument("--tau", type=_tau, default=-0.3)
-    p.add_argument("--seed", type=_seed, default=0)
-    p.add_argument("--best", type=_path, help="write the best architecture here")
+    _add_search_args(p)
     p.set_defaults(func=cmd_search_exhaustive)
     p = search_sub.add_parser("ablation")
     p.add_argument("--layout", type=_path, default="toy2")

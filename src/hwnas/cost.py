@@ -22,14 +22,14 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable
+from typing import Sequence
 
 import numpy as np
 
 from .arch import (NetworkSpec, ParseError, _as_list, _as_num, _as_str, _require, load_file,
                    parse_json, save_file)
-from .analysis import (OP_CLASSES, ArchCost, LayerCost, Units, network_cost, network_units,
-                       space_buckets, space_table)
+from .analysis import (OP_CLASSES, ArchCost, LayerCost, Units, network_cost, space_buckets,
+                       space_table)
 from .space import DecisionVector, SpaceSpec, random_sample, decode
 
 
@@ -108,20 +108,16 @@ BUILTIN_DEVICES = {
 }
 
 
-def simulate_groups(
-    device: DeviceSimulator,
-    groups: tuple[Units, ...],
-    rng: np.random.Generator | None = None,
-) -> float:
+def simulate_groups(device: DeviceSimulator, groups: tuple[Units, ...],
+                    rng: np.random.Generator | None = None) -> float:
     """Price conv units grouped per layer, as :func:`total_latency` does."""
-    return total_latency(device, len(groups), map(device.rated, groups), rng)
+    return total_latency(device, [device.rated(units) for units in groups], rng)
 
 
-def simulate_latency(
-    device: DeviceSimulator, net: NetworkSpec, rng: np.random.Generator | None = None
-) -> float:
+def simulate_latency(device: DeviceSimulator, net: NetworkSpec,
+                     rng: np.random.Generator | None = None) -> float:
     """Simulated latency of a whole network (stem included), in ms."""
-    return simulate_groups(device, network_units(net), rng)
+    return latency_of(device, network_cost(net), rng)
 
 
 @dataclass(frozen=True)
@@ -148,18 +144,17 @@ def generate_benchmarks(
 ) -> list[BenchmarkRecord]:
     """Benchmark ``n`` uniformly sampled architectures on a simulated device.
 
-    Each latency is priced from the space's unit table; the vector is decoded
-    once, for the record's network.
+    Each is priced by the latency column of the space's unit table, as a
+    search prices its samples; the vector is decoded once, for its network.
     """
     if n < 1:
         raise ValueError(f"need at least one benchmark, got n={n}")
-    table = space_table(space)
-    records = []
+    lookup, records = space_table(space).latencies(device), []
     for _ in range(n):
         dv = random_sample(space, rng)
-        cost = table.price(dv)
-        latency = latency_of(device, cost, rng)
-        records.append(BenchmarkRecord(decode(space, dv), latency, cost, dv))
+        cost, addends = lookup(dv)
+        records.append(BenchmarkRecord(decode(space, dv), total_latency(device, addends, rng),
+                                       cost, dv))
     return records
 
 
@@ -198,14 +193,14 @@ class LatencyModel:
 LatencySource = DeviceSimulator | LatencyModel
 
 
-def total_latency(source: LatencySource, layers: int, addends: Iterable[tuple[float, ...]],
+def total_latency(source: LatencySource, addends: Sequence[tuple[float, ...]],
                   rng: np.random.Generator | None = None) -> float:
-    """Latency in ms of ``layers`` layers: a simulator's overhead per layer or a model's
-    intercept, plus their addends in layer order. With ``rng`` a simulator then scales it
-    by ``1 + eps``, ``eps ~ Normal(0, noise_sigma)``, redrawn while ``1 + eps <= 0`` so
-    latencies stay positive (a positive first draw is kept as it is)."""
+    """Latency in ms of the layers ``addends`` holds a tuple of addends for: a simulator's
+    overhead per layer or a model's intercept, plus the addends in layer order. With ``rng``
+    a simulator then scales it by ``1 + eps``, ``eps ~ Normal(0, noise_sigma)``, redrawn while
+    ``1 + eps <= 0`` so latencies stay positive (a positive first draw is kept as it is)."""
     simulator = isinstance(source, DeviceSimulator)
-    total = source.overhead_ms * layers if simulator else source.intercept
+    total = source.overhead_ms * len(addends) if simulator else source.intercept
     for terms in addends:
         for term in terms:
             total += term
@@ -217,11 +212,10 @@ def total_latency(source: LatencySource, layers: int, addends: Iterable[tuple[fl
     return total
 
 
-def latency_of(
-    source: LatencySource, cost: ArchCost, rng: np.random.Generator | None = None
-) -> float:
+def latency_of(source: LatencySource, cost: ArchCost,
+               rng: np.random.Generator | None = None) -> float:
     """Latency in ms from either a simulator (noisy) or a fitted model."""
-    return total_latency(source, len(cost.layers), map(source.addends, cost.layers), rng)
+    return total_latency(source, [source.addends(layer) for layer in cost.layers], rng)
 
 
 def _design(
@@ -501,7 +495,7 @@ def save_benchmarks(
     with csv_path.open("w", newline="", encoding="utf-8") as fh:
         for line in meta_lines or []:
             fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(BENCH_FIELDS)
         for i, record in enumerate(records):
             name = f"arch_{i:0{width}d}.json"
@@ -537,7 +531,8 @@ def load_benchmarks(
     Vector rows are priced from the unit table of ``space`` without opening
     their architecture files, and the CSV's ``# space:`` line must carry the
     digest of ``space`` (:func:`check_space`). Rows with an empty vector,
-    and two-column files, read their architecture files.
+    and two-column files, read their architecture files, whose feature
+    buckets must all be buckets of ``space``.
     """
     csv_path = Path(csv_path)
     declared, rows = None, []
@@ -553,7 +548,7 @@ def load_benchmarks(
         raise ValueError(f"{csv_path}: expected header arch_file,latency_ms[,vector]")
     if any(len(row) == len(header) == 3 and row[2] for _, row in rows[1:]):
         check_space(declared, space, space_ref, f"{csv_path}: its vectors are from")
-    table, records = space_table(space), []
+    table, records, known = space_table(space), [], set(space_buckets(space))
     for line, row in rows[1:]:
         if len(row) != len(header):
             raise ParseError(f"{csv_path}, line {line}: expected the fields {','.join(header)}, "
@@ -573,6 +568,10 @@ def load_benchmarks(
                 ref = csv_path.parent / ref
             net = load_file(ref, f"{csv_path}, line {line}: {ref}")
             dv, cost = None, network_cost(net)
+            outside = next((layer.key for layer in cost.layers if layer.key not in known), None)
+            if outside is not None:
+                raise ParseError(f"{csv_path}, line {line}: {ref}: feature bucket {outside} "
+                                 "is not in the space")
         try:
             records.append(BenchmarkRecord(net, float(row[1]), cost, dv))
         except ValueError as exc:

@@ -4,12 +4,12 @@ Quality evaluation is abstracted behind an oracle interface so the driver can
 run against synthetic stand-ins at desk scale. Latency comes either from a
 device simulator or from a fitted linear model.
 
-Pricing: every driver prices a decision vector from the latency column of
-the space's unit table for its source
-(:meth:`~hwnas.analysis.SpaceTable.latencies`): one lookup per layer
-position gives the layer's cost and its latency addends, the oracle scores
-the costs, and the addends are summed in layer order as
-:func:`~hwnas.cost.latency_of` sums them, so both give the same bits. A
+Pricing: every driver prices a decision vector, as ``bench generate``
+does, with the lookup of the latency column of the space's unit table for
+its source (:meth:`~hwnas.analysis.SpaceTable.latencies`). It gives the
+vector's costs, which the oracle scores, and each layer's latency addends,
+which :func:`~hwnas.cost.total_latency` sums in layer order, as
+:func:`~hwnas.cost.latency_of` sums a network's, so both give the same bits. A
 search memoizes its noisy evaluations; the exhaustive and random
 baselines, the ablation, the default budget and a search's final network
 are scored noiselessly, and every best is the first maximizer of one loop.
@@ -160,8 +160,9 @@ def _uniform_draws(space: SpaceSpec, seed: int, samples: int) -> list[DecisionVe
 def resolve_budget(space: SpaceSpec, source: LatencySource, seed: int,
                    samples: int = 256) -> float:
     """Median noiseless latency over uniform samples; the default budget."""
-    latency = _Evaluator(space, None, source).noiseless_latency
-    budget = float(np.median([latency(dv) for dv in _uniform_draws(space, seed, samples)]))
+    lookup = space_table(space).latencies(source)
+    budget = float(np.median([total_latency(source, lookup(dv)[1])
+                              for dv in _uniform_draws(space, seed, samples)]))
     if not budget > 0:  # a fitted model is linear and may predict below zero
         raise ValueError(f"{_source_name(source)}: the median latency of {samples} uniform "
                          f"samples is {budget} ms, not a budget; give one with --budget")
@@ -245,7 +246,7 @@ class _Evaluator:
                  seed: int = 0):
         self.oracle = oracle
         self.source = source
-        self._stem, self._positions = space_table(space).latencies(source)
+        self._lookup = space_table(space).latencies(source)
         # Re-key one PCG64 per architecture: its 128-bit state is (run key,
         # arch_hash) under a per-run odd increment. Setting a state costs
         # about a tenth of seeding a new generator on every cache miss.
@@ -263,20 +264,11 @@ class _Evaluator:
         }
         return self._arch_rng
 
-    def _lookup(self, dv: DecisionVector) -> tuple[ArchCost, tuple]:
-        """The cost and each layer's latency addends: one lookup per position gives both."""
-        layers, addends = zip(self._stem, *[cells[at(dv)] for at, cells in self._positions])
-        return ArchCost(layers), addends
-
-    def noiseless_latency(self, dv: DecisionVector) -> float:
-        _, addends = self._lookup(dv)
-        return total_latency(self.source, len(addends), addends)
-
     def score(self, dv: DecisionVector, reward_cfg: RewardConfig) -> tuple:
         """The noiseless (cost, quality, latency, reward)."""
         cost, addends = self._lookup(dv)
         quality = self.oracle.evaluate(cost, None)
-        latency = total_latency(self.source, len(addends), addends)
+        latency = total_latency(self.source, addends)
         return cost, quality, latency, reward(quality, latency, reward_cfg)
 
     def evaluate(self, dv: DecisionVector) -> tuple[float, float]:
@@ -287,7 +279,7 @@ class _Evaluator:
         rng = self._keyed_rng(arch_hash(dv))
         cost, addends = self._lookup(dv)
         quality = self.oracle.evaluate(cost, rng)
-        latency = total_latency(self.source, len(addends), addends, rng)
+        latency = total_latency(self.source, addends, rng)
         self._cache[dv] = (quality, latency)
         return quality, latency
 
@@ -317,6 +309,8 @@ def run_search(
     reward and applies one policy-gradient update. Fully reproducible per
     seed. Final metrics are evaluated noiselessly.
     """
+    if not space.decisions:  # a layout with no blocks: one architecture and no policy
+        raise ValueError("the space has no decisions, so there is nothing to search")
     budget = cfg.budget_ms
     if budget is None:
         budget = resolve_budget(space, latency_source, cfg.seed)

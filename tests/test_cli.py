@@ -501,6 +501,24 @@ def test_cost_fit_rejects_vectors_from_another_space(tmp_path, capsys):
                    f"not {space_line(tucker, 'ibn_fused_tucker/neutral/toy2')[7:]}\n")
 
 
+def test_cost_fit_names_the_row_of_an_architecture_outside_the_space(tmp_path, capsys):
+    """A two-column row is read from its architecture file, whose buckets the
+    space must hold: a ``toy2`` network read on ``default`` fails on its stem."""
+    bench, two_column = tmp_path / "bench.csv", tmp_path / "two_column.csv"
+    code, _, _ = run(["bench", "generate", "--layout", "toy2", "-n", "5", "-o", str(bench)],
+                     capsys)
+    assert code == 0
+    lines = [",".join(line.split(",")[:2]) for line in bench.read_text().splitlines()]
+    two_column.write_text("".join(line + "\n" for line in lines))
+    first = next(i for i, line in enumerate(lines, 1) if line.startswith("bench_archs"))
+    code, _, err = run(["cost", "fit", "--layout", "default", "--bench", str(two_column),
+                        "-o", str(tmp_path / "model.json")], capsys)
+    assert (code, err) == (1, f"error: ParseError: {two_column}, line {first}: "
+                              f"{tmp_path / 'bench_archs' / 'arch_00000.json'}: "
+                              "feature bucket stem|3|40 is not in the space\n")
+    assert not (tmp_path / "model.json").exists()
+
+
 def test_cost_fit_knows_a_space_file_by_its_content(tmp_path, capsys, monkeypatch):
     """The same space file named another way is accepted; one edited in place
     after ``bench generate`` (same vector length, other atoms) is not."""
@@ -641,6 +659,38 @@ def test_decomp_demo(tmp_path, capsys):
     assert rows[0] == ["rank_in", "rank_out", "rel_error", "madds_ratio"]
     assert len(rows) == 17  # header + 4x4 rank grid
     assert float(rows[-1][2]) <= 1e-10
+
+
+def test_written_csv_files_end_every_line_in_a_newline(tmp_path, capsys):
+    """Comment lines and rows alike end in ``\\n``, never ``\\r\\n``."""
+    _, arch = write_arch(tmp_path)
+    kernel = tmp_path / "kernel.bin"
+    save_kernel(np.random.default_rng(0).standard_normal((3, 3, 4, 4)), kernel)
+    commands = {
+        "enumerate.csv": ["space", "enumerate", "--layout", "toy2"],
+        "analyze.csv": ["analyze", "--arch", str(arch)],
+        "ablation.csv": ["search", "ablation", "--layout", "toy2", "--variants", "ibn"],
+        "demo.csv": ["decomp", "demo", "--kernel", str(kernel)],
+        "bench.csv": ["bench", "generate", "--layout", "toy2", "-n", "3"],
+    }
+    for name, argv in commands.items():
+        code, _, err = run([*argv, "-o", str(tmp_path / name)], capsys)
+        assert code == 0, err
+        data = (tmp_path / name).read_bytes()
+        assert data.count(b"\n") > 2 and b"\r" not in data, name
+
+
+def test_search_run_on_a_layout_with_no_blocks_has_nothing_to_search(tmp_path, capsys):
+    """Such a layout is valid and holds one architecture, but gives the controller no
+    decision to learn; the run stops before its budget, and writes no log."""
+    layout, log = tmp_path / "empty.json", tmp_path / "run.ndjson"
+    layout.write_text('{"input_resolution": 32, "stem_channels": 40, "blocks": []}')
+    code, out, _ = run(["space", "size", "--layout", str(layout)], capsys)
+    assert (code, out) == (0, "1\n")
+    code, _, err = run(["search", "run", "--layout", str(layout), "--log", str(log)], capsys)
+    assert (code, err) == (1, "error: ValueError: the space has no decisions, so there is "
+                              "nothing to search\n")
+    assert not log.exists()
 
 
 def test_missing_file_is_one_line_error(tmp_path, capsys):

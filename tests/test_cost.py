@@ -1,6 +1,7 @@
 """Device simulators and the linear latency model."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import tracemalloc
@@ -189,6 +190,16 @@ def test_generate_benchmarks_matches_decoded_simulation(layout):
         net = decode(space, random_sample(space, rng))
         assert record.net == net
         assert record.latency_ms == simulate_latency(dev, net, rng)
+
+
+def test_generate_benchmarks_latencies_are_pinned():
+    """300 ``default`` records with a per-layer overhead and noise: the overhead is
+    charged once per layer, so the pin checks the layer count as well as the draws."""
+    space = build_space("ibn_fused_tucker", "neutral", BUILTIN_LAYOUTS["default"]())
+    dev = dataclasses.replace(BUILTIN_DEVICES["accel_sim"], overhead_ms=0.5, noise_sigma=0.01)
+    records = generate_benchmarks(space, dev, 300, np.random.default_rng(4))
+    assert hashlib.sha256(repr([r.latency_ms for r in records]).encode()).hexdigest() == (
+        "e019c181f7da80324d5da58c2824c67ca32d4ed1b58c94736757b602c4e28fbe")
 
 
 def test_generate_benchmarks_reproducible(toy_space):
