@@ -27,7 +27,7 @@ from . import __version__
 from .arch import (BUILTIN_LAYOUTS, IMAGE_CHANNELS, STEM_KERNEL, STEM_STRIDE, derive_shapes,
                    export_dot, iter_layers, load_file, save_file)
 from .analysis import network_cost
-from .controller import RewardConfig
+from .controller import LatencyError, RewardConfig
 from .cost import (
     BUILTIN_DEVICES,
     UnknownBucketError,
@@ -128,13 +128,15 @@ def _path(text: str) -> str:
 
 
 @contextmanager
-def _naming(path: str | None, kind: type[Exception]):
-    """Prefix ``path``, when there is one, to the message of a ``kind`` error raised inside."""
+def _naming(model: str | None):
+    """Prefix the ``model`` file to its errors: a bucket it lacks, a latency or budget <= 0."""
     try:
         yield
-    except kind as exc:
-        exc.args = (f"{path}: {exc}",) if path else exc.args
+    except UnknownBucketError as exc:
+        exc.args = (f"{model}: {exc}",) if model else exc.args
         raise
+    except LatencyError as exc:  # a latency or budget, reported as the ValueError it is
+        raise ValueError(f"{model}: {exc}" if model else str(exc)) from exc
 
 
 def _add_space_args(parser: argparse.ArgumentParser) -> None:
@@ -317,7 +319,7 @@ def cmd_cost_fit(args) -> int:
 def cmd_cost_eval(args) -> int:
     model = load_model(args.model)
     net = load_file(args.arch)
-    with _naming(args.model, UnknownBucketError):  # a layer the model never saw
+    with _naming(args.model):  # a layer the model never saw
         print(f"{predict(model, network_cost(net)):.6f}")
     return 0
 
@@ -421,7 +423,7 @@ def cmd_search_run(args) -> int:
         seed=args.seed,
         lr=args.lr,
     )
-    with _naming(args.model, ValueError):  # an unknown bucket or a latency below zero
+    with _naming(args.model):
         net, log = run_search(space, oracle, source, cfg)
     write_log(log, args.log, meta=_meta_dict(args.seed))
     if args.best:
@@ -462,7 +464,7 @@ def cmd_search_ablation(args) -> int:
 
 def cmd_search_exhaustive(args) -> int:
     space, cap, source, oracle = _resolve_search(args)
-    with _naming(args.model, ValueError):  # an unknown bucket or a latency below zero
+    with _naming(args.model):
         budget = args.budget if args.budget else resolve_budget(space, source, args.seed)
         reward_cfg = RewardConfig(tau=args.tau, budget_ms=budget)
         net, rew = exhaustive_best(space, oracle, source, reward_cfg, cap)

@@ -1,18 +1,17 @@
 """Categorical policy, latency-penalized reward and REINFORCE with Adam.
 
-The policy holds the logits of every decision in one ``(decisions x
-max_choices)`` array: row ``d`` holds decision ``d``'s logits followed by
-``-inf`` padding, so padded slots get probability exactly 0 and sampling,
-the gradient, Adam and entropy are each a few numpy calls over the whole
-array. The update ascends the score-function gradient of the advantage-
-weighted log-probability, with an exponential moving average of the reward
-as baseline and Adam on the logits. The gradient is built in place in a copy
-of its first sample's one-hot rows, and Adam's second moment in place too.
-A sample is its decision vector alone; the update pairs it with its reward.
-One softmax pass per policy fills its ``probs``, ``logp`` and ``exp_logp``
-fields for the gradient, sampling and entropy, and the policy carries the
-index arrays they gather with. Logits are validated when built; an update
-keeps the padding and its pass checks rows stay finite.
+The policy holds the logits of every decision in one ``(decisions x max_choices)``
+array: row ``d`` holds decision ``d``'s logits followed by ``-inf`` padding, so padded
+slots get probability exactly 0 and sampling, the gradient, Adam and entropy are each a
+few numpy calls over the whole array. The update ascends the score-function gradient of
+the advantage-weighted log-probability, with an exponential moving average of the
+reward as baseline and Adam on the logits. The gradient is built in place in a copy of
+its first sample's one-hot rows, and Adam's second moment in place too. A sample is its
+decision vector alone; the update pairs it with its reward. One softmax pass per policy
+writes its ``probs``, ``logp`` and ``exp_logp`` fields straight into the policy's
+``__dict__`` for the gradient, sampling and entropy; the policy carries the index arrays
+they gather with and the buffer entropy fills. Logits are validated when built; an
+update keeps the padding and its pass checks rows stay finite.
 """
 
 from __future__ import annotations
@@ -37,14 +36,18 @@ BASELINE_DECAY = 0.9
 MAX_REWARD = 1e150  # keeps Adam's squared gradients, up to (2e150)^2, and v / (1 - beta2^t) finite
 
 
+class LatencyError(ValueError):
+    """A latency or budget at or below zero: a fitted model may price one, a device never."""
+
+
 @dataclass(frozen=True)
 class CategoricalPolicy:
     """Padded logits, one row per decision; probabilities are softmax per row.
 
-    Each row holds at least one finite logit followed by ``-inf`` padding.
-    ``mask`` marks the real slots and ``last`` each row's last one; ``rows``
-    is the column of decision indices and ``onehot`` an identity row per choice.
-    ``probs``, ``logp`` and ``exp_logp`` hold the softmax pass's outputs.
+    Each row holds at least one finite logit followed by ``-inf`` padding. ``mask`` marks the
+    real slots and ``last`` each row's last one; ``rows`` holds each slot's decision index and
+    ``onehot`` an identity row per choice. ``probs``, ``logp`` and ``exp_logp`` hold the softmax
+    pass's outputs, and ``terms`` is :func:`entropy`'s buffer, shared by later updates.
     """
 
     logits: np.ndarray
@@ -55,6 +58,7 @@ class CategoricalPolicy:
     probs: np.ndarray = field(init=False, repr=False, compare=False)
     logp: np.ndarray = field(init=False, repr=False, compare=False)
     exp_logp: np.ndarray = field(init=False, repr=False, compare=False)
+    terms: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         logits = self.logits
@@ -68,8 +72,9 @@ class CategoricalPolicy:
                              "finite, followed only by -inf padding")
         onehot = np.eye(logits.shape[1])
         self.__dict__.update(mask=mask, last=onehot[mask.sum(axis=1) - 1] == 1,
-                             rows=np.arange(len(logits))[:, None], onehot=onehot)
-        self.__dict__.update(_softmax_pass(logits, self))
+                             rows=np.indices(logits.shape)[0], onehot=onehot,
+                             terms=np.zeros(logits.shape))
+        _softmax_pass(self)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence[float]]) -> "CategoricalPolicy":
@@ -87,31 +92,33 @@ class CategoricalPolicy:
     def _trusted(cls, logits: np.ndarray, like: "CategoricalPolicy") -> "CategoricalPolicy":
         """Wrap logits padded as ``like``'s, checking only that rows are finite."""
         policy = object.__new__(cls)
-        policy.__dict__.update(like.__dict__, logits=logits, **_softmax_pass(logits, like))
-        return policy
+        policy.__dict__.update(like.__dict__, logits=logits)
+        return _softmax_pass(policy)
 
 
-def _softmax_pass(logits: np.ndarray, like: CategoricalPolicy) -> dict[str, np.ndarray]:
-    """The policy's one softmax pass: ``probs`` (exp / row sum), ``logp``
-    (log-softmax, ``-inf`` in padded slots) and ``exp_logp`` (its exp).
+def _softmax_pass(policy: CategoricalPolicy) -> CategoricalPolicy:
+    """The policy's one softmax pass, written into its ``__dict__``: ``probs`` (exp / row
+    sum), ``logp`` (log-softmax, ``-inf`` in padded slots) and ``exp_logp`` (its exp).
 
-    The gradient reads ``probs``, sampling's CDF and entropy ``exp_logp``; the
-    two differ in the last bit. The row max is read at the argmax (cheaper than a
-    max reduction); a row whose max is not finite raises. numpy sums a vector
-    sequentially below 8 elements and pairwise from 8, so a plain sum over a
-    padded row would add in another order than a sum over the decision's own
-    choices; the masked sum adds each row's real slots as such a vector would.
+    The gradient reads ``probs``, sampling's CDF and entropy ``exp_logp``; the two differ in
+    the last bit. The row max is read at the argmax (cheaper than a max reduction); a row whose
+    max is not finite raises. The max and the row sums are spread to every slot by ``rows``, as
+    broadcasting a column costs about as much as the op it feeds. numpy sums a vector
+    sequentially below 8 elements and pairwise from 8, so a plain sum over a padded row would
+    add in another order than a sum over the decision's own choices; the masked sum adds each
+    row's real slots as such a vector would.
     """
-    rowmax = logits[like.rows, logits.argmax(axis=1, keepdims=True)]
-    finite = list(map(math.isfinite, rowmax.ravel().tolist()))
-    if not all(finite):
-        raise ValueError(f"decision {finite.index(False)}: logits must be finite")
+    logits, fields = policy.logits, policy.__dict__
+    rowmax = logits[policy.rows, logits.argmax(axis=1, keepdims=True)]
+    if not all(map(math.isfinite, rowmax[:, 0].tolist())):  # argmin: the first that fails
+        raise ValueError(f"decision {np.isfinite(rowmax[:, 0]).argmin()}: logits must be finite")
     shifted = logits - rowmax
-    exp = np.exp(shifted)
-    total = np.add.reduce(exp, axis=1, keepdims=True, where=like.mask)
+    exp = fields["probs"] = np.exp(shifted)
+    total = np.add.reduce(exp, axis=1, keepdims=True, where=policy.mask).take(policy.rows)
     exp /= total
-    logp = np.subtract(shifted, np.log(total, out=total), out=shifted)
-    return {"probs": exp, "logp": logp, "exp_logp": np.exp(logp)}
+    logp = fields["logp"] = np.subtract(shifted, np.log(total, out=total), out=shifted)
+    fields["exp_logp"] = np.exp(logp)
+    return policy
 
 
 @dataclass(frozen=True)
@@ -134,7 +141,7 @@ class RewardConfig:
 
 def reward(quality: float, latency_ms: float, cfg: RewardConfig) -> float:
     if latency_ms <= 0:
-        raise ValueError(f"latency must be positive, got {latency_ms}")
+        raise LatencyError(f"latency must be positive, got {latency_ms}")
     return quality + cfg.tau * abs(latency_ms / cfg.budget_ms - 1.0)
 
 
@@ -204,13 +211,13 @@ def reinforce_gradient(policy: CategoricalPolicy, batch: Sequence[SampleOutcome]
     which moves no logit but a ``-0.0``), adds later samples in batch order
     and is divided only for a batch of several.
     """
-    (dv, rew), *rest = batch
+    dv, rew = batch[0]
     grads = policy.onehot.take(dv, axis=0)
     grads -= policy.probs
     grads *= rew - baseline_value
-    for dv, rew in rest:
-        grads += (policy.onehot.take(dv, axis=0) - policy.probs) * (rew - baseline_value)
-    if rest:
+    if len(batch) > 1:
+        for dv, rew in batch[1:]:
+            grads += (policy.onehot.take(dv, axis=0) - policy.probs) * (rew - baseline_value)
         grads /= len(batch)
     return grads
 
@@ -227,14 +234,14 @@ def reinforce_step(policy: CategoricalPolicy, batch: Sequence[SampleOutcome],
     """
     if not batch:
         raise ValueError("batch must be non-empty")
-    rewards = [rew for _, rew in batch]
-    if not all(abs(rew) <= MAX_REWARD for rew in rewards):  # False for nan too
-        raise ValueError(f"non-finite or too large reward in batch (|reward| must be <= "
-                         f"{MAX_REWARD:g}, else Adam's second moment overflows): {rewards}")
     mean_reward = 0.0
-    for rew in rewards:  # in order: sum() of floats is compensated from Python 3.12 on
+    for _, rew in batch:  # in order: sum() of floats is compensated from Python 3.12 on
+        if not abs(rew) <= MAX_REWARD:  # True for nan too
+            raise ValueError(f"non-finite or too large reward in batch (|reward| must be <= "
+                             f"{MAX_REWARD:g}, else Adam's second moment overflows): "
+                             f"{[r for _, r in batch]}")
         mean_reward += rew
-    mean_reward /= len(rewards)
+    mean_reward /= len(batch)
     if baseline.value is None:
         baseline.value = mean_reward
     grads = reinforce_gradient(policy, batch, baseline.value)
@@ -255,8 +262,7 @@ def entropy(policy: CategoricalPolicy) -> float:
     differ by more than the largest float, so a real slot's log-probability
     is ``-inf``, as after a step at a huge learning rate.
     """
-    terms = np.multiply(policy.exp_logp, policy.logp, out=np.zeros(policy.logp.shape),
-                        where=policy.mask)
+    terms = np.multiply(policy.exp_logp, policy.logp, out=policy.terms, where=policy.mask)
     value = -float(np.add.reduce(terms, axis=None))
     if not math.isfinite(value):
         raise ValueError(f"entropy is {value}: a decision's logits differ by more than "

@@ -42,6 +42,7 @@ from .controller import (
     AdamState,
     BaselineState,
     CategoricalPolicy,
+    LatencyError,
     RewardConfig,
     entropy,
     most_likely,
@@ -164,8 +165,8 @@ def resolve_budget(space: SpaceSpec, source: LatencySource, seed: int,
     budget = float(np.median([total_latency(source, lookup(dv)[1])
                               for dv in _uniform_draws(space, seed, samples)]))
     if not budget > 0:  # a fitted model is linear and may predict below zero
-        raise ValueError(f"{_source_name(source)}: the median latency of {samples} uniform "
-                         f"samples is {budget} ms, not a budget; give one with --budget")
+        raise LatencyError(f"{_source_name(source)}: the median latency of {samples} uniform "
+                           f"samples is {budget} ms, not a budget; give one with --budget")
     return budget
 
 
@@ -290,8 +291,8 @@ def _best(pricer: _Evaluator, reward_cfg: RewardConfig, vectors: Iterable) -> tu
     for dv in vectors:
         try:
             row = (dv, *pricer.score(dv, reward_cfg))
-        except ValueError as exc:  # a latency the reward rejects
-            raise ValueError(f"{exc} (decision vector {dv})") from exc
+        except LatencyError as exc:  # a latency the reward rejects
+            raise LatencyError(f"{exc} (decision vector {dv})") from exc
         if best is None or row[-1] > best[-1]:
             best = row
     return best
@@ -321,17 +322,13 @@ def run_search(
     policy = CategoricalPolicy.uniform(space)
     adam = AdamState.for_policy(policy, lr=cfg.lr)
     baseline = BaselineState()
-    records = []
+    records, evaluate, memo = [], evaluator.evaluate, evaluator._cache
     for step in range(cfg.steps):
         batch, dv = [], None
         try:
-            first_eval = None
             for _ in range(cfg.samples_per_step):
                 dv = sample(policy, rng)
-                quality, latency = evaluator.evaluate(dv)
-                if first_eval is None:
-                    first_eval = (quality, latency)
-                batch.append((dv, reward(quality, latency, reward_cfg)))
+                batch.append((dv, reward(*evaluate(dv), reward_cfg)))
             policy = reinforce_step(policy, batch, baseline, adam)
             policy_entropy = entropy(policy)
         except Exception as exc:
@@ -339,9 +336,9 @@ def run_search(
             unscored = dv is not None and not (batch and batch[-1][0] is dv)
             where = f" (decision vector {dv})" if unscored else ""
             raise RuntimeError(f"search aborted at step {step}: {exc}{where}") from exc
-        first_dv, first_reward = batch[0]
-        records.append(StepRecord(step, first_dv, *first_eval, first_reward,
-                                  baseline.value, policy_entropy))
+        first_dv, first_reward = batch[0]  # its (quality, latency) is in the memo
+        records.append(StepRecord._make((step, first_dv, *memo[first_dv], first_reward,
+                                         baseline.value, policy_entropy)))
     final_dv, _, final_quality, final_latency, final_reward = _best(
         evaluator, reward_cfg, [most_likely(policy)])
     log = SearchLog(

@@ -693,6 +693,34 @@ def test_search_run_on_a_layout_with_no_blocks_has_nothing_to_search(tmp_path, c
     assert not log.exists()
 
 
+@pytest.mark.parametrize("command, intercept, says", [
+    (["run", "--log", "{tmp}/run.ndjson"], None,
+     "error: ValueError: the space has no decisions, so there is nothing to search\n"),
+    (["exhaustive"], -1.0,
+     "error: ValueError: {model}: model:ibn/neutral/{layout} {digest}: the median latency of "
+     "256 uniform samples is -1.0 ms, not a budget; give one with --budget\n"),
+], ids=["run-not-the-model", "exhaustive-the-model"])
+def test_search_names_the_model_only_on_its_own_errors(tmp_path, capsys, command, intercept,
+                                                       says):
+    """On a layout with no blocks, ``search run`` stops before it prices anything, so its
+    error is not the model's; ``search exhaustive`` prices the one architecture, and a
+    model that prices it below zero is named."""
+    layout, bench, model = tmp_path / "empty.json", tmp_path / "b.csv", tmp_path / "em.json"
+    layout.write_text('{"input_resolution": 32, "stem_channels": 40, "blocks": []}')
+    where = ["--layout", str(layout)]
+    assert run(["bench", "generate", *where, "-n", "4", "-o", str(bench)], capsys)[0] == 0
+    assert run(["cost", "fit", *where, "--bench", str(bench), "-o", str(model)], capsys)[0] == 0
+    doc = json.loads(model.read_text())
+    if intercept is not None:
+        doc["intercept"] = intercept
+        model.write_text(json.dumps(doc))
+    argv = ["search", *[a.format(tmp=tmp_path) for a in command], *where, "--model", str(model)]
+    code, out, err = run(argv, capsys)
+    digest = doc["space_ref"].split()[-1]
+    assert (code, out) == (1, "")
+    assert err == says.format(model=model, layout=layout, digest=digest)
+
+
 def test_missing_file_is_one_line_error(tmp_path, capsys):
     code, _, err = run(["analyze", "--arch", str(tmp_path / "missing.json")], capsys)
     assert code == 1

@@ -1,6 +1,7 @@
 """Policy sampling, reward, REINFORCE update and Adam."""
 
 import math
+import re
 
 import hypothesis.strategies as st
 import numpy as np
@@ -136,11 +137,19 @@ def test_non_finite_reward_rejected():
 
 @pytest.mark.parametrize("rew", [1.0000001e150, -1e300, math.inf, math.nan])
 def test_reward_past_the_bound_rejected(rew):
-    """Past 1e150 in magnitude Adam's squared gradient can overflow to inf."""
+    """Past 1e150 in magnitude Adam's squared gradient can overflow to inf. The bad
+    reward comes second, after one already added to the mean: the error still lists
+    every reward of the batch, and the baseline and Adam keep their state."""
     policy = policy_of([0.0, 0.0])
-    adam = AdamState.for_policy(policy)
-    with pytest.raises(ValueError, match=r"\|reward\| must be <= 1e\+150"):
-        reinforce_step(policy, [((0,), 0.5), ((1,), rew)], BaselineState(), adam)
+    adam, baseline = AdamState.for_policy(policy), BaselineState(value=0.0)
+    policy = reinforce_step(policy, [((0,), 0.25)], baseline, adam)
+    value, step, v, moments = baseline.value, adam.step, adam.v, adam.v.copy()
+    assert value == pytest.approx(0.025) and step == 1 and np.all(moments > 0)
+    listed = re.escape(f"[0.5, {rew!r}, -0.5]")
+    with pytest.raises(ValueError, match=rf"\|reward\| must be <= 1e\+150.*: {listed}$"):
+        reinforce_step(policy, [((0,), 0.5), ((1,), rew), ((0,), -0.5)], baseline, adam)
+    assert (baseline.value, adam.step) == (value, step)
+    assert adam.v is v and np.array_equal(v, moments)
 
 
 def test_rewards_at_the_bound_keep_adam_finite():
@@ -202,6 +211,27 @@ def test_entropy_uniform():
 def test_entropy_saturated():
     policy = policy_of([40.0, 0.0, 0.0])
     assert entropy(policy) < 1e-10
+
+
+def test_entropy_buffer_is_shared_only_where_the_padding_is():
+    """An update's policy shares the entropy buffer of the policy it came from; a
+    policy of the same shape with other padding has its own. Computed alternately,
+    each entropy equals the one over a fresh zero buffer, and padded slots stay 0.0."""
+    first = policy_of([0.3, -0.5, 1.1], [0.0, 0.2])
+    updated = reinforce_step(first, [((2, 1), 1.0)], BaselineState(value=0.0),
+                             AdamState.for_policy(first, lr=0.5))
+    other = policy_of([0.0, 2.0], [1.0, -1.0, 0.5])
+    assert updated.terms is first.terms and other.terms is not first.terms
+    assert other.terms.shape == first.terms.shape and not np.array_equal(other.mask, first.mask)
+
+    def fresh(policy):
+        terms = np.multiply(policy.exp_logp, policy.logp, out=np.zeros(policy.logp.shape),
+                            where=policy.mask)
+        return -float(np.add.reduce(terms, axis=None))
+
+    for policy in [first, updated, other, first, other, updated]:
+        assert entropy(policy) == fresh(policy)
+        assert np.all(policy.terms[~policy.mask] == 0.0)
 
 
 def test_softmax_shift_invariance():
@@ -404,9 +434,24 @@ def test_update_to_non_finite_logits_raises(rows, seed, lr):
     adam, baseline = AdamState.for_policy(policy), BaselineState(value=0.0)
     adam.lr = lr
     dv = sample(policy, np.random.default_rng(seed))
-    with np.errstate(all="ignore"), pytest.raises(ValueError, match="logits must be finite"):
-        reinforce_step(policy, [(dv, 1.0)], baseline, adam)
+    probe = AdamState.for_policy(policy)
+    probe.lr = lr
+    with np.errstate(all="ignore"):
+        logits = probe.apply(policy.logits, reinforce_gradient(policy, [(dv, 1.0)], 0.0))
+        first = int(np.flatnonzero(~np.isfinite(logits.max(axis=1)))[0])
+        with pytest.raises(ValueError, match=f"^decision {first}: logits must be finite$"):
+            reinforce_step(policy, [(dv, 1.0)], baseline, adam)
     assert baseline.value == 0.0  # the failed update did not move the baseline
+
+
+def test_update_names_the_first_row_that_overflows():
+    """At lr 1e308 the first row moves to about +-1e308 and stays finite, while the
+    second row's 1.7e308 overflows to inf: the error names decision 1."""
+    policy = policy_of([0.0, 0.0], [1.7e308, 0.0])
+    adam = AdamState.for_policy(policy, lr=1e308)
+    with np.errstate(all="ignore"), pytest.raises(ValueError,
+                                                  match="^decision 1: logits must be finite$"):
+        reinforce_step(policy, [((0, 1), -1.0)], BaselineState(value=0.0), adam)
 
 
 def test_sample_clamps_to_the_carried_last_slot():

@@ -205,11 +205,17 @@ def test_pinned_trajectory_default_batch_of_three():
 @pytest.mark.parametrize("samples_per_step", [1, 3])
 def test_controller_seams_are_called_per_sample_and_per_step(toy_space, monkeypatch,
                                                              samples_per_step):
-    """The benchmark tracer patches these names in ``hwnas.search`` and reads its
-    cache hit ratio from the ``sample`` count, so the loop must call each of
-    them through the module, per sample or per step."""
+    """The benchmark tracer patches these names in ``hwnas.search`` before each run
+    and reads its cache hit ratio from the ``sample`` count, so every call of
+    ``run_search`` must look each of them up through the module, and call it per
+    sample or per step: a run before the patch must not hide them from a run after
+    it, and the wrappers change nothing in the log."""
     import hwnas.search as search_module
 
+    steps = 25
+    cfg = SearchConfig(steps=steps, samples_per_step=samples_per_step, seed=0, budget_ms=1.0)
+    oracle = CapacityOracle(median_madds(toy_space, 0))
+    _, plain = run_search(toy_space, oracle, CPU, cfg)
     calls = dict.fromkeys(("sample", "reward", "reinforce_step", "entropy", "most_likely"), 0)
 
     def counting(name):
@@ -223,13 +229,12 @@ def test_controller_seams_are_called_per_sample_and_per_step(toy_space, monkeypa
 
     for name in calls:
         monkeypatch.setattr(search_module, name, counting(name))
-    steps = 25
-    cfg = SearchConfig(steps=steps, samples_per_step=samples_per_step, seed=0, budget_ms=1.0)
-    run_search(toy_space, CapacityOracle(median_madds(toy_space, 0)), CPU, cfg)
+    _, traced = run_search(toy_space, oracle, CPU, cfg)
     samples = steps * samples_per_step
     # reward also scores the final architecture once, noiselessly
     assert calls == {"sample": samples, "reward": samples + 1, "reinforce_step": steps,
                      "entropy": steps, "most_likely": 1}
+    assert traced == plain
 
 
 def test_hash_mode_repeats_noise_per_architecture(toy_space):
