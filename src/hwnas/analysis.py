@@ -164,11 +164,6 @@ class ArchCost:
     layers: tuple[LayerCost, ...]
 
     @property
-    def groups(self) -> tuple[Units, ...]:
-        """Units grouped per layer, stem first."""
-        return tuple([layer.units for layer in self.layers])
-
-    @property
     def total_madds(self) -> int:
         return sum([layer.madds for layer in self.layers])
 
@@ -192,8 +187,8 @@ def network_cost(net: NetworkSpec) -> ArchCost:
 
 @lru_cache(maxsize=256)
 def network_units(net: NetworkSpec) -> tuple[Units, ...]:
-    """Constituent conv units grouped per layer, stem group first."""
-    return network_cost(net).groups
+    """Each layer's units of :func:`network_cost`, stem first; only the bench reads it."""
+    return tuple([layer.units for layer in network_cost(net).layers])
 
 
 # ---------------------------------------------------------------------------

@@ -558,8 +558,8 @@ def build_block(
     return BlockSpec(base, multiplier, tuple(layers))
 
 
-def default_layout(input_resolution: int = 320) -> NetworkSpec:
-    """Nine-block default layout.
+def default_layout() -> NetworkSpec:
+    """Nine-block default layout at 320 x 320.
 
     Base channels 32-16-32-48-96-96-160-192-192 with per-block depths
     (1,1,2,3,3,2,3,1,1) and first strides (1,1,2,2,2,1,2,1,1), which puts the
@@ -576,17 +576,17 @@ def default_layout(input_resolution: int = 320) -> NetworkSpec:
         block = build_block(base, 1.0, stride, c_in, (ibn(3, 4),) * depth)
         blocks.append(block)
         c_in = block.layers[-1].c_out
-    return NetworkSpec(input_resolution, 32, tuple(blocks))
+    return NetworkSpec(320, 32, tuple(blocks))
 
 
-def toy2_layout(input_resolution: int = 32) -> NetworkSpec:
-    """Two-layer desk-scale layout: one block of two layers on a 40-wide stem.
+def toy2_layout() -> NetworkSpec:
+    """Two-layer desk-scale layout at 32 x 32: one block of two layers on a 40-wide stem.
 
     Small enough for exhaustive enumeration; the stem width is deliberately
     not a multiple of 8 so the first layer's input width can never collide
     with any block output width.
     """
-    return NetworkSpec(input_resolution, 40, (build_block(16, 1.0, 2, 40, (ibn(3, 4),) * 2),))
+    return NetworkSpec(32, 40, (build_block(16, 1.0, 2, 40, (ibn(3, 4),) * 2),))
 
 
 BUILTIN_LAYOUTS = {

@@ -129,11 +129,16 @@ def _path(text: str) -> str:
 
 @contextmanager
 def _naming(model: str | None):
-    """Prefix the ``model`` file to its errors: a bucket it lacks, a latency or budget <= 0."""
+    """Prefix the ``model`` file to its errors: a bucket it lacks, a latency or budget <= 0,
+    and a search step that one of them aborted."""
     try:
         yield
     except UnknownBucketError as exc:
         exc.args = (f"{model}: {exc}",) if model else exc.args
+        raise
+    except RuntimeError as exc:
+        if model and isinstance(exc.__cause__, (UnknownBucketError, LatencyError)):
+            exc.args = (f"{model}: {exc}",)
         raise
     except LatencyError as exc:  # a latency or budget, reported as the ValueError it is
         raise ValueError(f"{model}: {exc}" if model else str(exc)) from exc

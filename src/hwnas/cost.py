@@ -28,8 +28,7 @@ import numpy as np
 
 from .arch import (NetworkSpec, ParseError, _as_list, _as_num, _as_str, _require, load_file,
                    parse_json, save_file)
-from .analysis import (OP_CLASSES, ArchCost, LayerCost, Units, network_cost, space_buckets,
-                       space_table)
+from .analysis import OP_CLASSES, ArchCost, LayerCost, network_cost, space_buckets, space_table
 from .space import DecisionVector, SpaceSpec, random_sample, decode
 
 
@@ -60,7 +59,8 @@ class UnknownBucketError(ValueError):
 
 @dataclass(frozen=True)
 class DeviceSimulator:
-    """Per-op-class cost rates (ms per mega-MAdd) plus per-layer overhead."""
+    """Per-op-class cost rates (ms per mega-MAdd) plus per-layer overhead; every simulated
+    latency is :func:`total_latency` of its layers' :meth:`addends`."""
 
     name: str
     regular_conv: float
@@ -84,16 +84,9 @@ class DeviceSimulator:
     def _rates(self) -> dict[str, float]:
         return {op_class: getattr(self, op_class) for op_class in OP_CLASSES}
 
-    def rated(self, units: Units) -> tuple[float, ...]:
-        """``rate * madds / 1e6`` of each unit, in order; an unknown op class raises."""
-        try:
-            return tuple([self._rates[op_class] * madds / 1e6 for op_class, madds in units])
-        except KeyError as exc:
-            raise ValueError(f"unknown op class {exc.args[0]!r}") from None
-
     def addends(self, layer: LayerCost) -> tuple[float, ...]:
-        """A layer's latency addends: its units, rated."""
-        return self.rated(layer.units)
+        """A layer's latency addends: ``rate * madds / 1e6`` of each of its units, in order."""
+        return tuple([self._rates[op_class] * madds / 1e6 for op_class, madds in layer.units])
 
 
 # Built-in profiles. The accelerator profile charges depthwise multiply-adds
@@ -106,12 +99,6 @@ BUILTIN_DEVICES = {
     "accel_sim": DeviceSimulator("accel_sim", 1.0, 21.0, 1.0, 50.0),
     "dsp_sim": DeviceSimulator("dsp_sim", 1.0, 21.0, 1.0, 50.0),
 }
-
-
-def simulate_groups(device: DeviceSimulator, groups: tuple[Units, ...],
-                    rng: np.random.Generator | None = None) -> float:
-    """Price conv units grouped per layer, as :func:`total_latency` does."""
-    return total_latency(device, [device.rated(units) for units in groups], rng)
 
 
 def simulate_latency(device: DeviceSimulator, net: NetworkSpec,
@@ -449,12 +436,10 @@ def load_model(path: str | Path) -> LatencyModel:
         raise ParseError(f"{path}: {exc}") from None
 
 
-def save_device(device: DeviceSimulator, path: str | Path, meta: dict | None = None) -> None:
+def save_device(device: DeviceSimulator, path: str | Path) -> None:
     """Write every field of the profile, in declaration order."""
-    doc = dataclasses.asdict(device)
-    if meta:
-        doc["_meta"] = meta
-    Path(path).write_text(json.dumps(doc, indent=2) + "\n", encoding="utf-8")
+    Path(path).write_text(json.dumps(dataclasses.asdict(device), indent=2) + "\n",
+                          encoding="utf-8")
 
 
 def load_device(path: str | Path) -> DeviceSimulator:

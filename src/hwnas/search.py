@@ -30,7 +30,6 @@ import hashlib
 import json
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
 from pathlib import Path
 from typing import Iterable, NamedTuple, Protocol, Sequence
 
@@ -63,7 +62,15 @@ from .space import (
 )
 
 
-_decimal = lru_cache(maxsize=1024)(str)  # str of a decision index, kept for reuse
+class _Decimals(dict):
+    """``str`` of a decision index from a table of 0 to 1023 that never stores a miss, so an
+    index equal to one of them (``np.int64(1)``, ``True``) formats alike in any process."""
+
+    def __missing__(self, index) -> str:
+        return str(index)
+
+
+_decimal = _Decimals({i: str(i) for i in range(1024)}).__getitem__
 
 
 def arch_hash(dv: DecisionVector) -> int:
@@ -129,7 +136,7 @@ class CapacityOracle:
 
     scale_madds: float
     noise_sigma: float = 0.0
-    descriptor: str = "capacity"
+    descriptor = "capacity"
 
     def evaluate(self, cost: ArchCost, rng: np.random.Generator | None) -> float:
         score = 1.0 - math.exp(-cost.total_madds / self.scale_madds)
@@ -170,10 +177,10 @@ def resolve_budget(space: SpaceSpec, source: LatencySource, seed: int,
     return budget
 
 
-def median_madds(space: SpaceSpec, seed: int, samples: int = 256) -> float:
-    """Median total multiply-adds over uniform samples (capacity oracle scale)."""
+def median_madds(space: SpaceSpec, seed: int) -> float:
+    """Capacity oracle scale: median total multiply-adds of resolve_budget's 256 default draws."""
     price = space_table(space).price
-    return float(np.median([price(dv).total_madds for dv in _uniform_draws(space, seed, samples)]))
+    return float(np.median([price(dv).total_madds for dv in _uniform_draws(space, seed, 256)]))
 
 
 @dataclass(frozen=True)

@@ -39,10 +39,6 @@ class Tucker2Factors:
     core: np.ndarray           # (K, K, r1, r2)
     output_factor: np.ndarray  # (C2, r2), orthonormal columns
 
-    @property
-    def ranks(self) -> tuple[int, int]:
-        return self.input_factor.shape[1], self.output_factor.shape[1]
-
 
 def _check_kernel(kernel: np.ndarray) -> tuple[int, int, int]:
     kernel = np.asarray(kernel)

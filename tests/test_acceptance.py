@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from hwnas.analysis import network_cost
+from hwnas.analysis import ArchCost, LayerCost, network_cost
 from hwnas.arch import derive_shapes, functional_signature, iter_layers, toy2_layout
 from hwnas.controller import (
     CategoricalPolicy,
@@ -24,8 +24,8 @@ from hwnas.cost import (
     BUILTIN_DEVICES,
     fit,
     generate_benchmarks,
+    latency_of,
     r2,
-    simulate_groups,
 )
 from hwnas.search import (
     LinearFeatureOracle,
@@ -100,8 +100,10 @@ def test_criterion_3_depthwise_regular_calibration():
     """A regular conv with 7x the MAdds runs 3x (+-1%) faster on accel_sim."""
     start = time.time()
     madds = 10**6
-    depthwise = simulate_groups(ACCEL, ((("depthwise_conv", madds),),))
-    regular = simulate_groups(ACCEL, ((("regular_conv", 7 * madds),),))
+    depthwise = latency_of(ACCEL, ArchCost((LayerCost((("depthwise_conv", madds),), madds, 0,
+                                                      "ibn", "depthwise"),)))
+    regular = latency_of(ACCEL, ArchCost((LayerCost((("regular_conv", 7 * madds),), 7 * madds, 0,
+                                                    "fused", "regular"),)))
     ratio = depthwise / regular
     elapsed = time.time() - start
     assert abs(ratio - 3.0) <= 0.03

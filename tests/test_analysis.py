@@ -100,7 +100,7 @@ def test_resolution_doubling_quadruples_stride1_madds():
 
 
 def test_default_layout_matches_brute_network():
-    net = default_layout(320)
+    net = default_layout()
     cost = network_cost(net)
     assert (cost.total_madds, cost.total_params) == brute_network(net)
 

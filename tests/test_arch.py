@@ -117,7 +117,7 @@ def test_derive_shapes_two_halvings():
 
 
 def test_derive_shapes_default_c5_at_10x10():
-    net = default_layout(320)
+    net = default_layout()
     sizes = derive_shapes(net)
     assert len(sizes) == 1 + 17  # the stem, then each layer
     # blocks 6..8 sit at output stride 32
@@ -266,7 +266,7 @@ def test_width_rule_holds_up_to_the_limit():
 
 def test_resolution_rule_holds_up_to_the_limit():
     """At the limit, a network as wide as the width rule allows still prices finitely."""
-    assert validate(toy2_layout(MAX_RESOLUTION + 1)) == [
+    assert validate(dataclasses.replace(toy2_layout(), input_resolution=MAX_RESOLUTION + 1)) == [
         f"input_resolution must be at most {MAX_RESOLUTION}, got {MAX_RESOLUTION + 1}"]
     widest = NetworkSpec(MAX_RESOLUTION, MAX_WIDTH, (
         build_block(MAX_WIDTH, 1.0, 1, MAX_WIDTH, (tucker(3, 0.5, 0.5),)),))

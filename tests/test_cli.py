@@ -1163,6 +1163,20 @@ def test_a_model_that_prices_below_zero_is_named(tmp_path, capsys, command, says
         assert "model:ibn/neutral/toy2 " in err and err.strip().endswith("with --budget")
 
 
+def test_a_search_step_that_the_model_aborts_names_the_model(tmp_path, capsys):
+    """With a budget, ``search run`` prices its first sample below zero: the step aborts,
+    and the error names the model before the step."""
+    doc = dict(MODEL_DOC, intercept=MODEL_DOC["intercept"] - 1e4)
+    path, log = write_doc(tmp_path / "neg.json", doc), tmp_path / "r.ndjson"
+    code, out, err = run(["search", "run", "--budget", "5", "--steps", "3", "--log", str(log),
+                          "--model", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(rf"error: RuntimeError: {re.escape(str(path))}: search aborted at step 0: "
+                        r"latency must be positive, got -\d+\.\d+ "
+                        r"\(decision vector \(\d+, \d+, \d+\)\)\n", err)
+    assert not log.exists()
+
+
 @pytest.mark.parametrize("command", [SEARCH_TWO_STEPS, GENERATE_TWO], ids=["search", "generate"])
 def test_a_device_that_prices_nothing_is_named(tmp_path, capsys, command):
     zero = dict(DEVICE_DOC, regular_conv=0, depthwise_conv=0, pointwise_conv=0, overhead_ms=0)

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import example, given, settings
 
 import reference_ridge as ref
-from hwnas.analysis import (OP_CLASSES, ArchCost, LayerCost, net_feature_counts, network_cost,
-                            space_buckets)
-from hwnas.arch import BUILTIN_LAYOUTS, ParseError, toy2_layout
+from hwnas.analysis import (OP_CLASSES, ArchCost, LayerCost, _layer_table, net_feature_counts,
+                            network_cost, space_buckets)
+from hwnas.arch import BUILTIN_LAYOUTS, OPS, ParseError, toy2_layout
 from hwnas.cli import main
 from hwnas.cost import (
     BUILTIN_DEVICES,
@@ -27,6 +27,7 @@ from hwnas.cost import (
     coverage,
     fit,
     generate_benchmarks,
+    latency_of,
     load_benchmarks,
     load_device,
     load_model,
@@ -35,11 +36,10 @@ from hwnas.cost import (
     save_benchmarks,
     save_device,
     save_model,
-    simulate_groups,
     simulate_latency,
     space_line,
 )
-from hwnas.space import build_space, decode, random_sample
+from hwnas.space import build_space, decode, kind_atoms_for, random_sample
 from strategies import make_layout
 
 
@@ -48,23 +48,51 @@ def toy_space():
     return build_space("ibn_fused_tucker", "neutral", toy2_layout())
 
 
+def hand_built(*units) -> ArchCost:
+    """The cost of one hand-built layer per tuple of ``(op class, madds)`` units."""
+    return ArchCost(tuple(LayerCost(layer, sum(m for _, m in layer), 0, "test", f"layer{i}")
+                          for i, layer in enumerate(units)))
+
+
 def test_simulate_groups_arithmetic():
     dev = DeviceSimulator("unit", 1.0, 1.0, 2.0, 1.0, overhead_ms=0.1)
-    assert simulate_groups(dev, ((("pointwise_conv", 10**6),),)) == pytest.approx(2.1)
+    assert latency_of(dev, hand_built((("pointwise_conv", 10**6),))) == pytest.approx(2.1)
 
 
 def test_simulate_overhead_per_layer():
     dev = DeviceSimulator("unit", 1.0, 1.0, 1.0, 1.0, overhead_ms=0.5)
-    groups = ((("pointwise_conv", 0),), (("pointwise_conv", 0),))
-    assert simulate_groups(dev, groups) == pytest.approx(1.0)
+    cost = hand_built((("pointwise_conv", 0),), (("pointwise_conv", 0),))
+    assert latency_of(dev, cost) == pytest.approx(1.0)
 
 
 def test_accel_depthwise_regular_calibration():
     dev = BUILTIN_DEVICES["accel_sim"]
     madds = 10**6
-    dep = simulate_groups(dev, ((("depthwise_conv", madds),),))
-    reg = simulate_groups(dev, ((("regular_conv", 7 * madds),),))
+    dep = latency_of(dev, hand_built((("depthwise_conv", madds),)))
+    reg = latency_of(dev, hand_built((("regular_conv", 7 * madds),)))
     assert dep / reg == pytest.approx(3.0)
+
+
+def test_addends_rate_each_unit_in_order():
+    dev = DeviceSimulator("unit", 1.5, 21.0, 0.25, 50.0, overhead_ms=3.0)
+    units = (("pointwise_conv", 12345), ("depthwise_conv", 678), ("regular_conv", 9 * 10**6),
+             ("se_block", 4321), ("pointwise_conv", 1))
+    layer = hand_built(units).layers[0]
+    assert dev.addends(layer) == tuple(getattr(dev, op_class) * madds / 1e6
+                                       for op_class, madds in units)
+    assert dev.addends(hand_built(()).layers[0]) == ()
+
+
+@pytest.mark.parametrize("use_se", [False, True], ids=["plain", "se"])
+@pytest.mark.parametrize("op", OPS)
+def test_every_op_class_the_analyzer_emits_has_a_rate(op, use_se):
+    """The analyzer's formula table is the one source of units, and the simulators rate
+    exactly ``OP_CLASSES``, so no unit can carry an op class a simulator lacks."""
+    kinds = [kind for kind in kind_atoms_for("ibn_fused_tucker", "neutral") if kind.op == op]
+    assert kinds
+    emitted = {op_class for kind in kinds for op_class, _, _ in _layer_table(kind, 40, 16, use_se)}
+    assert emitted <= set(OP_CLASSES)
+    assert ("se_block" in emitted) == use_se
 
 
 def test_dsp_profile_shares_accel_rates():
@@ -72,12 +100,6 @@ def test_dsp_profile_shares_accel_rates():
     accel, dsp = BUILTIN_DEVICES["accel_sim"], BUILTIN_DEVICES["dsp_sim"]
     for cls in ("regular_conv", "depthwise_conv", "pointwise_conv", "se_block"):
         assert getattr(dsp, cls) == getattr(accel, cls)
-
-
-def test_simulate_unknown_op_class_is_named():
-    with pytest.raises(ValueError, match="unknown op class 'winograd_conv'"):
-        simulate_groups(BUILTIN_DEVICES["cpu_sim"],
-                        ((("pointwise_conv", 10), ("winograd_conv", 10)),))
 
 
 @settings(max_examples=100, deadline=None)
@@ -88,9 +110,9 @@ def test_simulate_noise_keeps_positive_factors_and_redraws_the_rest(seed, sigma)
     dev = dataclasses.replace(BUILTIN_DEVICES["accel_sim"], noise_sigma=sigma)
     groups = ((("regular_conv", 3 * 10**6),),
               (("depthwise_conv", 10**5), ("pointwise_conv", 2 * 10**6)))
-    exact = simulate_groups(dev, groups)
+    exact = latency_of(dev, hand_built(*groups))
     factor = 1.0 + np.random.default_rng(seed).normal(0.0, sigma)
-    noisy = simulate_groups(dev, groups, np.random.default_rng(seed))
+    noisy = latency_of(dev, hand_built(*groups), np.random.default_rng(seed))
     if factor > 0:
         assert noisy == exact * factor
     else:
@@ -596,7 +618,7 @@ def test_malformed_device_file_names_file_and_field(tmp_path, text, parts):
 def test_device_file_round_trip(tmp_path):
     dev = DeviceSimulator("custom", 1.5, 2.5, 0.5, 9.0, overhead_ms=0.25, noise_sigma=0.02)
     path = tmp_path / "device.json"
-    save_device(dev, path, meta={"tool": "test"})
+    save_device(dev, path)
     assert load_device(path) == dev
 
 

@@ -4,7 +4,10 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -263,6 +266,19 @@ def test_hash_mode_noise_independent_of_evaluation_order(toy_space):
     assert len({q for q, _ in ahead.values()}) == len(dvs)  # distinct noise per arch
     other_seed = _Evaluator(toy_space, oracle, noisy_cpu, 8)
     assert all(other_seed.evaluate(dv) != ahead[dv] for dv in dvs)
+
+
+def test_arch_hash_does_not_depend_on_what_the_process_hashed_before():
+    """An index equal to an int hashes as that int, even after a ``True`` in its place; in
+    a fresh interpreter, so that no earlier test has hashed anything."""
+    code = ("import numpy as np\n"
+            "from hwnas.search import arch_hash\n"
+            "arch_hash((True, 2))\n"
+            "print(arch_hash((np.int64(1), 2)) == arch_hash((1.0, 2)) == arch_hash((1, 2)))\n")
+    src = Path(__file__).resolve().parents[1] / "src"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env={**os.environ, "PYTHONPATH": str(src)})
+    assert out.stdout == "True\n"
 
 
 def test_search_with_fitted_model_latency_source(toy_space):

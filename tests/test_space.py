@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 
-from hwnas.analysis import network_units, space_table
+from hwnas.analysis import network_cost, space_table
 from hwnas.arch import (
     BUILTIN_LAYOUTS,
     InvalidArchitectureError,
@@ -458,7 +458,7 @@ def test_every_vector_of_a_built_space_decodes_to_a_valid_network(menu, picks):
     dv = tuple(pick % len(d.choices) for pick, d in zip(picks, space.decisions))
     net = decode(space, dv)
     assert validate(net) == []
-    assert space_table(space).price(dv).groups == network_units(net)
+    assert space_table(space).price(dv) == network_cost(net)
 
 
 @pytest.mark.parametrize("last_layers, accepted", [(1, True), (2, False)])

@@ -19,7 +19,8 @@ from bruteforce import position_vectors
 from reference_oracles import capacity_score, linear_score, model_latency, simulator_latency
 from strategies import spaces_with_dv
 
-LAYOUTS = {"default320": default_layout(320), "default224": default_layout(224),
+LAYOUTS = {"default320": default_layout(),
+           "default224": dataclasses.replace(default_layout(), input_resolution=224),
            "toy2": toy2_layout()}
 NOISY_ACCEL = dataclasses.replace(BUILTIN_DEVICES["accel_sim"], noise_sigma=0.05)
 
@@ -52,7 +53,7 @@ def test_table_prices_like_the_decoded_network(variant, adaptation, layout, data
     net = decode(space, dv)
     cost = space_table(space).price(dv)
     assert cost == network_cost(net)  # every layer's units, madds, params, op and key
-    assert cost.groups == network_units(net)
+    assert network_units(net) == tuple(layer.units for layer in cost.layers)
 
     oracles, model = _scorers(variant, adaptation, layout)
     for oracle, score in oracles:
@@ -104,7 +105,7 @@ def test_table_prices_random_layouts(space_dv):
     net = decode(space, dv)
     cost = space_table(space).price(dv)
     assert cost == network_cost(net)
-    assert cost.groups == network_units(net)
+    assert network_units(net) == tuple(layer.units for layer in cost.layers)
 
 
 @pytest.mark.parametrize("variant,adaptation,layout",

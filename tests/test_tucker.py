@@ -8,7 +8,6 @@ import pytest
 
 from hwnas.arch import ParseError
 from hwnas.tucker import (
-    Tucker2Factors,
     apply_conv,
     apply_sequence,
     error_rank_table,
@@ -38,6 +37,8 @@ def test_full_rank_reconstruction_exact():
 
 def test_factors_are_orthonormal():
     factors = tucker2(random_kernel(seed=3), 5, 6)
+    assert factors.input_factor.shape == (8, 5) and factors.output_factor.shape == (8, 6)
+    assert factors.core.shape == (3, 3, 5, 6)
     for mat in (factors.input_factor, factors.output_factor):
         gram = mat.T @ mat
         assert np.allclose(gram, np.eye(mat.shape[1]), atol=1e-12)
@@ -208,9 +209,3 @@ def test_kernel_file_truncated(tmp_path):
     path.write_bytes(b"\x03\x00\x00\x00")
     with pytest.raises(ValueError, match="truncated"):
         load_kernel(path)
-
-
-def test_ranks_property():
-    factors = tucker2(random_kernel(), 3, 6)
-    assert factors.ranks == (3, 6)
-    assert isinstance(factors, Tucker2Factors)
